@@ -75,30 +75,6 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
-# Cached index matrices for circular correlation, keyed by dimension.
-# _corr_index(d)[k, i] = (k + i) % d; _conv_index(d)[m, k] = (m - k) % d.
-_CORR_IDX: dict[int, np.ndarray] = {}
-_CONV_IDX: dict[int, np.ndarray] = {}
-
-
-def _corr_index(d: int) -> np.ndarray:
-    idx = _CORR_IDX.get(d)
-    if idx is None:
-        k = np.arange(d)
-        idx = (k[:, None] + k[None, :]) % d
-        _CORR_IDX[d] = idx
-    return idx
-
-
-def _conv_index(d: int) -> np.ndarray:
-    idx = _CONV_IDX.get(d)
-    if idx is None:
-        k = np.arange(d)
-        idx = (k[:, None] - k[None, :]) % d
-        _CONV_IDX[d] = idx
-    return idx
-
-
 # Flattened scatter cells of read-only index arrays, keyed by identity and
 # width.  An index that cannot change keeps its cells, so the fixed index
 # plans of a graph pay for them once; the entry holds the array itself,
@@ -292,47 +268,6 @@ class Tape:
         self._records.append(backward)
         return out
 
-    def stack_rows(self, xs: list[Tensor]) -> Tensor:
-        if not xs:
-            raise ValueError("stack_rows of zero tensors")
-        if any(x.data.ndim != 1 for x in xs):
-            raise ValueError("stack_rows expects 1-D tensors")
-        out = Tensor(np.stack([x.data for x in xs]))
-
-        def backward() -> None:
-            for i, x in enumerate(xs):
-                x.grad += out.grad[i]
-
-        self._records.append(backward)
-        return out
-
-    def mean_rows(self, x: Tensor) -> Tensor:
-        if x.data.ndim != 2:
-            raise ValueError("mean_rows expects a 2-D tensor")
-        n = x.data.shape[0]
-        out = Tensor(x.data.mean(axis=0))
-
-        def backward() -> None:
-            x.grad += out.grad / n
-
-        self._records.append(backward)
-        return out
-
-    def weighted_sum(self, weights: Tensor, rows: Tensor) -> Tensor:
-        """``sum_i weights[i] * rows[i]`` over the rows of a 2-D tensor."""
-        if weights.data.ndim != 1 or rows.data.ndim != 2:
-            raise ValueError("weighted_sum expects weights (k,) and rows (k, d)")
-        if weights.data.shape[0] != rows.data.shape[0]:
-            raise ValueError("weighted_sum length mismatch")
-        out = Tensor(weights.data @ rows.data)
-
-        def backward() -> None:
-            weights.grad += rows.data @ out.grad
-            rows.grad += np.outer(weights.data, out.grad)
-
-        self._records.append(backward)
-        return out
-
     def add_n(self, xs: list[Tensor]) -> Tensor:
         """Sum of same-shape tensors in one record (left-to-right order)."""
         if not xs:
@@ -347,18 +282,6 @@ class Tape:
         def backward() -> None:
             for x in xs:
                 x.grad += out.grad
-
-        self._records.append(backward)
-        return out
-
-    def dot(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.data.shape != b.data.shape or a.data.ndim != 1:
-            raise ValueError(f"dot shape mismatch: {a.shape} vs {b.shape}")
-        out = Tensor(np.dot(a.data, b.data))
-
-        def backward() -> None:
-            a.grad += out.grad * b.data
-            b.grad += out.grad * a.data
 
         self._records.append(backward)
         return out
@@ -395,55 +318,24 @@ class Tape:
         self._records.append(backward)
         return out
 
-    def sigmoid(self, x: Tensor) -> Tensor:
-        out = Tensor(_stable_sigmoid(x.data))
-
-        def backward() -> None:
-            s = out.data
-            x.grad += s * (1.0 - s) * out.grad
-
-        self._records.append(backward)
-        return out
-
-    def masked_softmax(self, logits: Tensor) -> Tensor:
-        """Softmax over a 1-D logit vector, max-subtracted for stability."""
-        if logits.data.ndim != 1:
-            raise ValueError("masked_softmax expects a 1-D tensor")
-        if logits.data.shape[0] == 0:
-            raise ValueError("masked_softmax over an empty set")
-        shifted = np.exp(logits.data - logits.data.max())
-        out = Tensor(shifted / shifted.sum())
-
-        def backward() -> None:
-            s = out.data
-            logits.grad += s * (out.grad - np.dot(out.grad, s))
-
-        self._records.append(backward)
-        return out
-
     # -- circular correlation -------------------------------------------
 
     def circ_corr(self, a: Tensor, b: Tensor) -> Tensor:
-        """Circular correlation: out[k] = sum_i a[i] * b[(k + i) mod d]."""
+        """Circular correlation of two vectors: out[k] = sum_i a[i] * b[(k + i) mod d].
+
+        The one-row case of ``circ_corr_rows``.
+        """
         if a.data.shape != b.data.shape or a.data.ndim != 1:
             raise ValueError(f"circ_corr shape mismatch: {a.shape} vs {b.shape}")
-        d = a.data.shape[0]
-        b_shifted = b.data[_corr_index(d)]
-        out = Tensor(b_shifted @ a.data)
-
-        def backward() -> None:
-            a.grad += b_shifted.T @ out.grad
-            b.grad += a.data[_conv_index(d)] @ out.grad
-
-        self._records.append(backward)
-        return out
+        row = self.circ_corr_rows(self.reshape(a, (1, -1)), self.reshape(b, (1, -1)))
+        return self.reshape(row, (-1,))
 
     # -- batched row ops -------------------------------------------------
     #
     # These keep whole node populations in single (m, d) tensors so a
     # full aggregation layer costs a fixed handful of records instead of
-    # one per node.  Semantics match the per-vector ops above; summation
-    # within a segment follows flattened index order.
+    # one per node.  Summation within a segment follows flattened index
+    # order.
 
     def gather_rows(self, table: Tensor, indices) -> Tensor:
         """out[i] = table[indices[i]]; backward scatter-adds into rows."""
@@ -612,55 +504,54 @@ class Tape:
 
     # -- reshaping and convolution --------------------------------------
 
-    def reshape2d(self, x: Tensor, rows: int, cols: int) -> Tensor:
-        if x.data.ndim != 1 or x.data.shape[0] != rows * cols:
-            raise ValueError(f"cannot reshape {x.shape} to {rows}x{cols}")
-        out = Tensor(x.data.reshape(rows, cols))
+    def reshape(self, x: Tensor, shape: tuple[int, ...]) -> Tensor:
+        """The same values in another shape (numpy rules; one -1 allowed)."""
+        out = Tensor(x.data.reshape(shape))
 
         def backward() -> None:
-            x.grad += out.grad.reshape(-1)
+            x.add_grad(out.grad.reshape(x.data.shape))
 
         self._records.append(backward)
         return out
 
-    def flatten(self, x: Tensor) -> Tensor:
-        shape = x.data.shape
-        out = Tensor(x.data.reshape(-1))
+    def conv2d(self, images: Tensor, filters: Tensor) -> Tensor:
+        """Valid cross-correlation, stride 1, of each image in a batch.
 
-        def backward() -> None:
-            x.grad += out.grad.reshape(shape)
-
-        self._records.append(backward)
-        return out
-
-    def conv2d(self, image: Tensor, filters: Tensor) -> Tensor:
-        """Valid cross-correlation, stride 1: image (H, W), filters (F, k, k)."""
-        if image.data.ndim != 2 or filters.data.ndim != 3:
-            raise ValueError("conv2d expects image (H, W) and filters (F, k, k)")
-        h, w = image.data.shape
+        images (q, H, W), filters (F, k, k) -> (q, F, H - k + 1, W - k + 1).
+        Each product is the one np.tensordot forms for the whole batch,
+        called directly: the same operands, none of its per-call overhead.
+        An image's outputs are bitwise those of a batch of one; the
+        filter gradient sums over every image's patches in one product.
+        """
+        if images.data.ndim != 3 or filters.data.ndim != 3:
+            raise ValueError("conv2d expects images (q, H, W) and filters (F, k, k)")
+        q, h, w = images.data.shape
         f, kh, kw = filters.data.shape
         if kh != kw:
             raise ValueError("conv2d kernels must be square")
         if kh > h or kw > w:
             raise ValueError(f"kernel {kh}x{kw} does not fit image {h}x{w}")
         oh, ow = h - kh + 1, w - kw + 1
-        patches = np.lib.stride_tricks.sliding_window_view(image.data, (kh, kw))
-        # the (F, k*k) @ (k*k, oh*ow) products np.tensordot would form,
-        # called directly: same operands, none of its per-call overhead
+        # patches[n, y, x] is the k x k window at (y, x) of image n
+        patches = np.lib.stride_tricks.sliding_window_view(images.data, (kh, kw), axis=(1, 2))
         flat_filters = filters.data.reshape(f, kh * kw)
+        columns = patches.transpose(3, 4, 0, 1, 2).reshape(kh * kw, q * oh * ow)
         out = Tensor(
-            np.dot(flat_filters, patches.transpose(2, 3, 0, 1).reshape(kh * kw, oh * ow))
-            .reshape(f, oh, ow)
+            np.dot(flat_filters, columns).reshape(f, q, oh, ow).transpose(1, 0, 2, 3)
         )
 
         def backward() -> None:
-            g = out.grad.reshape(f, oh * ow)
-            filters.grad += np.dot(g, patches.reshape(oh * ow, kh * kw)).reshape(f, kh, kw)
+            g = out.grad.transpose(1, 0, 2, 3).reshape(f, q * oh * ow)
+            # a C-contiguous (q*oh*ow, k*k) patch matrix: a transposed view
+            # of ``columns`` would send np.dot down another summation order
+            rows = patches.reshape(q * oh * ow, kh * kw)
+            filters.add_grad(np.dot(g, rows).reshape(f, kh, kw))
+            grad = images.grad
             for i in range(kh):
                 for j in range(kw):
-                    image.grad[i : i + oh, j : j + ow] += np.dot(
+                    grad[:, i : i + oh, j : j + ow] += np.dot(
                         filters.data[:, i, j].reshape(1, f), g
-                    ).reshape(oh, ow)
+                    ).reshape(q, oh, ow)
 
         self._records.append(backward)
         return out

@@ -12,6 +12,7 @@ import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -19,10 +20,15 @@ from .autodiff import ParameterStore, Tape, Tensor
 from .kgdata import HeterogeneousGraph, KnowledgeTriple
 from .layers import ModelConfig, forward_model
 from .scoring import ConvScorerConfig, frozen_trunk
+from .trainer import EarlyStopper, TrainConfig, adam_step
 
 logger = logging.getLogger(__name__)
 
 THREADS_ENV = "EVENTKE_THREADS"
+
+# queries per frozen_trunk call in ranking: larger blocks gain no speed
+# and hold more conv activations at once
+EVAL_BLOCK = 64
 
 
 def rank_of_gold(scores: np.ndarray, gold: int) -> float:
@@ -147,7 +153,8 @@ def kg_completion_eval(
 ) -> RankingReport:
     """Rank each gold tail against all entities or K sampled negatives.
 
-    Queries are scored independently (thread pool capped by the
+    Trunk rows are computed for blocks of EVAL_BLOCK queries at a time,
+    and blocks are scored independently (thread pool capped by the
     EVENTKE_THREADS environment variable); ranks are aggregated in query
     order, so the report never depends on completion order.
     """
@@ -163,9 +170,8 @@ def kg_completion_eval(
     entity_matrix = frozen_entity_matrix(graph, params, model_config)
     relation_rows = params["relation_embeddings"].data
 
-    def rank_one(query: KnowledgeTriple) -> float:
+    def rank_one(query: KnowledgeTriple, trunk: np.ndarray) -> float:
         h, r, t = query
-        trunk = frozen_trunk(params, scorer_config, entity_matrix[h], relation_rows[r])
         if protocol.mode == "full":
             candidates = np.arange(n)
             gold_pos = t
@@ -181,12 +187,22 @@ def kg_completion_eval(
         scores = entity_matrix[candidates] @ trunk
         return rank_of_gold(scores, gold_pos)
 
+    def rank_block(start: int) -> list[float]:
+        block = test_triples[start : start + EVAL_BLOCK]
+        trunks = frozen_trunk(
+            params, scorer_config,
+            entity_matrix[[h for h, _, _ in block]], relation_rows[[r for _, r, _ in block]],
+        )
+        return [rank_one(query, trunk) for query, trunk in zip(block, trunks)]
+
+    starts = range(0, len(test_triples), EVAL_BLOCK)
     threads = _thread_count()
     if threads == 1:
-        ranks = [rank_one(q) for q in test_triples]
+        blocks = [rank_block(start) for start in starts]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            ranks = list(pool.map(rank_one, test_triples))
+            blocks = list(pool.map(rank_block, starts))
+    ranks = [rank for block in blocks for rank in block]
     return aggregate_report(
         test_triples,
         ranks,
@@ -283,21 +299,6 @@ def _head_logits(tape: Tape, head: ParameterStore, x: Tensor) -> Tensor:
     return tape.affine(head["head_output"], tape.relu(tape.affine(head["head_hidden"], x)))
 
 
-def _adam_update(store: ParameterStore, lr: float, t: int) -> None:
-    b1, b2, eps = 0.9, 0.999, 1e-8
-    for name, tensor in store.items():
-        g = tensor.grad
-        slots = store.slots(name)
-        slots["m"] *= b1
-        slots["m"] += (1 - b1) * g
-        slots["v"] *= b2
-        slots["v"] += (1 - b2) * g * g
-        m_hat = slots["m"] / (1 - b1**t)
-        v_hat = slots["v"] / (1 - b2**t)
-        tensor.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
-    store.zero_grads()
-
-
 def train_head_on_vectors(
     vectors: np.ndarray,
     splits: dict[str, list[Example]],
@@ -305,51 +306,8 @@ def train_head_on_vectors(
     config: HeadConfig,
 ) -> HeadResult:
     """Train the probe on frozen vectors; returns best-validation accuracy on test."""
-    arity = _check_splits(splits, n_classes)
-    d = vectors.shape[1]
-    input_width = arity * d
-    hidden = config.hidden or d
-    head = _head_params(input_width, hidden, n_classes, config.seed)
-
-    def example_input(ids: tuple[int, ...]) -> np.ndarray:
-        return np.concatenate([vectors[i] for i in ids])
-
-    def split_loss(tape: Tape, examples: list[Example]) -> Tensor:
-        losses = [
-            tape.cross_entropy(_head_logits(tape, head, Tensor(example_input(ids))), label)
-            for ids, label in examples
-        ]
-        return tape.add_n(losses)
-
-    best_arrays: dict[str, np.ndarray] = {}
-    best_val = np.inf
-    best_epoch = 0
-    bad = 0
-    for epoch in range(1, config.max_epochs + 1):
-        tape = Tape()
-        loss = split_loss(tape, splits["train"])
-        tape.backward(loss)
-        _adam_update(head, config.learning_rate, epoch)
-        val = float(split_loss(Tape(), splits["val"]).data)
-        if val < best_val:
-            best_val, best_epoch, bad = val, epoch, 0
-            best_arrays = {k: v.copy() for k, v in head.state_arrays().items()}
-        else:
-            bad += 1
-            if bad >= config.patience:
-                break
-    head.load_state_arrays(best_arrays)
-
-    hits = 0
-    for ids, label in splits["test"]:
-        logits = _head_logits(Tape(), head, Tensor(example_input(ids)))
-        hits += int(np.argmax(logits.data)) == label
-    return HeadResult(
-        accuracy=hits / len(splits["test"]),
-        best_epoch=best_epoch,
-        hidden_width=hidden,
-        input_width=input_width,
-    )
+    fixed = Tensor(vectors)
+    return _train_head(lambda tape: fixed, vectors.shape[1], None, splits, n_classes, config)
 
 
 def _clone_params(store: ParameterStore) -> ParameterStore:
@@ -377,54 +335,70 @@ def train_head_on_model(
         return train_head_on_vectors(
             frozen_entity_matrix(graph, params, model_config), splits, n_classes, config
         )
-    arity = _check_splits(splits, n_classes)
-    d = model_config.dim
-    input_width = arity * d
-    hidden = config.hidden or d
     model = _clone_params(params)
+    return _train_head(
+        lambda tape: forward_model(tape, graph, model, model_config),
+        model_config.dim, model, splits, n_classes, config,
+    )
+
+
+def _train_head(
+    encode: Callable[[Tape], Tensor],
+    dim: int,
+    model: ParameterStore | None,
+    splits: dict[str, list[Example]],
+    n_classes: int,
+    config: HeadConfig,
+) -> HeadResult:
+    """The probe loop: ``encode`` gives the (n, dim) entity vectors on a tape.
+
+    Each epoch takes one Adam step on the head, and on ``model`` when one
+    is given, over the whole train split; the parameters of the best
+    validation epoch are restored for the test accuracy.
+    """
+    arity = _check_splits(splits, n_classes)
+    input_width = arity * dim
+    hidden = config.hidden or dim
     head = _head_params(input_width, hidden, n_classes, config.seed)
+    trained = [head] if model is None else [head, model]
+    adam = TrainConfig(learning_rate=config.learning_rate)
+
+    def logits(tape: Tape, vecs: Tensor, ids: tuple[int, ...]) -> Tensor:
+        parts = [tape.lookup(vecs, i) for i in ids]
+        x = parts[0] if arity == 1 else tape.concat(*parts)
+        return _head_logits(tape, head, x)
 
     def split_loss(tape: Tape, examples: list[Example]) -> Tensor:
-        vecs = forward_model(tape, graph, model, model_config)
-        losses = []
-        for ids, label in examples:
-            parts = [tape.lookup(vecs, i) for i in ids]
-            x = parts[0] if arity == 1 else tape.concat(*parts)
-            losses.append(tape.cross_entropy(_head_logits(tape, head, x), label))
-        return tape.add_n(losses)
+        vecs = encode(tape)
+        return tape.add_n(
+            [tape.cross_entropy(logits(tape, vecs, ids), label) for ids, label in examples]
+        )
 
-    best_model: dict[str, np.ndarray] = {}
-    best_head: dict[str, np.ndarray] = {}
-    best_val = np.inf
-    best_epoch = 0
-    bad = 0
+    stopper = EarlyStopper(config.patience)
+    best: list[dict[str, np.ndarray]] = [{} for _ in trained]
     for epoch in range(1, config.max_epochs + 1):
         tape = Tape()
-        loss = split_loss(tape, splits["train"])
-        tape.backward(loss)
-        _adam_update(head, config.learning_rate, epoch)
-        _adam_update(model, config.learning_rate, epoch)
+        tape.backward(split_loss(tape, splits["train"]))
+        for store in trained:
+            adam_step(store, adam, epoch)
         val = float(split_loss(Tape(), splits["val"]).data)
-        if val < best_val:
-            best_val, best_epoch, bad = val, epoch, 0
-            best_model = {k: v.copy() for k, v in model.state_arrays().items()}
-            best_head = {k: v.copy() for k, v in head.state_arrays().items()}
-        else:
-            bad += 1
-            if bad >= config.patience:
-                break
-    model.load_state_arrays(best_model)
-    head.load_state_arrays(best_head)
+        improved = val < stopper.best
+        stop = stopper.update(epoch, val)
+        if improved:
+            best = [{k: v.copy() for k, v in store.state_arrays().items()} for store in trained]
+        if stop:
+            break
+    for store, arrays in zip(trained, best):
+        store.load_state_arrays(arrays)
 
-    vectors = frozen_entity_matrix(graph, model, model_config)
-    hits = 0
-    for ids, label in splits["test"]:
-        x = np.concatenate([vectors[i] for i in ids])
-        logits = _head_logits(Tape(), head, Tensor(x))
-        hits += int(np.argmax(logits.data)) == label
+    tape = Tape()
+    vecs = encode(tape)
+    hits = sum(
+        int(np.argmax(logits(tape, vecs, ids).data)) == label for ids, label in splits["test"]
+    )
     return HeadResult(
         accuracy=hits / len(splits["test"]),
-        best_epoch=best_epoch,
+        best_epoch=stopper.best_epoch,
         hidden_width=hidden,
         input_width=input_width,
     )

@@ -117,6 +117,11 @@ def parse_triples(source: TextIO | Iterable[str]) -> tuple[list[KnowledgeTriple]
 _EVENT_KEYS = {"event_id", "trigger", "event_type", "arguments"}
 
 
+def _require_string(value, what: str, lineno: int) -> None:
+    if not isinstance(value, str):
+        raise ParseError(f"line {lineno}: {what} must be a string, got {json.dumps(value)}")
+
+
 def parse_events(source: TextIO | Iterable[str], entities: Vocab) -> ParsedEvents:
     """Read one JSON object per line; extends the entity vocabulary in place.
 
@@ -137,6 +142,10 @@ def parse_events(source: TextIO | Iterable[str], entities: Vocab) -> ParsedEvent
             raise ParseError(
                 f"line {lineno}: keys must be exactly {sorted(_EVENT_KEYS)}"
             )
+        for key in ("event_id", "trigger", "event_type"):
+            _require_string(obj[key], key, lineno)
+        if not isinstance(obj["arguments"], list):
+            raise ParseError(f"line {lineno}: arguments must be a list")
         if obj["event_id"] in out.event_ids:
             raise ParseError(f"line {lineno}: duplicate event id {obj['event_id']!r}")
 
@@ -145,6 +154,8 @@ def parse_events(source: TextIO | Iterable[str], entities: Vocab) -> ParsedEvent
         for arg in obj["arguments"]:
             if not isinstance(arg, dict) or set(arg) != {"entity", "role"}:
                 raise ParseError(f"line {lineno}: argument keys must be entity, role")
+            _require_string(arg["entity"], "argument entity", lineno)
+            _require_string(arg["role"], "argument role", lineno)
             if arg["entity"] not in entities:
                 out.unknown_entities.append(arg["entity"])
             pair = (entities.add(arg["entity"]), out.roles.add(arg["role"]))
@@ -296,26 +307,6 @@ def build_graph(
         event_temporal_neighbors=event_temporal_neighbors,
         entity_events=entity_events,
     )
-
-
-def load_dataset(
-    triples_path: str,
-    events_path: str | None = None,
-    temporal_path: str | None = None,
-) -> HeterogeneousGraph:
-    with open(triples_path, encoding="utf-8") as fh:
-        triples, entities, relations = parse_triples(fh)
-    parsed_events = None
-    links: list[TemporalLink] = []
-    if events_path is not None:
-        with open(events_path, encoding="utf-8") as fh:
-            parsed_events = parse_events(fh, entities)
-        if temporal_path is not None:
-            with open(temporal_path, encoding="utf-8") as fh:
-                links = parse_temporal_links(fh, parsed_events.event_ids)
-    elif temporal_path is not None:
-        raise ValueError("temporal links given without an events file")
-    return build_graph(triples, entities, relations, parsed_events, links)
 
 
 def split_dataset(n_items: int, ratios: tuple[float, float, float], seed: int) -> Splits:

@@ -320,7 +320,7 @@ def stage1_entity_to_event(
         tape.gather_rows(params["role_embeddings"], plan.arg_role),
     )
     logits = tape.leaky_relu(
-        tape.flatten(tape.rows_affine(feats, params["attn_entity_to_event"])),
+        tape.reshape(tape.rows_affine(feats, params["attn_entity_to_event"]), (-1,)),
         config.leaky_slope,
     )
     alpha = tape.segment_softmax(logits, arg_event, n_ev)
@@ -380,7 +380,9 @@ def stage3_event_to_entity(
     inc_e = tape.gather_rows(tilde_events, plan.incidence_event)
     inc_v = tape.gather_rows(entity_vecs, plan.incidence_entity)
     logits = tape.leaky_relu(
-        tape.flatten(tape.rows_affine(tape.concat_cols(inc_e, inc_v), params["attn_event_to_entity"])),
+        tape.reshape(
+            tape.rows_affine(tape.concat_cols(inc_e, inc_v), params["attn_event_to_entity"]), (-1,)
+        ),
         config.leaky_slope,
     )
     beta = tape.segment_softmax(logits, inc_slot, len(updated))

@@ -4,6 +4,12 @@ A head/relation pair is scored against a tail by reshaping both vectors
 to 2-D, stacking them, convolving, projecting back to d, and taking a
 dot product with the tail embedding.  The trunk (everything before the
 dot) depends only on (head, relation) and is shared across candidates.
+
+``conv_trunk`` is the one implementation of the trunk, over a batch of
+(head, relation) rows, as ConvE scores its queries.  Training runs it once
+per step over the step's query groups and hands each group its row;
+ranking runs it on a tape that is thrown away (``frozen_trunk``) over
+blocks of queries; a single pair is the one-row case.
 """
 
 from __future__ import annotations
@@ -19,11 +25,10 @@ __all__ = [
     "ConvScorerConfig",
     "add_scorer_parameters",
     "conv_trunk",
-    "conv_score",
+    "query_trunks",
     "score_against_all",
     "frozen_trunk",
     "NegativeSampler",
-    "sample_negatives",
     "known_tails_from_triples",
     "triple_loss",
 ]
@@ -69,24 +74,31 @@ def add_scorer_parameters(store: ParameterStore, config: ConvScorerConfig, seed:
 def conv_trunk(
     tape: Tape, params: ParameterStore, config: ConvScorerConfig, s: Tensor, r: Tensor
 ) -> Tensor:
-    """ReLU(project(flatten(ReLU(conv(stack(reshape s, reshape r)))))."""
-    if s.data.shape != (config.dim,) or r.data.shape != (config.dim,):
-        raise ValueError(f"scorer expects vectors of dim {config.dim}")
-    image = tape.reshape2d(tape.concat(s, r), 2 * config.rows, config.cols)
-    conv = tape.relu(tape.conv2d(image, params["conv_filters"]))
-    flat = tape.flatten(conv)
-    return tape.relu(tape.affine(params["conv_projection"], flat))
+    """(q, d) trunk rows ReLU(project(flatten(ReLU(conv(stack(reshape s, reshape r))))))
+    of (q, d) head rows ``s`` and relation rows ``r``."""
+    if s.data.ndim != 2 or s.data.shape != r.data.shape or s.data.shape[1] != config.dim:
+        raise ValueError(
+            f"scorer expects matching (q, {config.dim}) rows, got {s.shape} and {r.shape}"
+        )
+    q = s.data.shape[0]
+    images = tape.reshape(tape.concat_cols(s, r), (q, 2 * config.rows, config.cols))
+    conv = tape.relu(tape.conv2d(images, params["conv_filters"]))
+    flat = tape.reshape(conv, (q, config.flat_width))
+    return tape.relu(tape.rows_affine(flat, params["conv_projection"]))
 
 
-def conv_score(
+def query_trunks(
     tape: Tape,
     params: ParameterStore,
     config: ConvScorerConfig,
-    s: Tensor,
-    r: Tensor,
-    t: Tensor,
+    entity_vecs: Tensor,
+    heads: list[int],
+    relations: list[int],
 ) -> Tensor:
-    return tape.dot(conv_trunk(tape, params, config, s, r), t)
+    """(q, d) trunk rows of the queries (heads[i], relations[i])."""
+    s = tape.gather_rows(entity_vecs, heads)
+    r = tape.gather_rows(params["relation_embeddings"], relations)
+    return conv_trunk(tape, params, config, s, r)
 
 
 def score_against_all(
@@ -97,22 +109,18 @@ def score_against_all(
     r: Tensor,
     candidates: Tensor,
 ) -> Tensor:
-    """Scores of every row of the (m, d) candidate tensor, trunk computed once."""
-    trunk = conv_trunk(tape, params, config, s, r)
-    return tape.affine(candidates, trunk)
+    """Scores of every row of the (m, d) candidate tensor against one (d,)
+    head and relation pair: the trunk is computed once."""
+    row = conv_trunk(tape, params, config, tape.reshape(s, (1, -1)), tape.reshape(r, (1, -1)))
+    return tape.affine(candidates, tape.reshape(row, (-1,)))
 
 
 def frozen_trunk(
-    params: ParameterStore, config: ConvScorerConfig, s: np.ndarray, r: np.ndarray
+    params: ParameterStore, config: ConvScorerConfig, s_rows: np.ndarray, r_rows: np.ndarray
 ) -> np.ndarray:
-    """Tape-free trunk for evaluation; must match conv_trunk to 1e-12."""
-    image = np.concatenate([s, r]).reshape(2 * config.rows, config.cols)
-    patches = np.lib.stride_tricks.sliding_window_view(
-        image, (config.kernel, config.kernel)
-    )
-    conv = np.tensordot(params["conv_filters"].data, patches, axes=([1, 2], [2, 3]))
-    flat = np.maximum(conv, 0.0).reshape(-1)
-    return np.maximum(params["conv_projection"].data @ flat, 0.0)
+    """(q, d) trunk rows of plain (q, d) arrays, for evaluation: ``conv_trunk``
+    on a tape that is thrown away."""
+    return conv_trunk(Tape(), params, config, Tensor(s_rows), Tensor(r_rows)).data
 
 
 def known_tails_from_triples(triples: list[KnowledgeTriple]) -> dict[tuple[int, int], set[int]]:
@@ -170,10 +178,6 @@ class NegativeSampler:
         return out
 
 
-def sample_negatives(h: int, r: int, gold_t: int, sampler: NegativeSampler, round_: int = 0) -> list[int]:
-    return sampler.sample(h, r, gold_t, round_)
-
-
 def triple_loss(
     tape: Tape,
     params: ParameterStore,
@@ -184,19 +188,22 @@ def triple_loss(
     positives: list[int],
     negatives: list[int],
     mean_reduction: bool = False,
+    trunk: Tensor | None = None,
 ) -> Tensor:
     """Summed BCE over gold tails (label 1) and sampled tails (label 0).
 
     ``entity_vecs`` is the full (n, d) entity tensor.  The relation
     embedding is the original (non-augmented) relation row, shared with
-    the aggregation layers.
+    the aggregation layers.  ``trunk`` is the query's (d,) trunk row when
+    the caller has computed it with the rows of other queries; without
+    it the row is computed here, as a batch of one.
     """
     if not positives:
         raise ValueError(f"query ({h}, {r}) has no gold tails")
-    r_vec = tape.lookup(params["relation_embeddings"], r)
+    if trunk is None:
+        trunk = tape.reshape(query_trunks(tape, params, config, entity_vecs, [h], [r]), (-1,))
     candidates = tape.gather_rows(entity_vecs, np.array(positives + negatives, dtype=np.intp))
-    head = tape.lookup(entity_vecs, h)
-    scores = score_against_all(tape, params, config, head, r_vec, candidates)
+    scores = tape.affine(candidates, trunk)
     labels = np.concatenate([np.ones(len(positives)), np.zeros(len(negatives))])
     loss = tape.bce_with_logits(scores, labels)
     if mean_reduction:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -21,7 +22,14 @@ import numpy as np
 from .autodiff import ParameterStore, Tape
 from .kgdata import HeterogeneousGraph, KnowledgeTriple
 from .layers import ModelConfig, forward_model, init_parameters, randomize_event_structure
-from .scoring import ConvScorerConfig, NegativeSampler, add_scorer_parameters, known_tails_from_triples, triple_loss
+from .scoring import (
+    ConvScorerConfig,
+    NegativeSampler,
+    add_scorer_parameters,
+    known_tails_from_triples,
+    query_trunks,
+    triple_loss,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -149,9 +157,16 @@ def _query_losses(
     round_: int,
     train_config: TrainConfig,
 ) -> dict[int, object]:
+    """Loss tensor of each group in ``indices``, keyed by group index.
+
+    The trunk rows of all the groups come from one ``query_trunks`` call.
+    """
     vecs = forward_model(tape, graph, params, model_config)
+    heads = [groups[idx][0] for idx in indices]
+    relations = [groups[idx][1] for idx in indices]
+    trunks = query_trunks(tape, params, scorer_config, vecs, heads, relations)
     losses = {}
-    for idx in indices:
+    for row, idx in enumerate(indices):
         h, r, tails = groups[idx]
         negatives = sampler.sample_group(h, r, tails, round_)
         losses[idx] = triple_loss(
@@ -164,6 +179,7 @@ def _query_losses(
             tails,
             negatives,
             mean_reduction=train_config.mean_reduction,
+            trunk=tape.lookup(trunks, row),
         )
     return losses
 
@@ -384,33 +400,56 @@ def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
+    """Read a checkpoint written by ``save_checkpoint``.
+
+    A short, corrupt or foreign file raises one ValueError that names it.
+    """
     with open(path, "rb") as fh:
-        if fh.read(4) != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        (meta_len,) = struct.unpack("<I", fh.read(4))
-        meta = json.loads(fh.read(meta_len).decode("utf-8"))
-        (count,) = struct.unpack("<I", fh.read(4))
-        arrays: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode("utf-8")
-            (rank,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{rank}I", fh.read(4 * rank)) if rank else ()
-            size = int(np.prod(shape)) if shape else 1
-            arrays[name] = np.frombuffer(fh.read(8 * size), dtype="<f8").reshape(shape).copy()
-    return Checkpoint(
-        model_config=ModelConfig(**meta["model_config"]),
-        scorer_config=ConvScorerConfig(**meta["scorer_config"]),
-        train_config=TrainConfig(**meta["train_config"]),
-        epoch=meta["epoch"],
-        best_val_loss=meta["best_val_loss"],
-        adam_t=meta["adam_t"],
-        shuffle_state=_dejsonify(meta["shuffle_state"]),
-        arrays=arrays,
-    )
+        try:
+            return _read_checkpoint(fh, os.fstat(fh.fileno()).st_size)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_checkpoint(fh, size: int) -> Checkpoint:
+    def take(n: int, what: str) -> bytes:
+        # checked against the file size first: a corrupt length must not
+        # turn into a huge read
+        if n > size - fh.tell():
+            raise ValueError(f"checkpoint truncated in {what}")
+        return fh.read(n)
+
+    def u32(what: str) -> int:
+        return struct.unpack("<I", take(4, what))[0]
+
+    if fh.read(4) != CHECKPOINT_MAGIC:
+        raise ValueError("not a checkpoint file")
+    version = u32("its version")
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
+    blob = take(u32("its header length"), "its header")
+    arrays: dict[str, np.ndarray] = {}
+    for _ in range(u32("its tensor count")):
+        name = take(u32("a tensor name length"), "a tensor name").decode("utf-8")
+        shape = tuple(u32(f"the shape of {name}") for _ in range(u32(f"the rank of {name}")))
+        data = take(8 * math.prod(shape), f"the values of {name}")
+        arrays[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+    if fh.read(1):
+        raise ValueError("trailing bytes after the last tensor")
+    try:
+        meta = json.loads(blob.decode("utf-8"))
+        return Checkpoint(
+            model_config=ModelConfig(**meta["model_config"]),
+            scorer_config=ConvScorerConfig(**meta["scorer_config"]),
+            train_config=TrainConfig(**meta["train_config"]),
+            epoch=meta["epoch"],
+            best_val_loss=meta["best_val_loss"],
+            adam_t=meta["adam_t"],
+            shuffle_state=_dejsonify(meta["shuffle_state"]),
+            arrays=arrays,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"bad checkpoint header: {exc!r}") from None
 
 
 def _jsonify(state: dict) -> dict:

@@ -13,26 +13,31 @@ def test_tensor_rejects_rank_5():
         Tensor(np.zeros((1, 1, 1, 1, 1)))
 
 
+def _softmax(logits) -> np.ndarray:
+    """Softmax over one segment holding every logit."""
+    logits = np.asarray(logits, dtype=np.float64)
+    return Tape().segment_softmax(Tensor(logits), np.zeros(logits.size, dtype=int), 1).data
+
+
 def test_softmax_known_values():
     # logits [ln 2, 0] -> probabilities [2/3, 1/3]
-    tape = Tape()
-    out = tape.masked_softmax(Tensor([math.log(2.0), 0.0]))
-    assert np.allclose(out.data, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
+    out = _softmax([math.log(2.0), 0.0])
+    assert np.allclose(out, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
 
 
 def test_softmax_sums_to_one_and_is_shift_invariant():
     rng = np.random.default_rng(7)
     for _ in range(50):
         logits = rng.normal(size=rng.integers(1, 12))
-        a = Tape().masked_softmax(Tensor(logits))
-        b = Tape().masked_softmax(Tensor(logits + 3.7))
-        assert abs(a.data.sum() - 1.0) <= 1e-12
-        assert np.max(np.abs(a.data - b.data)) <= 1e-12
+        a = _softmax(logits)
+        b = _softmax(logits + 3.7)
+        assert abs(a.sum() - 1.0) <= 1e-12
+        assert np.max(np.abs(a - b)) <= 1e-12
 
 
 def test_softmax_empty_set_is_an_error():
     with pytest.raises(ValueError):
-        Tape().masked_softmax(Tensor(np.zeros(0)))
+        _softmax(np.zeros(0))
 
 
 def test_circ_corr_worked_example():
@@ -67,35 +72,27 @@ def test_circ_corr_matches_double_loop():
 
 def test_conv2d_worked_example():
     # 2x2 image, single 2x2 kernel picking the main diagonal -> [[5]]
-    img = Tensor([[1.0, 2.0], [3.0, 4.0]])
+    img = Tensor([[[1.0, 2.0], [3.0, 4.0]]])
     filt = Tensor([[[1.0, 0.0], [0.0, 1.0]]])
     out = Tape().conv2d(img, filt)
-    assert out.data.shape == (1, 1, 1)
-    assert out.data[0, 0, 0] == 5.0
+    assert out.data.shape == (1, 1, 1, 1)
+    assert out.data[0, 0, 0, 0] == 5.0
 
 
 def test_conv2d_is_cross_correlation_not_flipped():
-    img = Tensor([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    img = Tensor([[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
     filt = Tensor([[[1.0, 2.0], [3.0, 4.0]]])
     out = Tape().conv2d(img, filt)
     # top-left output aligns kernel[0,0] with image[0,0]
-    assert out.data[0, 0, 0] == 1.0
-    assert out.data[0, 0, 1] == 0.0
+    assert out.data[0, 0, 0, 0] == 1.0
+    assert out.data[0, 0, 0, 1] == 0.0
 
 
 def test_conv2d_kernel_must_fit():
     with pytest.raises(ValueError):
-        Tape().conv2d(Tensor(np.zeros((2, 2))), Tensor(np.zeros((1, 3, 3))))
-
-
-def test_sigmoid_backward_hand_value():
-    # loss = sigmoid(w * x) at w=0, x=1: d/dw = 0.25
-    tape = Tape()
-    w = Tensor([0.0])
-    x = Tensor([1.0])
-    loss = tape.tensor_sum(tape.sigmoid(tape.dot(w, x)))
-    tape.backward(loss)
-    assert abs(w.grad[0] - 0.25) <= 1e-15
+        Tape().conv2d(Tensor(np.zeros((1, 2, 2))), Tensor(np.zeros((1, 3, 3))))
+    with pytest.raises(ValueError):
+        Tape().conv2d(Tensor(np.zeros((3, 3))), Tensor(np.zeros((1, 2, 2))))
 
 
 def test_relu_subgradient_at_zero_is_one():
@@ -148,42 +145,38 @@ def test_lookup_out_of_range():
         Tape().lookup(table, 3)
 
 
+def _dot(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
+    """Scalar sum(a * b) of two same-size tensors, through recorded ops."""
+    row_a, row_b = tape.reshape(a, (1, -1)), tape.reshape(b, (1, -1))
+    return tape.tensor_sum(tape.rows_affine(row_a, row_b))
+
+
 def _loss_through_all_ops(params: dict[str, Tensor]) -> tuple[Tape, Tensor]:
-    """One scalar loss exercising every op at a non-kink point."""
+    """One scalar loss through every per-vector op and a batched conv,
+    at a non-kink point."""
     tape = Tape()
-    table, w, wide, filt, proj = (
-        params["table"],
-        params["w"],
-        params["wide"],
-        params["filt"],
-        params["proj"],
-    )
+    table, w, filt, proj = params["table"], params["w"], params["filt"], params["proj"]
     a = tape.lookup(table, 0)
     b = tape.lookup(table, 1)
     c = tape.lookup(table, 2)
-    cat = tape.concat(a, b)
-    hid = tape.leaky_relu(tape.affine(w, cat), 0.2)
-    att = tape.masked_softmax(tape.affine(wide, cat))
-    rows = tape.stack_rows([hid, tape.relu(c)])
-    mixed = tape.add(tape.weighted_sum(att, rows), tape.mean_rows(rows))
-    phi = tape.circ_corr(mixed, tape.scale(c, 0.5))
-    img = tape.reshape2d(phi, 2, 2)
-    conv = tape.conv2d(img, filt)
-    feat = tape.flatten(conv)
-    scores = tape.affine(proj, tape.sigmoid(feat))
+    hid = tape.leaky_relu(tape.affine(w, tape.concat(a, b)), 0.2)
+    mixed = tape.add_n([hid, tape.relu(c), tape.scale(a, 0.5)])
+    phi = tape.circ_corr(mixed, tape.add(b, c))
+    images = tape.reshape(tape.concat(phi, mixed), (2, 2, 3))
+    feat = tape.reshape(tape.conv2d(images, filt), (-1,))
+    scores = tape.affine(proj, feat)
     bce = tape.bce_with_logits(scores, np.array([1.0, 0.0, 1.0]))
     ce = tape.cross_entropy(scores, 1)
-    return tape, tape.add(bce, ce)
+    return tape, tape.add(tape.add(bce, ce), _dot(tape, phi, phi))
 
 
 def _all_op_params() -> dict[str, Tensor]:
     rng = np.random.default_rng(21)
     return {
-        "table": Tensor(rng.normal(size=(3, 4)) + 0.3),
-        "w": Tensor(rng.normal(size=(4, 8)) * 0.4),
-        "wide": Tensor(rng.normal(size=(2, 8)) * 0.4),
+        "table": Tensor(rng.normal(size=(3, 6)) + 0.3),
+        "w": Tensor(rng.normal(size=(6, 12)) * 0.4),
         "filt": Tensor(rng.normal(size=(2, 2, 2)) * 0.5),
-        "proj": Tensor(rng.normal(size=(3, 2)) * 0.5),
+        "proj": Tensor(rng.normal(size=(3, 8)) * 0.5),
     }
 
 
@@ -212,7 +205,7 @@ def test_add_n_matches_chained_add():
     xs = [Tensor(rng.normal(size=4)) for _ in range(5)]
     tape = Tape()
     total = tape.add_n(xs)
-    loss = tape.dot(total, total)
+    loss = _dot(tape, total, total)
     tape.backward(loss)
     grads = [x.grad.copy() for x in xs]
 
@@ -222,7 +215,7 @@ def test_add_n_matches_chained_add():
     acc = xs[0]
     for x in xs[1:]:
         acc = tape2.add(acc, x)
-    loss2 = tape2.dot(acc, acc)
+    loss2 = _dot(tape2, acc, acc)
     tape2.backward(loss2)
     assert loss.data == loss2.data
     for g, x in zip(grads, xs):
@@ -284,8 +277,8 @@ def test_segment_softmax_matches_blockwise_masked_softmax():
     out = Tape().segment_softmax(Tensor(logits), seg, len(sizes))
     lo = 0
     for s, width in enumerate(sizes):
-        block = Tape().masked_softmax(Tensor(logits[lo : lo + width]))
-        assert np.max(np.abs(out.data[lo : lo + width] - block.data)) <= 1e-12
+        block = np.exp(logits[lo : lo + width])
+        assert np.max(np.abs(out.data[lo : lo + width] - block / block.sum())) <= 1e-12
         lo += width
 
     with pytest.raises(ValueError):
@@ -325,13 +318,13 @@ def _loss_through_batched_ops(params: dict[str, Tensor]) -> tuple[Tape, Tensor]:
     seg = [0, 1, 1, 2]
     picked = tape.gather_rows(table, [0, 2, 1, 2])
     mapped = tape.rows_affine(picked, w)
-    logits = tape.flatten(tape.rows_affine(picked, params["battn"]))
+    logits = tape.reshape(tape.rows_affine(picked, params["battn"]), (-1,))
     alpha = tape.segment_softmax(logits, seg, 3)
     pooled = tape.segment_sum(tape.scale_rows(mapped, alpha), seg, 3)
     mixed = tape.concat_cols(pooled, tape.segment_mean(picked, seg, 3))
     phi = tape.circ_corr_rows(mixed, tape.relu(mixed))
     patched = tape.replace_rows(phi, [1], tape.gather_rows(mixed, [0]))
-    return tape, tape.dot(tape.flatten(patched), tape.flatten(patched))
+    return tape, _dot(tape, patched, patched)
 
 
 def test_grad_check_every_batched_op():
@@ -381,8 +374,7 @@ def test_parameter_store_state_round_trip():
 
 def _backward_with(tape, out, g):
     """Run the tape's backward with d(loss)/d(out) = g exactly."""
-    flat = tape.flatten(out) if out.data.ndim > 1 else out
-    tape.backward(tape.dot(flat, Tensor(g.reshape(-1))))
+    tape.backward(_dot(tape, out, Tensor(g)))
 
 
 def test_tensor_grad_is_allocated_on_first_use():
@@ -457,18 +449,34 @@ def test_circ_corr_rows_distinct_pairs_change_no_bit():
 
 def test_conv2d_equals_tensordot_form_bitwise():
     rng = np.random.default_rng(53)
-    image = Tensor(rng.normal(size=(8, 6)))
+    images = Tensor(rng.normal(size=(3, 8, 6)))
     filters = Tensor(rng.normal(size=(4, 3, 3)))
     tape = Tape()
-    out = tape.conv2d(image, filters)
-    patches = np.lib.stride_tricks.sliding_window_view(image.data, (3, 3))
-    assert out.data.tobytes() == np.tensordot(filters.data, patches, axes=([1, 2], [2, 3])).tobytes()
+    out = tape.conv2d(images, filters)
+    patches = np.lib.stride_tricks.sliding_window_view(images.data, (3, 3), axis=(1, 2))
+    expected = np.tensordot(filters.data, patches, axes=([1, 2], [3, 4])).transpose(1, 0, 2, 3)
+    assert out.data.tobytes() == np.ascontiguousarray(expected).tobytes()
+    for n in range(3):
+        alone = Tape().conv2d(Tensor(images.data[n : n + 1]), filters)
+        assert alone.data[0].tobytes() == out.data[n].tobytes()
     g = rng.normal(size=out.shape)
     _backward_with(tape, out, g)
-    image_grad = np.zeros((8, 6))
+    images_grad = np.zeros((3, 8, 6))
     for i in range(3):
         for j in range(3):
-            image_grad[i : i + 6, j : j + 4] += np.tensordot(filters.data[:, i, j], g, axes=(0, 0))
-    filters_grad = np.tensordot(g, patches, axes=([1, 2], [0, 1]))
-    assert image.grad.tobytes() == image_grad.tobytes()
+            images_grad[:, i : i + 6, j : j + 4] += np.tensordot(
+                filters.data[:, i, j], g, axes=(0, 1))
+    filters_grad = np.tensordot(g, patches, axes=([0, 2, 3], [0, 1, 2]))
+    assert images.grad.tobytes() == images_grad.tobytes()
     assert filters.grad.tobytes() == filters_grad.tobytes()
+
+
+def test_reshape_round_trips_values_and_gradients():
+    x = Tensor(np.arange(6.0))
+    tape = Tape()
+    y = tape.reshape(x, (2, -1))
+    assert y.shape == (2, 3)
+    _backward_with(tape, y, np.arange(6.0).reshape(2, 3) + 1.0)
+    assert np.array_equal(x.grad, np.arange(6.0) + 1.0)
+    with pytest.raises(ValueError):
+        Tape().reshape(x, (4, 2))

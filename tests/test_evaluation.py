@@ -3,9 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from eventke import evaluation
+from eventke.autodiff import Tape, Tensor
 from eventke.evaluation import (
+    EVAL_BLOCK,
     EvalProtocol,
     HeadConfig,
+    HeadResult,
     RankingReport,
     aggregate_report,
     frozen_entity_matrix,
@@ -17,8 +21,14 @@ from eventke.evaluation import (
     train_head_on_vectors,
 )
 from eventke.kgdata import KnowledgeTriple
-from eventke.layers import ModelConfig
-from eventke.scoring import ConvScorerConfig, frozen_trunk, known_tails_from_triples
+from eventke.layers import ModelConfig, forward_model
+from eventke.scoring import (
+    ConvScorerConfig,
+    conv_trunk,
+    frozen_trunk,
+    known_tails_from_triples,
+    score_against_all,
+)
 from eventke.trainer import build_model
 
 from _synth import build_from_lines, dataset_lines
@@ -140,7 +150,7 @@ def test_perfect_query_scores_all_ones():
     for h in range(graph.entity_count):
         for r in range(graph.relation_count):
             trunk = frozen_trunk(
-                store, SCORER, entity_matrix[h], store["relation_embeddings"].data[r])
+                store, SCORER, entity_matrix[[h]], store["relation_embeddings"].data[[r]])[0]
             scores = entity_matrix @ trunk
             best = int(np.argmax(scores))
             if np.any(trunk != 0.0) and np.sum(scores == scores[best]) == 1:
@@ -209,7 +219,8 @@ def test_filtered_ranking_drops_other_known_tails():
     graph, store = eval_setup()
     entity_matrix = frozen_entity_matrix(graph, store, MODEL)
     h, r = 2, 0
-    trunk = frozen_trunk(store, SCORER, entity_matrix[h], store["relation_embeddings"].data[r])
+    trunk = frozen_trunk(
+        store, SCORER, entity_matrix[[h]], store["relation_embeddings"].data[[r]])[0]
     scores = entity_matrix @ trunk
     order = np.argsort(-scores)
     top, gold = int(order[0]), int(order[3])
@@ -241,6 +252,46 @@ def test_thread_count_does_not_change_report(monkeypatch):
     monkeypatch.setenv("EVENTKE_THREADS", "3")
     threaded = kg_completion_eval(graph, store, MODEL, SCORER, triples, EvalProtocol(mode="full"))
     assert serial.to_json() == threaded.to_json()
+
+
+def _sort_rank(scores, gold):
+    # independent route: mean descending-sort position of the gold's tie block
+    order = np.argsort(-scores, kind="stable")
+    positions = np.empty_like(order)
+    positions[order] = np.arange(1, len(scores) + 1)
+    return float(np.mean(positions[np.flatnonzero(scores == scores[gold])]))
+
+
+def test_blocked_ranking_matches_one_row_trunk_oracle(monkeypatch):
+    # one query more than a block: the last block holds a single query
+    lines = dataset_lines(
+        n_entities=20, n_relations=3, n_triples=EVAL_BLOCK + 1, n_events=4,
+        min_args=2, max_args=3, n_temporal=2, seed=8,
+    )
+    graph, store = build_model(build_from_lines(*lines), MODEL, SCORER)
+    queries = list(graph.triples)
+    known = known_tails_from_triples(queries)
+    protocol = EvalProtocol(mode="full", filtered=True)
+    monkeypatch.setenv("EVENTKE_THREADS", "1")
+    report = kg_completion_eval(graph, store, MODEL, SCORER, queries, protocol, known)
+    monkeypatch.setenv("EVENTKE_THREADS", "2")
+    threaded = kg_completion_eval(graph, store, MODEL, SCORER, queries, protocol, known)
+    assert threaded.to_json() == report.to_json()
+
+    tape = Tape()
+    vecs = forward_model(tape, graph, store, MODEL).data
+    relations = store["relation_embeddings"].data
+    rows = frozen_trunk(
+        store, SCORER, vecs[[h for h, _, _ in queries]], relations[[r for _, r, _ in queries]]
+    )
+    for i, (h, r, t) in enumerate(queries):
+        one = conv_trunk(tape, store, SCORER, Tensor(vecs[[h]]), Tensor(relations[[r]]))
+        assert np.max(np.abs(rows[i] - one.data[0])) <= 1e-12
+        scores = score_against_all(
+            tape, store, SCORER, Tensor(vecs[h]), Tensor(relations[r]), Tensor(vecs)
+        ).data
+        keep = [c for c in range(graph.entity_count) if c == t or c not in known[(h, r)]]
+        assert report.ranks[i] == (h, r, t, _sort_rank(scores[keep], keep.index(t)))
 
 
 # -- report serialization ---------------------------------------------------
@@ -410,3 +461,78 @@ def test_frozen_flag_matches_vector_path():
     via_vectors = train_head_on_vectors(
         frozen_entity_matrix(graph, store, MODEL), splits, 3, config)
     assert via_model.accuracy == via_vectors.accuracy
+
+
+def _probe_with_head(monkeypatch, train):
+    """Run a probe; returns its HeadResult and its trained head."""
+    heads = []
+    make = evaluation._head_params
+
+    def capture(*args):
+        heads.append(make(*args))
+        return heads[-1]
+
+    monkeypatch.setattr(evaluation, "_head_params", capture)
+    return train(), heads[0]
+
+
+# Results of the probe loops before they were merged into one loop on
+# trainer.adam_step and EarlyStopper; the merged loop reproduces them.
+PINNED_PROBES = {
+    "frozen": (
+        HeadResult(accuracy=1.0, best_epoch=8, hidden_width=4, input_width=4),
+        [[0.8368529797277171, 0.027447571854183894, -0.7795961977264887, 0.19491364856481266],
+         [-0.7579075976254868, -0.4261998838781004, 0.29383552688432246, -0.012329048775993718],
+         [-0.15147430385903252, 0.7620418695340838, -0.2907586890684362, -0.2764601354200581],
+         [0.7823845482912142, 0.580911167158858, -0.4470491849754962, 0.21895050516486123]],
+        [[0.007996028569584987, -0.007998558522363693, -0.008004298304452732, 0.007996150693228432],
+         [-0.007996028569584987, 0.007998558522363693, 0.008004298304452732, -0.007996150693228432]],
+    ),
+    "relation": (
+        HeadResult(accuracy=0.5, best_epoch=6, hidden_width=3, input_width=8),
+        [[0.9136887055929, 0.23562658286046068, -0.583453783658231, 0.3855605493606022,
+          -0.4258825418972063, -0.15437719359352464, 0.4601462278293935, 0.19802955340969733],
+         [-0.33709758120428895, 0.4309913533505196, -0.04153889910607508, -0.035715759681948775,
+          0.8786445132468125, 0.7169984931354527, -0.16681135086514165, -0.021776398018940907],
+         [0.18312254973726672, -0.22918529950119812, 0.26577244770796515, 0.3799422431762237,
+          0.3589538735619347, 0.32623841844342794, 0.6641953677846444, -0.061976490179774864]],
+        [[0.299580792116904, -0.29942894223113586, -0.20354525505018908],
+         [-0.30051918467551486, -0.2821391224517895, -0.3013647901761385],
+         [-0.2950552577469125, 0.29589891162173704, 0.3008460384793036]],
+    ),
+    "fine_tune": (
+        HeadResult(accuracy=0.5, best_epoch=8, hidden_width=4, input_width=4),
+        [[0.5934634558785112, -0.11722365832360576, -0.9847633950716088, 0.48518985877264253],
+         [-0.9065195642682253, -0.21944181573445287, 0.5937513393170196, 0.023844959574429392],
+         [0.10867285763556105, 1.0095750066469464, -0.04552598224592984, -0.43744978246309996],
+         [1.0303527650705462, 0.8407018232921206, -0.1906444748249895, -0.05359318456975175]],
+        [[-0.3648949454064173, 0.3893966263202322, 0.3453741977476529, 0.2807176859262577],
+         [0.3648949454064173, -0.3893966263202322, -0.3453741977476529, -0.28071768592625795]],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_PROBES))
+def test_probe_results_are_pinned(case, monkeypatch):
+    graph, store = eval_setup()
+    if case == "frozen":
+        vectors, splits = separable_fixture()
+        config = HeadConfig(fine_tune=False, max_epochs=8)
+        run = lambda: train_head_on_vectors(vectors, splits, 2, config)
+    elif case == "relation":
+        examples = relation_examples(list(graph.triples))
+        splits = {"train": examples[:12], "val": examples[12:16], "test": examples[16:]}
+        config = HeadConfig(
+            fine_tune=False, max_epochs=40, patience=3, hidden=3, learning_rate=0.05)
+        run = lambda: train_head_on_model(
+            graph, store, MODEL, splits, graph.relation_count, config)
+    else:
+        examples = [((i,), i % 2) for i in range(graph.entity_count)]
+        splits = {"train": examples[:8], "val": examples[8:10], "test": examples[10:]}
+        config = HeadConfig(fine_tune=True, max_epochs=40, patience=3, learning_rate=0.05)
+        run = lambda: train_head_on_model(graph, store, MODEL, splits, 2, config)
+    result, head = _probe_with_head(monkeypatch, run)
+    expected, hidden, output = PINNED_PROBES[case]
+    assert result == expected
+    np.testing.assert_allclose(head["head_hidden"].data, hidden, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(head["head_output"].data, output, rtol=0, atol=1e-12)

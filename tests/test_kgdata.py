@@ -116,6 +116,41 @@ def test_parse_events_missing_key_error():
         parse_events(['{"event_id": "e1", "trigger": "t", "event_type": "T"}'], entities)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("event_id", 1),
+        ("trigger", ["met"]),
+        ("event_type", None),
+        ("entity", {"name": "a"}),
+        ("role", 2.5),
+    ],
+)
+def test_parse_events_rejects_non_string_field(field, value):
+    _, entities, _ = parse_triples(io.StringIO("a\tr\tb\n"))
+    good = {
+        "event_id": "e0",
+        "trigger": "met",
+        "event_type": "Contact",
+        "arguments": [{"entity": "a", "role": "agent"}],
+    }
+    bad = json.loads(json.dumps(good))
+    bad["event_id"] = "e1"
+    if field in ("entity", "role"):
+        bad["arguments"][0][field] = value
+    else:
+        bad[field] = value
+    with pytest.raises(ParseError, match=f"line 2: .*{field} must be a string"):
+        parse_events(_events_lines([good, bad]), entities)
+
+
+def test_parse_events_arguments_must_be_a_list():
+    _, entities, _ = parse_triples(io.StringIO("a\tr\tb\n"))
+    rec = {"event_id": "e1", "trigger": "met", "event_type": "Contact", "arguments": "a"}
+    with pytest.raises(ParseError, match="line 1: arguments must be a list"):
+        parse_events(_events_lines([rec]), entities)
+
+
 def test_parse_events_duplicate_id_error():
     _, entities, _ = parse_triples(io.StringIO("a\tr\tb\n"))
     rec = {

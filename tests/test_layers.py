@@ -368,8 +368,8 @@ def test_full_model_gradient_check_tiny():
 
     def build():
         tape = Tape()
-        flat = tape.flatten(forward_model(tape, graph, params, config))
-        return tape, tape.dot(flat, flat)
+        row = tape.reshape(forward_model(tape, graph, params, config), (1, -1))
+        return tape, tape.tensor_sum(tape.rows_affine(row, row))
 
     err = grad_check(build, params.tensors(), step=1e-5)
     assert err < 1e-4

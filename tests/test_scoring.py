@@ -10,11 +10,9 @@ from eventke.scoring import (
     ConvScorerConfig,
     NegativeSampler,
     add_scorer_parameters,
-    conv_score,
     conv_trunk,
     frozen_trunk,
     known_tails_from_triples,
-    sample_negatives,
     score_against_all,
     triple_loss,
 )
@@ -39,8 +37,8 @@ def test_score_zero_tail_is_zero():
     tape = Tape()
     rng = np.random.default_rng(1)
     s, r = Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4))
-    out = conv_score(tape, store, config, s, r, Tensor(np.zeros(4)))
-    assert out.data == 0.0
+    out = score_against_all(tape, store, config, s, r, Tensor(np.zeros((1, 4))))
+    assert out.data[0] == 0.0
 
 
 def test_score_all_zero_parameters_is_zero():
@@ -49,10 +47,10 @@ def test_score_all_zero_parameters_is_zero():
     store["conv_filters"].data[...] = 0.0
     store["conv_projection"].data[...] = 0.0
     tape = Tape()
-    out = conv_score(
-        tape, store, config, Tensor(np.ones(4)), Tensor(np.ones(4)), Tensor(np.ones(4))
+    out = score_against_all(
+        tape, store, config, Tensor(np.ones(4)), Tensor(np.ones(4)), Tensor(np.ones((1, 4)))
     )
-    assert out.data == 0.0
+    assert out.data[0] == 0.0
 
 
 def test_conv_score_straight_line_oracle():
@@ -69,8 +67,8 @@ def test_conv_score_straight_line_oracle():
     s = np.array([1.0, -2.0, 3.0, -4.0])
     r = np.array([5.0, -6.0, 7.0, -8.0])
     t = np.array([1.0, 1.0, 1.0, 1.0])
-    out = conv_score(Tape(), store, config, Tensor(s), Tensor(r), Tensor(t))
-    assert out.data == np.maximum(s, 0.0) @ t == 4.0
+    out = score_against_all(Tape(), store, config, Tensor(s), Tensor(r), Tensor(t[None, :]))
+    assert out.data[0] == np.maximum(s, 0.0) @ t == 4.0
 
 
 def test_score_against_all_matches_loop():
@@ -81,11 +79,12 @@ def test_score_against_all_matches_loop():
     cands = rng.normal(size=(5, 8))
 
     batched = score_against_all(Tape(), store, config, s, r, Tensor(cands))
-    singles = [conv_score(Tape(), store, config, s, r, Tensor(row)).data for row in cands]
+    trunk = conv_trunk(Tape(), store, config, Tensor(s.data[None, :]), Tensor(r.data[None, :]))
+    singles = [float(np.dot(trunk.data[0], row)) for row in cands]
     assert np.max(np.abs(batched.data - np.array(singles))) <= 1e-12
 
     one = score_against_all(Tape(), store, config, s, r, Tensor(cands[:1]))
-    assert one.data[0] == singles[0]
+    assert one.data[0] == batched.data[0]
 
     dup = score_against_all(Tape(), store, config, s, r, Tensor(cands[[0, 0]]))
     assert dup.data[0] == dup.data[1]
@@ -95,10 +94,21 @@ def test_frozen_trunk_matches_taped():
     config = ConvScorerConfig(rows=2, cols=4, filters=3, kernel=2)
     store = _scorer(config)
     rng = np.random.default_rng(4)
-    for _ in range(10):
-        s, r = rng.normal(size=8), rng.normal(size=8)
-        taped = conv_trunk(Tape(), store, config, Tensor(s), Tensor(r))
-        assert np.max(np.abs(frozen_trunk(store, config, s, r) - taped.data)) <= 1e-12
+    s, r = rng.normal(size=(10, 8)), rng.normal(size=(10, 8))
+    frozen = frozen_trunk(store, config, s, r)
+    assert frozen.shape == (10, 8)
+    for i in range(10):
+        taped = conv_trunk(Tape(), store, config, Tensor(s[i : i + 1]), Tensor(r[i : i + 1]))
+        assert np.max(np.abs(frozen[i] - taped.data[0])) <= 1e-12
+
+
+def test_conv_trunk_rejects_mismatched_rows():
+    config = ConvScorerConfig(rows=2, cols=2, filters=2, kernel=2)
+    store = _scorer(config)
+    with pytest.raises(ValueError, match="rows"):
+        conv_trunk(Tape(), store, config, Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4))))
+    with pytest.raises(ValueError, match="rows"):
+        conv_trunk(Tape(), store, config, Tensor(np.ones(4)), Tensor(np.ones(4)))
 
 
 def test_sampler_determinism_and_exclusions():
@@ -132,11 +142,6 @@ def test_sampler_empty_pool_is_an_error():
     sampler = NegativeSampler(2, 4, seed=0, known_tails={(0, 0): {0, 1}})
     with pytest.raises(ValueError, match="no candidate negatives"):
         sampler.sample(0, 0, gold_t=0)
-
-
-def test_sample_negatives_wrapper():
-    sampler = NegativeSampler(10, 3, seed=9)
-    assert sample_negatives(2, 1, 5, sampler) == sampler.sample(2, 1, 5)
 
 
 def test_known_tails_grouping():

@@ -1,4 +1,6 @@
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -307,6 +309,42 @@ def test_checkpoint_rejects_wrong_magic(tmp_path):
     path = tmp_path / "bogus.ckpt"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ValueError, match="not a checkpoint"):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_truncated_anywhere_is_one_error_naming_the_file(tmp_path):
+    checkpoint = Checkpoint(
+        model_config=SMALL_MODEL,
+        scorer_config=SMALL_SCORER,
+        train_config=TrainConfig(),
+        epoch=1,
+        best_val_loss=0.5,
+        adam_t=3,
+        shuffle_state=np.random.default_rng(0).bit_generator.state,
+        arrays={"param/a": np.arange(3.0), "param/b": np.ones((2, 2)), "param/c": np.array(2.0)},
+    )
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(checkpoint, str(path))
+    blob = path.read_bytes()
+    assert load_checkpoint(str(path)).arrays["param/c"] == 2.0
+    cut = tmp_path / "cut.ckpt"
+    for size in range(len(blob)):
+        cut.write_bytes(blob[:size])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(cut))}: "):
+            load_checkpoint(str(cut))
+    cut.write_bytes(blob + b"\0")
+    with pytest.raises(ValueError, match="trailing bytes"):
+        load_checkpoint(str(cut))
+
+
+def test_checkpoint_bad_header_names_the_file(tmp_path):
+    header = b'{"epoch": 1}'
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(
+        b"EVKE" + struct.pack("<I", 1) + struct.pack("<I", len(header)) + header
+        + struct.pack("<I", 0)
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: bad checkpoint header"):
         load_checkpoint(str(path))
 
 
