@@ -106,57 +106,60 @@ def parse_run_config(
             return None
         return p if os.path.isabs(p) else os.path.join(base, p)
 
-    def get(section: str, key: str, fallback=None):
-        return cp.get(section, key, fallback=fallback)
+    def get(section: str, key: str, fallback=None, convert=str):
+        raw = cp.get(section, key, fallback=fallback)
+        if raw is None:
+            return None
+        try:
+            return convert(raw)
+        except ValueError as exc:
+            raise ValueError(f"[{section}] {key}: {exc}") from None
 
     try:
         triples = resolve(get("data", "triples"))
         if triples is None:
             raise CliError(f"{path}: [data] triples is required")
-        ratios_raw = get("data", "split_ratios", fallback="0.8,0.1,0.1")
-        parts = [float(x) for x in ratios_raw.split(",")]
-        if len(parts) != 3:
-            raise ValueError(f"split_ratios needs 3 values, got {len(parts)}")
-        split_seed = int(get("data", "split_seed", fallback="0"))
+        parts = get("data", "split_ratios", "0.8,0.1,0.1", _ratios)
+        split_seed = get("data", "split_seed", "0", int)
 
         model = ModelConfig(
-            dim=int(get("model", "dim", fallback="64")),
-            num_layers=int(get("model", "layers", fallback="2")),
-            temporal_mix=float(get("model", "temporal_mix", fallback="0.5")),
-            event_mix=float(get("model", "event_mix", fallback="0.5")),
-            leaky_slope=float(get("model", "leaky_slope", fallback="0.2")),
-            no_temporal_links=_as_bool(get("model", "no_temporal_links", fallback="false")),
-            random_events=_as_bool(get("model", "random_events", fallback="false")),
-            no_events=_as_bool(get("model", "no_events", fallback="false")),
-            seed=int(get("model", "seed", fallback="0")),
+            dim=get("model", "dim", "64", int),
+            num_layers=get("model", "layers", "2", int),
+            temporal_mix=get("model", "temporal_mix", "0.5", float),
+            event_mix=get("model", "event_mix", "0.5", float),
+            leaky_slope=get("model", "leaky_slope", "0.2", float),
+            no_temporal_links=get("model", "no_temporal_links", "false", _as_bool),
+            random_events=get("model", "random_events", "false", _as_bool),
+            no_events=get("model", "no_events", "false", _as_bool),
+            seed=get("model", "seed", "0", int),
         )
         scorer = ConvScorerConfig(
-            rows=int(get("scorer", "rows", fallback="8")),
-            cols=int(get("scorer", "cols", fallback="8")),
-            filters=int(get("scorer", "filters", fallback="32")),
-            kernel=int(get("scorer", "kernel", fallback="3")),
+            rows=get("scorer", "rows", "8", int),
+            cols=get("scorer", "cols", "8", int),
+            filters=get("scorer", "filters", "32", int),
+            kernel=get("scorer", "kernel", "3", int),
         )
         train = TrainConfig(
-            learning_rate=float(get("train", "learning_rate", fallback="1e-4")),
-            max_epochs=int(get("train", "max_epochs", fallback="200")),
-            patience=int(get("train", "patience", fallback="10")),
-            batch_groups=int(get("train", "batch_groups", fallback="32")),
-            k_neg=int(get("train", "k_neg", fallback="64")),
-            mean_reduction=_as_bool(get("train", "mean_reduction", fallback="false")),
-            shuffle=_as_bool(get("train", "shuffle", fallback="true")),
-            seed=int(get("train", "seed", fallback="0")),
+            learning_rate=get("train", "learning_rate", "1e-4", float),
+            max_epochs=get("train", "max_epochs", "200", int),
+            patience=get("train", "patience", "10", int),
+            batch_groups=get("train", "batch_groups", "32", int),
+            k_neg=get("train", "k_neg", "64", int),
+            mean_reduction=get("train", "mean_reduction", "false", _as_bool),
+            shuffle=get("train", "shuffle", "true", _as_bool),
+            seed=get("train", "seed", "0", int),
         )
         protocol = EvalProtocol(
-            mode=get("eval", "protocol", fallback="full"),
-            k=int(get("eval", "k", fallback="500")),
-            seed=int(get("eval", "seed", fallback="0")),
-            filtered=_as_bool(get("eval", "filtered", fallback="false")),
+            mode=get("eval", "protocol", "full"),
+            k=get("eval", "k", "500", int),
+            seed=get("eval", "seed", "0", int),
+            filtered=get("eval", "filtered", "false", _as_bool),
         )
-        eval_split = get("eval", "split", fallback="test")
+        eval_split = get("eval", "split", "test")
         if eval_split not in _EVAL_SPLITS:
             raise ValueError(f"eval split must be one of {_EVAL_SPLITS}, got {eval_split!r}")
-        classify = _as_bool(get("eval", "classify", fallback="false"))
-        fine_tune = _as_bool(get("eval", "fine_tune", fallback="true"))
+        classify = get("eval", "classify", "false", _as_bool)
+        fine_tune = get("eval", "fine_tune", "true", _as_bool)
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from None
 
@@ -175,7 +178,7 @@ def parse_run_config(
         temporal=resolve(get("data", "temporal")),
         pretrained=resolve(get("data", "pretrained")),
         entity_labels=resolve(get("data", "entity_labels")),
-        split_ratios=(parts[0], parts[1], parts[2]),
+        split_ratios=parts,
         split_seed=split_seed,
         model=model,
         scorer=scorer,
@@ -186,6 +189,13 @@ def parse_run_config(
         fine_tune=fine_tune,
         out_dir=resolve(out_dir),
     )
+
+
+def _ratios(raw: str) -> tuple[float, float, float]:
+    parts = [float(x) for x in raw.split(",")]
+    if len(parts) != 3:
+        raise ValueError(f"needs 3 values, got {len(parts)}")
+    return parts[0], parts[1], parts[2]
 
 
 def _as_bool(raw: str) -> bool:

@@ -1,5 +1,10 @@
 """Ranking metrics for tail prediction and the two classification probes.
 
+Ranking scores queries ConvE's 1-N way: one product scores a block of
+queries against every entity, and each query then ranks its gold tail
+within its own row (the whole row, a sampled subset of it, or the row
+with the other known tails removed).
+
 Ranks use the mid-rank tie policy: rank = 1 + #strictly-above + #ties/2.
 Each report entry keeps its (head, relation, tail) query so that two
 reports can be joined for before/after comparisons.
@@ -26,8 +31,9 @@ logger = logging.getLogger(__name__)
 
 THREADS_ENV = "EVENTKE_THREADS"
 
-# queries per frozen_trunk call in ranking: larger blocks gain no speed
-# and hold more conv activations at once
+# queries per frozen_trunk call and per (block, n) score matrix in
+# ranking: larger blocks gained the trunk no speed and hold more conv
+# activations and scores at once
 EVAL_BLOCK = 64
 
 
@@ -136,10 +142,13 @@ def _sampled_candidates(n_entities: int, k: int, seed: int, query: KnowledgeTrip
 
 
 def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
-    if raw.strip():
-        return max(1, int(raw))
-    return min(4, os.cpu_count() or 1)
+    """Ranking threads: EVENTKE_THREADS if set, else up to four CPUs."""
+    raw = os.environ.get(THREADS_ENV, "").strip()
+    if not raw:
+        return min(4, os.cpu_count() or 1)
+    if not (raw.isdecimal() and int(raw) > 0):
+        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def kg_completion_eval(
@@ -153,10 +162,16 @@ def kg_completion_eval(
 ) -> RankingReport:
     """Rank each gold tail against all entities or K sampled negatives.
 
-    Trunk rows are computed for blocks of EVAL_BLOCK queries at a time,
-    and blocks are scored independently (thread pool capped by the
-    EVENTKE_THREADS environment variable); ranks are aggregated in query
-    order, so the report never depends on completion order.
+    Queries run in blocks of EVAL_BLOCK: one ``frozen_trunk`` call gives
+    the block's trunk rows, and one product of those rows with the entity
+    matrix gives its (block, n) scores (1-N scoring).  Each query ranks
+    its gold tail within its row: the whole row (full), the row's sampled
+    candidates (sampled), and with ``protocol.filtered`` the other tails
+    that ``known_tails`` lists for its (head, relation) removed.  Blocks
+    are scored independently (thread pool capped by the EVENTKE_THREADS
+    environment variable); ranks are aggregated in query order, so the
+    report never depends on completion order.  A block with a non-finite
+    score raises ValueError naming its first such query.
     """
     if not test_triples:
         raise ValueError("no test triples to evaluate")
@@ -167,25 +182,27 @@ def kg_completion_eval(
         )
     if protocol.filtered and known_tails is None:
         raise ValueError("filtered ranking needs the known-tails index")
+    threads = _thread_count()
     entity_matrix = frozen_entity_matrix(graph, params, model_config)
     relation_rows = params["relation_embeddings"].data
 
-    def rank_one(query: KnowledgeTriple, trunk: np.ndarray) -> float:
+    def rank_one(query: KnowledgeTriple, row: np.ndarray) -> float:
+        """Rank the gold tail within the query's row of its block's scores."""
         h, r, t = query
-        if protocol.mode == "full":
-            candidates = np.arange(n)
-            gold_pos = t
-        else:
+        gold = t
+        if protocol.mode == "sampled":
             candidates = _sampled_candidates(n, protocol.k, protocol.seed, query)
-            gold_pos = candidates.shape[0] - 1
+            row, gold = row[candidates], protocol.k  # the gold tail comes last
         if protocol.filtered:
-            other_true = known_tails.get((h, r), set()) - {t}
-            if other_true:
-                keep = np.array([c == t or int(c) not in other_true for c in candidates])
-                candidates = candidates[keep]
-                gold_pos = int(np.nonzero(candidates == t)[0][-1])
-        scores = entity_matrix[candidates] @ trunk
-        return rank_of_gold(scores, gold_pos)
+            others = known_tails.get((h, r), set()) - {t}
+            if others:
+                removed = np.fromiter(others, dtype=np.intp, count=len(others))
+                if protocol.mode == "sampled":
+                    removed = np.flatnonzero(np.isin(candidates, removed))
+                row = np.delete(row, removed)
+                # each removed candidate below the gold moves it down one place
+                gold -= int(np.count_nonzero(removed < gold))
+        return rank_of_gold(row, gold)
 
     def rank_block(start: int) -> list[float]:
         block = test_triples[start : start + EVAL_BLOCK]
@@ -193,10 +210,15 @@ def kg_completion_eval(
             params, scorer_config,
             entity_matrix[[h for h, _, _ in block]], relation_rows[[r for _, r, _ in block]],
         )
-        return [rank_one(query, trunk) for query, trunk in zip(block, trunks)]
+        # 1-N scoring: every query of the block against every entity in one product
+        scores = trunks @ entity_matrix.T
+        finite = np.isfinite(scores).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise ValueError(f"query {start + bad} {tuple(block[bad])} has non-finite scores")
+        return [rank_one(query, row) for query, row in zip(block, scores)]
 
     starts = range(0, len(test_triples), EVAL_BLOCK)
-    threads = _thread_count()
     if threads == 1:
         blocks = [rank_block(start) for start in starts]
     else:

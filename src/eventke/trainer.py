@@ -402,7 +402,8 @@ def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint written by ``save_checkpoint``.
 
-    A short, corrupt or foreign file raises one ValueError that names it.
+    A short, corrupt or foreign file, or a tensor holding NaN or inf,
+    raises one ValueError that names the file.
     """
     with open(path, "rb") as fh:
         try:
@@ -434,6 +435,8 @@ def _read_checkpoint(fh, size: int) -> Checkpoint:
         shape = tuple(u32(f"the shape of {name}") for _ in range(u32(f"the rank of {name}")))
         data = take(8 * math.prod(shape), f"the values of {name}")
         arrays[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+        if not np.isfinite(arrays[name]).all():
+            raise ValueError(f"tensor {name} holds non-finite values")
     if fh.read(1):
         raise ValueError("trailing bytes after the last tensor")
     try:

@@ -6,6 +6,7 @@ import shutil
 import pytest
 
 from eventke.cli import main
+from eventke.trainer import load_checkpoint, save_checkpoint
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "toy")
 TOY_CONFIG = os.path.join(FIXTURES, "config.ini")
@@ -70,6 +71,25 @@ def test_parse_error_names_offending_file(tmp_path, capsys):
     assert run_cli("graph-inspect", "--config", str(tmp_path / "config.ini")) == 1
     err = capsys.readouterr().err
     assert "triples.tsv" in err and "line 1" in err
+
+
+@pytest.mark.parametrize("section, key, value, reason", [
+    ("model", "dim", "64.5", "invalid literal for int()"),
+    ("train", "learning_rate", "fast", "could not convert string to float"),
+    ("eval", "filtered", "maybe", "not a boolean: 'maybe'"),
+    ("data", "split_ratios", "0.8,0.2", "needs 3 values, got 2"),
+])
+def test_bad_config_value_names_section_and_key(section, key, value, reason, tmp_path, capsys):
+    shutil.copy(os.path.join(FIXTURES, "triples.tsv"), tmp_path / "triples.tsv")
+    body = {"data": "triples = triples.tsv\n", "output": "dir = out\n"}
+    body[section] = body.get(section, "") + f"{key} = {value}\n"
+    config = tmp_path / "run.ini"
+    config.write_text("".join(f"[{name}]\n{lines}" for name, lines in body.items()))
+    assert run_cli("graph-inspect", "--config", str(config)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: [{section}] {key}: ")
+    assert reason in err
+    assert err.count("\n") == 1
 
 
 # -- train ------------------------------------------------------------------
@@ -215,6 +235,29 @@ def test_eval_missing_checkpoint_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "checkpoint not found" in err
+
+
+def test_eval_non_finite_checkpoint_is_one_error(trained, tmp_path, capsys):
+    checkpoint = load_checkpoint(str(trained / "model.ckpt"))
+    name = "param/conv_projection"
+    checkpoint.arrays[name][0, 0] = float("nan")
+    path = tmp_path / "nan.ckpt"
+    save_checkpoint(checkpoint, str(path))
+    code = run_cli("eval", "--config", TOY_CONFIG,
+                   "--checkpoint", str(path), "--out", str(tmp_path / "out"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: tensor {name} holds non-finite values\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_bad_thread_count_is_one_error(trained, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("EVENTKE_THREADS", "abc")
+    code = run_cli("eval", "--config", TOY_CONFIG,
+                   "--checkpoint", str(trained / "model.ckpt"), "--out", str(tmp_path / "out"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: EVENTKE_THREADS must be a positive integer, got 'abc'\n"
 
 
 # -- rank-diff --------------------------------------------------------------

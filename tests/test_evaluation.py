@@ -1,4 +1,7 @@
+import hashlib
 import json
+import os
+import re
 
 import numpy as np
 import pytest
@@ -262,36 +265,141 @@ def _sort_rank(scores, gold):
     return float(np.mean(positions[np.flatnonzero(scores == scores[gold])]))
 
 
-def test_blocked_ranking_matches_one_row_trunk_oracle(monkeypatch):
-    # one query more than a block: the last block holds a single query
+def block_setup():
+    """Seeded parameters and EVAL_BLOCK + 1 queries: the last block holds one."""
     lines = dataset_lines(
         n_entities=20, n_relations=3, n_triples=EVAL_BLOCK + 1, n_events=4,
         min_args=2, max_args=3, n_temporal=2, seed=8,
     )
     graph, store = build_model(build_from_lines(*lines), MODEL, SCORER)
     queries = list(graph.triples)
-    known = known_tails_from_triples(queries)
-    protocol = EvalProtocol(mode="full", filtered=True)
-    monkeypatch.setenv("EVENTKE_THREADS", "1")
-    report = kg_completion_eval(graph, store, MODEL, SCORER, queries, protocol, known)
-    monkeypatch.setenv("EVENTKE_THREADS", "2")
-    threaded = kg_completion_eval(graph, store, MODEL, SCORER, queries, protocol, known)
-    assert threaded.to_json() == report.to_json()
+    return graph, store, queries, known_tails_from_triples(queries)
 
+
+PROTOCOLS = {
+    "full": EvalProtocol(mode="full"),
+    "filtered": EvalProtocol(mode="full", filtered=True),
+    "sampled": EvalProtocol(mode="sampled", k=5, seed=3),
+    "sampled_filtered": EvalProtocol(mode="sampled", k=5, seed=3, filtered=True),
+}
+
+
+def test_blocked_ranking_matches_one_row_trunk_oracle(monkeypatch):
+    graph, store, queries, known = block_setup()
     tape = Tape()
     vecs = forward_model(tape, graph, store, MODEL).data
     relations = store["relation_embeddings"].data
     rows = frozen_trunk(
         store, SCORER, vecs[[h for h, _, _ in queries]], relations[[r for _, r, _ in queries]]
     )
+    oracle_scores = []
     for i, (h, r, t) in enumerate(queries):
         one = conv_trunk(tape, store, SCORER, Tensor(vecs[[h]]), Tensor(relations[[r]]))
         assert np.max(np.abs(rows[i] - one.data[0])) <= 1e-12
-        scores = score_against_all(
+        oracle_scores.append(score_against_all(
             tape, store, SCORER, Tensor(vecs[h]), Tensor(relations[r]), Tensor(vecs)
-        ).data
-        keep = [c for c in range(graph.entity_count) if c == t or c not in known[(h, r)]]
-        assert report.ranks[i] == (h, r, t, _sort_rank(scores[keep], keep.index(t)))
+        ).data)
+
+    for protocol in PROTOCOLS.values():
+        monkeypatch.setenv("EVENTKE_THREADS", "1")
+        report = kg_completion_eval(graph, store, MODEL, SCORER, queries, protocol, known)
+        monkeypatch.setenv("EVENTKE_THREADS", "2")
+        threaded = kg_completion_eval(graph, store, MODEL, SCORER, queries, protocol, known)
+        assert threaded.to_json() == report.to_json()
+        for i, (h, r, t) in enumerate(queries):
+            if protocol.mode == "full":
+                candidates = list(range(graph.entity_count))
+            else:
+                candidates = list(evaluation._sampled_candidates(
+                    graph.entity_count, protocol.k, protocol.seed, queries[i]))
+            others = known[(h, r)] - {t} if protocol.filtered else set()
+            keep = [c for c in candidates if c not in others]
+            expected = _sort_rank(oracle_scores[i][keep], keep.index(t))
+            assert report.ranks[i] == (h, r, t, expected), protocol
+
+
+def test_filtered_gold_moves_down_past_removed_tails():
+    graph, store = eval_setup()
+    entity_matrix = frozen_entity_matrix(graph, store, MODEL)
+    h, r = 2, 0
+    trunk = frozen_trunk(
+        store, SCORER, entity_matrix[[h]], store["relation_embeddings"].data[[r]])[0]
+    scores = entity_matrix @ trunk
+    # the strictly top-scoring entity, with two entities below its index: if
+    # its position did not move down past them it would point at another tail
+    gold = int(np.argmax(scores))
+    assert np.sum(scores == scores[gold]) == 1 and gold >= 2
+    triple = KnowledgeTriple(h, r, gold)
+    known = {(h, r): {0, 1, gold}}
+    filtered = kg_completion_eval(
+        graph, store, MODEL, SCORER, [triple],
+        EvalProtocol(mode="full", filtered=True), known_tails=known,
+    )
+    assert filtered.ranks[0][3] == 1.0
+
+
+def test_all_zero_trunk_row_ties_every_candidate():
+    graph, store, queries, known = block_setup()
+    entity_matrix = frozen_entity_matrix(graph, store, MODEL)
+    trunks = frozen_trunk(
+        store, SCORER, entity_matrix[[h for h, _, _ in queries]],
+        store["relation_embeddings"].data[[r for _, r, _ in queries]],
+    )
+    zero = [i for i in range(len(queries)) if not trunks[i].any()]
+    assert zero, "fixture has no query whose trunk dies in the ReLU"
+    n = graph.entity_count
+    full = kg_completion_eval(graph, store, MODEL, SCORER, queries, PROTOCOLS["full"])
+    filtered = kg_completion_eval(
+        graph, store, MODEL, SCORER, queries, PROTOCOLS["filtered"], known)
+    for i in zero:
+        h, r, t = queries[i]
+        assert full.ranks[i][3] == (n + 1) / 2
+        removed = len(known[(h, r)] - {t})
+        assert filtered.ranks[i][3] == (n - removed + 1) / 2
+
+
+# sha256 of the report JSON for block_setup's seeded parameters: any moved
+# rank changes it
+PINNED_REPORTS = {
+    "full": "eb4f8f9efed99eeb2ba93982fe2e44096ca09e1e9e33fb4de94ecf4ee66c1c19",
+    "filtered": "635fcc88cbbc2e468a449ba97cc6a6761834870293727c3d408cd9eda507770d",
+    "sampled": "de027f4acff042d0d4d9f5323e54c5e927d86ac03d56eeae3a679b1a2343d828",
+    "sampled_filtered": "95e94c70fe0655ea2f6dcc7c7e31257b3a8996bec9a878e98ec66d6ff3154fc0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_report_json_is_pinned(name):
+    graph, store, queries, known = block_setup()
+    report = kg_completion_eval(graph, store, MODEL, SCORER, queries, PROTOCOLS[name], known)
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == PINNED_REPORTS[name]
+
+
+def test_non_finite_parameter_raises_naming_the_query():
+    graph, store = eval_setup()
+    triples = list(graph.triples[:3])
+    store["conv_projection"].data[0, 0] = np.nan
+    with pytest.raises(ValueError, match=rf"query 0 \({triples[0][0]}, .*non-finite scores"):
+        kg_completion_eval(graph, store, MODEL, SCORER, triples, EvalProtocol(mode="full"))
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5"])
+def test_thread_count_must_be_a_positive_integer(raw, monkeypatch):
+    graph, store = eval_setup()
+    monkeypatch.setenv("EVENTKE_THREADS", raw)
+    message = f"EVENTKE_THREADS must be a positive integer, got '{raw}'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        kg_completion_eval(graph, store, MODEL, SCORER, graph.triples[:2], EvalProtocol())
+
+
+@pytest.mark.parametrize("raw", [None, "", " ", " 3 "])
+def test_thread_count_default_and_accepted_values(raw, monkeypatch):
+    if raw is None:
+        monkeypatch.delenv("EVENTKE_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("EVENTKE_THREADS", raw)
+    default = min(4, os.cpu_count() or 1)
+    assert evaluation._thread_count() == (3 if raw == " 3 " else default)
 
 
 # -- report serialization ---------------------------------------------------

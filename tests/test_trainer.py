@@ -337,6 +337,27 @@ def test_checkpoint_truncated_anywhere_is_one_error_naming_the_file(tmp_path):
         load_checkpoint(str(cut))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_non_finite_tensor_names_the_file(bad, tmp_path):
+    values = np.ones((2, 2))
+    values[1, 0] = bad
+    checkpoint = Checkpoint(
+        model_config=SMALL_MODEL,
+        scorer_config=SMALL_SCORER,
+        train_config=TrainConfig(),
+        epoch=1,
+        best_val_loss=0.5,
+        adam_t=3,
+        shuffle_state=np.random.default_rng(0).bit_generator.state,
+        arrays={"param/a": np.arange(3.0), "param/b": values},
+    )
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(checkpoint, str(path))
+    message = f"{path}: tensor param/b holds non-finite values"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_checkpoint(str(path))
+
+
 def test_checkpoint_bad_header_names_the_file(tmp_path):
     header = b'{"epoch": 1}'
     path = tmp_path / "model.ckpt"
