@@ -121,47 +121,6 @@ def _doubled_windows(b: np.ndarray) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(b_ext, d, axis=1)
 
 
-def _circ_corr_forward(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("mkj,mj->mk", _doubled_windows(b), a)
-
-
-# rows per block of _circ_corr_grad_b: its transposed windows stay in cache
-_GRAD_B_BLOCK = 256
-
-
-def _circ_corr_grad_b(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gradient of circular correlation with respect to its second operand.
-
-    out[i, t] = sum over k of a[i, (t + k + 1) % d] * g[i, d - 1 - k],
-    summed k = 0, 1, .. in that order.  Written row-major, as
-    einsum("mtk,mk->mt", windows of [a[:, 1:], a], g[:, ::-1]), the
-    reversed operand sends numpy's einsum down its scalar loop: one
-    dependent addition per product.  Here the windows are laid out with
-    rows last, so the same einsum runs the same sums, in the same k
-    order, vectorised across rows; the result is bitwise that of the
-    row-major form.  Rows go in blocks that keep the transposed windows
-    in cache, and never singly: einsum drops a size-1 axis and would
-    then sum in another order.
-    """
-    m, d = a.shape
-    if m < 2:
-        a_ext = np.concatenate([a[:, 1:], a], axis=1)
-        a_win = np.lib.stride_tricks.sliding_window_view(a_ext, d, axis=1)
-        return np.einsum("mtk,mk->mt", a_win, g[:, ::-1])
-    out = np.empty((m, d))
-    starts = list(range(0, m, _GRAD_B_BLOCK))
-    if len(starts) > 1 and m - starts[-1] < 2:
-        starts.pop()
-    for lo, hi in zip(starts, starts[1:] + [m]):
-        # a_t[s, i] = a[lo + i, (s + 1) % d]; window [t, k, i] = a_t[t + k, i]
-        a_t = np.concatenate([a[lo:hi, 1:], a[lo:hi]], axis=1).T.copy()
-        step, row = a_t.strides
-        windows = np.ndarray((d, d, hi - lo), a_t.dtype, a_t, 0, (step, step, row))
-        g_t = g[lo:hi, ::-1].T.copy()
-        out[lo:hi] = np.einsum("tki,ki->ti", windows, g_t).T
-    return out
-
-
 def _as_index(indices, n: int, what: str) -> np.ndarray:
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:
@@ -327,7 +286,7 @@ class Tape:
         """
         if a.data.shape != b.data.shape or a.data.ndim != 1:
             raise ValueError(f"circ_corr shape mismatch: {a.shape} vs {b.shape}")
-        row = self.circ_corr_rows(self.reshape(a, (1, -1)), self.reshape(b, (1, -1)))
+        row = self.circ_corr_rows(self.reshape(a, (1, -1)), self.reshape(b, (1, -1)), [0])
         return self.reshape(row, (-1,))
 
     # -- batched row ops -------------------------------------------------
@@ -475,29 +434,43 @@ class Tape:
         self._records.append(backward)
         return out
 
-    def circ_corr_rows(
-        self, a: Tensor, b: Tensor, distinct: tuple[np.ndarray, np.ndarray] | None = None
-    ) -> Tensor:
-        """Row-wise circular correlation of two (m, d) tensors.
+    def circ_corr_rows(self, a: Tensor, table: Tensor, rel) -> Tensor:
+        """out[i] = circ_corr(a[i], table[rel[i]]) for a (m, d), table (R, d).
 
-        ``distinct = (first, inverse)`` declares repeated row pairs:
-        rows ``first`` hold every distinct (a, b) pair and row i equals
-        row ``first[inverse[i]]`` in both tensors.  The forward pass then
-        correlates each distinct pair once and copies it out; every row
-        is computed on its own, so the result is bitwise the same.
+        Correlating with a fixed b is a product with its circulant
+        W[j, k] = b[(j + k) % d], which is symmetric, so every run of equal
+        consecutive ids in ``rel`` is one (rows, d) x (d, d) product:
+        forward a @ W, a-gradient g @ W.  The table gradient of a run is
+        a.T @ g summed along its wrapped anti-diagonals (j + k) % d, one
+        bincount for all runs.  Any order of ``rel`` is correct; grouping
+        equal ids makes the runs long and the products few.
         """
-        if a.data.shape != b.data.shape or a.data.ndim != 2:
-            raise ValueError(f"circ_corr_rows shape mismatch: {a.shape} vs {b.shape}")
-        if distinct is None:
-            out = Tensor(_circ_corr_forward(a.data, b.data))
-        else:
-            first, inverse = distinct
-            out = Tensor(_circ_corr_forward(a.data[first], b.data[first])[inverse])
+        if a.data.ndim != 2 or table.data.ndim != 2 or a.data.shape[1] != table.data.shape[1]:
+            raise ValueError(f"circ_corr_rows shape mismatch: {a.shape} with table {table.shape}")
+        n_rel, d = table.data.shape
+        idx = _as_index(rel, n_rel, "circ_corr_rows")
+        if idx.shape[0] != a.data.shape[0]:
+            raise ValueError("circ_corr_rows needs one relation id per row")
+        circulants = np.ascontiguousarray(_doubled_windows(table.data))
+        bounds = np.append(np.flatnonzero(np.diff(idx, prepend=-1)), idx.size)
+        runs = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+        out = Tensor(np.empty(a.data.shape))
+        for lo, hi in runs:
+            np.dot(a.data[lo:hi], circulants[idx[lo]], out=out.data[lo:hi])
 
         def backward() -> None:
             g = out.grad
-            a.add_grad(np.einsum("mkj,mk->mj", _doubled_windows(b.data), g))
-            b.add_grad(_circ_corr_grad_b(a.data, g))
+            grad_a = np.empty(g.shape)
+            blocks = np.empty((len(runs), d, d))
+            for n, (lo, hi) in enumerate(runs):
+                np.dot(g[lo:hi], circulants[idx[lo]], out=grad_a[lo:hi])
+                np.dot(a.data[lo:hi].T, g[lo:hi], out=blocks[n])
+            a.add_grad(grad_a)
+            folds = (np.arange(d)[:, None] + np.arange(d)) % d
+            cells = (idx[bounds[:-1], None, None] * d + folds).ravel()
+            table.add_grad(
+                np.bincount(cells, weights=blocks.ravel(), minlength=n_rel * d).reshape(n_rel, d)
+            )
 
         self._records.append(backward)
         return out

@@ -122,7 +122,8 @@ def parse_run_config(
         parts = get("data", "split_ratios", "0.8,0.1,0.1", _ratios)
         split_seed = get("data", "split_seed", "0", int)
 
-        model = ModelConfig(
+        model = _build(
+            "model", ModelConfig,
             dim=get("model", "dim", "64", int),
             num_layers=get("model", "layers", "2", int),
             temporal_mix=get("model", "temporal_mix", "0.5", float),
@@ -133,13 +134,15 @@ def parse_run_config(
             no_events=get("model", "no_events", "false", _as_bool),
             seed=get("model", "seed", "0", int),
         )
-        scorer = ConvScorerConfig(
+        scorer = _build(
+            "scorer", ConvScorerConfig,
             rows=get("scorer", "rows", "8", int),
             cols=get("scorer", "cols", "8", int),
             filters=get("scorer", "filters", "32", int),
             kernel=get("scorer", "kernel", "3", int),
         )
-        train = TrainConfig(
+        train = _build(
+            "train", TrainConfig,
             learning_rate=get("train", "learning_rate", "1e-4", float),
             max_epochs=get("train", "max_epochs", "200", int),
             patience=get("train", "patience", "10", int),
@@ -149,7 +152,8 @@ def parse_run_config(
             shuffle=get("train", "shuffle", "true", _as_bool),
             seed=get("train", "seed", "0", int),
         )
-        protocol = EvalProtocol(
+        protocol = _build(
+            "eval", EvalProtocol,
             mode=get("eval", "protocol", "full"),
             k=get("eval", "k", "500", int),
             seed=get("eval", "seed", "0", int),
@@ -157,7 +161,7 @@ def parse_run_config(
         )
         eval_split = get("eval", "split", "test")
         if eval_split not in _EVAL_SPLITS:
-            raise ValueError(f"eval split must be one of {_EVAL_SPLITS}, got {eval_split!r}")
+            raise ValueError(f"[eval] split must be one of {_EVAL_SPLITS}, got {eval_split!r}")
         classify = get("eval", "classify", "false", _as_bool)
         fine_tune = get("eval", "fine_tune", "true", _as_bool)
     except ValueError as exc:
@@ -189,6 +193,14 @@ def parse_run_config(
         fine_tune=fine_tune,
         out_dir=resolve(out_dir),
     )
+
+
+def _build(section: str, cls, **fields):
+    """``cls(**fields)``; a range error it raises names the INI section."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ValueError(f"[{section}] {exc}") from None
 
 
 def _ratios(raw: str) -> tuple[float, float, float]:
@@ -447,6 +459,13 @@ def cmd_graph_inspect(args: argparse.Namespace) -> int:
     print(f"{'Rels':<10}{len(graph.triples)}")
     print(f"{'Events':<10}{graph.event_count}")
     print(f"{'Args':<10}{graph.argument_link_count}")
+    # stage 4: one product per relation type, one row per edge and self loop
+    degree = np.array([len(neighbors) for neighbors in graph.entity_neighbors])
+    print(f"{'RelTypes':<10}{graph.augmented_relation_count}")
+    print(f"{'EdgeRows':<10}{degree.sum() + graph.entity_count}")
+    print(f"{'MaxInDeg':<10}{degree.max()}")
+    print(f"{'MeanInDeg':<10}{degree.mean():.2f}")
+    print(f"{'Isolated':<10}{np.count_nonzero(degree == 0)}")
     return 0
 
 
@@ -492,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--checkpoint", required=True, help="trained model file")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_inspect = sub.add_parser("graph-inspect", help="print dataset size counts")
+    p_inspect = sub.add_parser("graph-inspect", help="print dataset size and degree counts")
     add_common(p_inspect)
     p_inspect.set_defaults(func=cmd_graph_inspect)
 

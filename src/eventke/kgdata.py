@@ -93,6 +93,16 @@ class Splits:
     test: list[int]
 
 
+def _tsv_fields(line: str, n: int, lineno: int) -> list[str]:
+    """The n tab-separated fields of a line, none of them empty."""
+    fields = line.split("\t")
+    if len(fields) != n:
+        raise ParseError(f"line {lineno}: expected {n} tab-separated fields, got {len(fields)}")
+    if "" in fields:
+        raise ParseError(f"line {lineno}: empty field {fields.index('') + 1}")
+    return fields
+
+
 def parse_triples(source: TextIO | Iterable[str]) -> tuple[list[KnowledgeTriple], Vocab, Vocab]:
     """Read 3-column TSV lines into triples plus entity/relation vocabularies."""
     entities = Vocab()
@@ -102,10 +112,7 @@ def parse_triples(source: TextIO | Iterable[str]) -> tuple[list[KnowledgeTriple]
         line = raw.rstrip("\n")
         if not line:
             continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ParseError(f"line {lineno}: expected 3 tab-separated fields, got {len(fields)}")
-        head, rel, tail = fields
+        head, rel, tail = _tsv_fields(line, 3, lineno)
         triples.append(
             KnowledgeTriple(entities.add(head), relations.add(rel), entities.add(tail))
         )
@@ -191,9 +198,7 @@ def parse_temporal_links(
         line = raw.rstrip("\n")
         if not line:
             continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ParseError(f"line {lineno}: expected 2 tab-separated fields, got {len(fields)}")
+        fields = _tsv_fields(line, 2, lineno)
         for name in fields:
             if name not in event_ids:
                 raise ParseError(f"line {lineno}: unknown event id {name!r}")

@@ -175,11 +175,10 @@ class IndexPlan:
     (event, temporal neighbor) pair of the ``temporal_updated`` events;
     stage 3 one row per (entity, distinct incident event) pair of the
     ``incidence_updated`` entities; stage 4 one row per relational edge
-    in both directions plus each entity's self loop.  ``*_slot`` arrays
-    number the updated nodes of a stage 0, 1, ..  ``edge_distinct`` is
-    (first, inverse) over the distinct (source, relation) edge pairs:
-    many heads share one (tail, relation) pair, and stage 4 composes each
-    pair once.
+    in both directions plus each entity's self loop, ordered by
+    (relation, source) so that stage 4 composes each relation's edges in
+    one product.  ``*_slot`` arrays number the updated nodes of a stage
+    0, 1, ..
     """
 
     arg_event: np.ndarray
@@ -199,7 +198,6 @@ class IndexPlan:
     edge_src: np.ndarray
     edge_rel: np.ndarray
     edge_dst: np.ndarray
-    edge_distinct: tuple[np.ndarray, np.ndarray]
 
 
 def _ids(values) -> np.ndarray:
@@ -250,8 +248,7 @@ def _build_index_plan(graph: HeterogeneousGraph) -> IndexPlan:
         edge_rel.append(self_rel)
         edge_dst.append(i)
 
-    pair_keys = _ids(edge_src) * graph.augmented_relation_count + _ids(edge_rel)
-    _, first, inverse = np.unique(pair_keys, return_index=True, return_inverse=True)
+    edge_order = np.lexsort((edge_src, edge_rel))
 
     trigger_ids = [ev.trigger for ev in graph.events]
     type_ids = [ev.event_type for ev in graph.events]
@@ -271,10 +268,9 @@ def _build_index_plan(graph: HeterogeneousGraph) -> IndexPlan:
         incidence_slot=_ids(incidence_slot),
         incidence_entity=_ids([incidence_updated[k] for k in incidence_slot]),
         incidence_updated=_ids(incidence_updated),
-        edge_src=_ids(edge_src),
-        edge_rel=_ids(edge_rel),
-        edge_dst=_ids(edge_dst),
-        edge_distinct=(first, inverse),
+        edge_src=_ids(np.take(edge_src, edge_order)),
+        edge_rel=_ids(np.take(edge_rel, edge_order)),
+        edge_dst=_ids(np.take(edge_dst, edge_order)),
     )
 
 
@@ -403,12 +399,13 @@ def stage4_entity_message_pass(
 ) -> Tensor:
     """Relational update: circular-correlation composition summed over
     neighbors (inverse edges included) plus a self loop, then one shared
-    linear map and ReLU."""
+    linear map and ReLU.  The edges come grouped by relation, so the
+    composition is one circulant product per relation."""
     plan = index_plan(graph)
     phi = tape.circ_corr_rows(
         tape.gather_rows(tilde_entity_vecs, plan.edge_src),
-        tape.gather_rows(params["relation_embeddings"], plan.edge_rel),
-        plan.edge_distinct,
+        params["relation_embeddings"],
+        plan.edge_rel,
     )
     agg = tape.segment_sum(phi, plan.edge_dst, graph.entity_count)
     return tape.relu(tape.rows_affine(agg, params["relation_message"]))

@@ -303,12 +303,13 @@ def test_replace_rows_keeps_other_rows_bitwise():
 
 def test_circ_corr_rows_matches_per_vector_op():
     rng = np.random.default_rng(29)
+    rel = [2, 0, 0, 1, 2, 2]
     for d in (1, 2, 5, 16):
         a = rng.normal(size=(6, d))
-        b = rng.normal(size=(6, d))
-        out = Tape().circ_corr_rows(Tensor(a), Tensor(b))
+        table = rng.normal(size=(3, d))
+        out = Tape().circ_corr_rows(Tensor(a), Tensor(table), rel)
         for i in range(6):
-            one = Tape().circ_corr(Tensor(a[i]), Tensor(b[i]))
+            one = Tape().circ_corr(Tensor(a[i]), Tensor(table[rel[i]]))
             assert np.max(np.abs(out.data[i] - one.data)) <= 1e-12
 
 
@@ -322,7 +323,7 @@ def _loss_through_batched_ops(params: dict[str, Tensor]) -> tuple[Tape, Tensor]:
     alpha = tape.segment_softmax(logits, seg, 3)
     pooled = tape.segment_sum(tape.scale_rows(mapped, alpha), seg, 3)
     mixed = tape.concat_cols(pooled, tape.segment_mean(picked, seg, 3))
-    phi = tape.circ_corr_rows(mixed, tape.relu(mixed))
+    phi = tape.circ_corr_rows(mixed, tape.relu(mixed), [1, 1, 0])
     patched = tape.replace_rows(phi, [1], tape.gather_rows(mixed, [0]))
     return tape, _dot(tape, patched, patched)
 
@@ -414,37 +415,64 @@ def test_affine_grad_with_dead_output_rows_equals_outer_product_bitwise():
     assert w.grad.tobytes() == (before + np.outer(g, x.data)).tobytes()
 
 
-def _circ_corr_rows_grads(a, b, g, distinct=None):
-    ta, tb = Tensor(a), Tensor(b)
+def _circ_corr_rows_grads(a, table, rel, g):
+    ta, tt = Tensor(a), Tensor(table)
     tape = Tape()
-    out = tape.circ_corr_rows(ta, tb, distinct)
+    out = tape.circ_corr_rows(ta, tt, rel)
     _backward_with(tape, out, g)
-    return out.data, ta.grad, tb.grad
+    return out.data, ta.grad, tt.grad
 
 
-def test_circ_corr_rows_grad_b_equals_row_major_einsum_bitwise():
-    rng = np.random.default_rng(43)
-    for m in (1, 2, 3, 257, 600):
-        for d in (1, 2, 7, 64):
-            a, b, g = (rng.normal(size=(m, d)) for _ in range(3))
-            a_ext = np.concatenate([a[:, 1:], a], axis=1)
-            windows = np.lib.stride_tricks.sliding_window_view(a_ext, d, axis=1)
-            expected = np.einsum("mtk,mk->mt", windows, g[:, ::-1])
-            _, _, grad_b = _circ_corr_rows_grads(a, b, g)
-            assert grad_b.tobytes() == expected.tobytes(), (m, d)
+def _circ_corr_rows_loops(a, table, rel, g):
+    """Forward and both gradients of circ_corr_rows, one product at a time."""
+    m, d = a.shape
+    out, grad_a, grad_table = np.zeros((m, d)), np.zeros((m, d)), np.zeros(table.shape)
+    for i in range(m):
+        b = table[rel[i]]
+        for k in range(d):
+            for j in range(d):
+                out[i, k] += a[i, j] * b[(k + j) % d]
+                grad_a[i, j] += g[i, k] * b[(k + j) % d]
+                grad_table[rel[i], (k + j) % d] += a[i, j] * g[i, k]
+    return out, grad_a, grad_table
 
 
-def test_circ_corr_rows_distinct_pairs_change_no_bit():
+@pytest.mark.parametrize("d", [1, 2, 7, 64])
+@pytest.mark.parametrize("rel", [
+    [3, 3, 0, 1, 1, 1, 3, 2, 0, 3],  # unsorted, 3 and 0 recur in separate runs
+    [2, 0, 1, 0, 2],  # every run one row
+    [1],  # m = 1
+])
+def test_circ_corr_rows_matches_double_loop(d, rel):
+    rng = np.random.default_rng(43 + d)
+    a, g = rng.normal(size=(len(rel), d)), rng.normal(size=(len(rel), d))
+    table = rng.normal(size=(4, d))
+    got = _circ_corr_rows_grads(a, table, rel, g)
+    for x, y in zip(got, _circ_corr_rows_loops(a, table, rel, g)):
+        assert np.max(np.abs(x - y)) <= 1e-12
+
+
+def test_circ_corr_rows_grad_check_through_recurring_ids():
     rng = np.random.default_rng(47)
-    for n_a, n_b in ((4, 3), (1, 1)):
-        pool_a, pool_b = rng.normal(size=(n_a, 16)), rng.normal(size=(n_b, 16))
-        ia, ib = rng.integers(0, n_a, size=30), rng.integers(0, n_b, size=30)
-        a, b, g = pool_a[ia], pool_b[ib], rng.normal(size=(30, 16))
-        _, first, inverse = np.unique(ia * n_b + ib, return_index=True, return_inverse=True)
-        plain = _circ_corr_rows_grads(a, b, g)
-        deduped = _circ_corr_rows_grads(a, b, g, (first, inverse))
-        for x, y in zip(plain, deduped):
-            assert x.tobytes() == y.tobytes()
+    params = {"a": Tensor(rng.normal(size=(7, 5))), "table": Tensor(rng.normal(size=(3, 5)))}
+    weights = Tensor(rng.normal(size=(7, 5)))
+
+    def build():
+        tape = Tape()
+        out = tape.circ_corr_rows(params["a"], params["table"], [2, 0, 2, 2, 1, 0, 2])
+        return tape, _dot(tape, out, weights)
+
+    assert grad_check(build, params.values()) < 1e-6
+
+
+def test_circ_corr_rows_rejects_bad_ids():
+    a, table = Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4)))
+    with pytest.raises(ValueError):
+        Tape().circ_corr_rows(a, table, [0, 1])
+    with pytest.raises(IndexError):
+        Tape().circ_corr_rows(a, table, [0, 2, 1])
+    with pytest.raises(IndexError):
+        Tape().circ_corr_rows(a, table, [0, -1, 1])
 
 
 def test_conv2d_equals_tensordot_form_bitwise():

@@ -27,6 +27,32 @@ def test_graph_inspect_prints_fixture_counts(capsys):
         "Rels      12",
         "Events    4",
         "Args      9",
+        "RelTypes  7",
+        "EdgeRows  34",
+        "MaxInDeg  3",
+        "MeanInDeg 2.40",
+        "Isolated  0",
+    ]
+
+
+def test_graph_inspect_counts_isolated_entities(tmp_path, capsys):
+    # c and d appear only as event arguments: no triple reaches them
+    (tmp_path / "triples.tsv").write_text("a\tr\tb\na\ts\tb\n")
+    (tmp_path / "events.jsonl").write_text(json.dumps({
+        "event_id": "e1", "trigger": "t", "event_type": "T",
+        "arguments": [{"entity": "c", "role": "x"}, {"entity": "d", "role": "x"}],
+    }) + "\n")
+    (tmp_path / "config.ini").write_text(
+        "[data]\ntriples = triples.tsv\nevents = events.jsonl\n[output]\ndir = out\n"
+    )
+    assert run_cli("graph-inspect", "--config", str(tmp_path / "config.ini")) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[4:] == [
+        "RelTypes  5",
+        "EdgeRows  8",
+        "MaxInDeg  2",
+        "MeanInDeg 1.00",
+        "Isolated  2",
     ]
 
 
@@ -90,6 +116,32 @@ def test_bad_config_value_names_section_and_key(section, key, value, reason, tmp
     assert err.startswith(f"error: {config}: [{section}] {key}: ")
     assert reason in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("section, key, value, reason", [
+    ("model", "dim", "0", "dim must be >= 1"),
+    ("scorer", "kernel", "0", "scorer shape fields must be positive"),
+    ("train", "patience", "0", "max_epochs, patience, and batch_groups must be positive"),
+    ("eval", "protocol", "bogus", "unknown protocol mode 'bogus'"),
+])
+def test_config_range_error_names_section(section, key, value, reason, tmp_path, capsys):
+    shutil.copy(os.path.join(FIXTURES, "triples.tsv"), tmp_path / "triples.tsv")
+    config = tmp_path / "run.ini"
+    config.write_text(
+        f"[data]\ntriples = triples.tsv\n[{section}]\n{key} = {value}\n[output]\ndir = out\n"
+    )
+    assert run_cli("graph-inspect", "--config", str(config)) == 1
+    assert capsys.readouterr().err == f"error: {config}: [{section}] {reason}\n"
+
+
+def test_empty_tsv_field_names_the_file(tmp_path, capsys):
+    (tmp_path / "triples.tsv").write_text("a\tr\tb\na\t\tb\n")
+    (tmp_path / "config.ini").write_text(
+        "[data]\ntriples = triples.tsv\n[output]\ndir = out\n"
+    )
+    assert run_cli("graph-inspect", "--config", str(tmp_path / "config.ini")) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / 'triples.tsv'}: line 2: empty field 2\n"
 
 
 # -- train ------------------------------------------------------------------

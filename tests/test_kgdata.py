@@ -61,6 +61,12 @@ def test_parse_triples_field_count_error():
         parse_triples(io.StringIO("a\tr\n"))
 
 
+@pytest.mark.parametrize("line, field", [("a\t\tb", 2), ("\tr\tb", 1), ("a\tr\t", 3)])
+def test_parse_triples_empty_field_error(line, field):
+    with pytest.raises(ParseError, match=f"^line 2: empty field {field}$"):
+        parse_triples(["a\tr\tb", line])
+
+
 def test_parse_triples_empty_file_error():
     with pytest.raises(ParseError):
         parse_triples(io.StringIO(""))
@@ -184,6 +190,14 @@ def test_temporal_unknown_event_error():
     parsed = _tiny_events(entities)
     with pytest.raises(ParseError, match="e9"):
         parse_temporal_links(io.StringIO("e1\te9\n"), parsed.event_ids)
+
+
+@pytest.mark.parametrize("line, field", [("e1\t", 2), ("\te2", 1)])
+def test_temporal_empty_field_error(line, field):
+    _, entities, _ = parse_triples(io.StringIO("a\tr\tb\n"))
+    parsed = _tiny_events(entities)
+    with pytest.raises(ParseError, match=f"^line 1: empty field {field}$"):
+        parse_temporal_links([line], parsed.event_ids)
 
 
 def test_graph_adjacency_and_augmentation():

@@ -218,6 +218,36 @@ def test_stage4_neighbor_sum_with_basis_relation():
     assert np.allclose(out.data[b], np.maximum(reversed_perm, 0.0), rtol=0, atol=1e-12)
 
 
+def test_stage4_matches_per_edge_loop():
+    t, e, l = dataset_lines(30, 6, 90, 5, 2, 3, 2, seed=17)
+    graph = build_from_lines(t, e, l)
+    assert graph.relation_count == 6
+    params = init_parameters(graph, ModelConfig(dim=8, seed=3))
+    rng = np.random.default_rng(19)
+    rows = rng.normal(size=(graph.entity_count, 8))
+    g = rng.normal(size=rows.shape)
+    tape = Tape()
+    out = stage4_entity_message_pass(tape, graph, params, Tensor(rows))
+    row, weights = tape.reshape(out, (1, -1)), Tensor(g.reshape(1, -1))
+    tape.backward(tape.tensor_sum(tape.rows_affine(row, weights)))
+
+    # one composition per edge, self loop first, then neighbors in graph order
+    rel, w = params["relation_embeddings"].data, params["relation_message"].data
+    expect, grad_rel = np.zeros(rows.shape), np.zeros(rel.shape)
+    for i, neighbors in enumerate(graph.entity_neighbors):
+        edges = [(i, graph.self_loop_relation)] + neighbors
+        agg = sum(_brute_circ(rows[j], rel[r]) for j, r in edges)
+        pre = w @ agg
+        expect[i] = np.maximum(pre, 0.0)
+        g_agg = w.T @ np.where(pre >= 0.0, g[i], 0.0)
+        for j, r in edges:
+            for k in range(8):
+                for q in range(8):
+                    grad_rel[r, (k + q) % 8] += rows[j, q] * g_agg[k]
+    assert np.max(np.abs(out.data - expect)) <= 1e-12
+    assert np.max(np.abs(params["relation_embeddings"].grad - grad_rel)) <= 1e-12
+
+
 def test_event_argument_permutation_invariance():
     graph = build_from_lines(
         ["a\tr\tb", "b\tr\tc"], [_event("e1", [("a", "x"), ("b", "y"), ("c", "z")])]
