@@ -3,7 +3,8 @@
 Everything is 64-bit: the models here are small enough that reliable
 gradient checks matter more than speed.  A ``Tape`` records forward ops
 in order; ``Tape.backward`` replays them in strict reverse order, so a
-node's gradient is fully accumulated before it propagates to its inputs.
+node's gradient is fully accumulated before it propagates to its inputs,
+and drops each record as it goes.
 """
 
 from __future__ import annotations
@@ -569,12 +570,17 @@ class Tape:
     # -- reverse pass ----------------------------------------------------
 
     def backward(self, loss: Tensor) -> None:
-        """Seed d(loss)/d(loss) = 1 and run all records in reverse order."""
+        """Seed d(loss)/d(loss) = 1 and run all records in reverse order.
+
+        Backward consumes the tape: each record is dropped once it has run,
+        freeing the intermediates and gradients that only it held.  Tensors
+        the caller holds keep their values and gradients.
+        """
         if loss.data.shape != ():
             raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
         loss.grad = np.ones_like(loss.data)
-        for record in reversed(self._records):
-            record()
+        while self._records:
+            self._records.pop()()
 
 
 class ParameterStore:

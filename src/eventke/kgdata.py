@@ -357,30 +357,3 @@ def load_pretrained_vectors(source: TextIO | Iterable[str]) -> dict[str, np.ndar
             logger.warning("line %d: identifier %r repeated, last occurrence wins", lineno, name)
         table[name] = vec
     return table
-
-
-# -- serialization (round-trip counterparts of the parsers) --------------
-
-
-def write_triples(graph: HeterogeneousGraph, out: TextIO) -> None:
-    for h, r, t in graph.triples:
-        out.write(f"{graph.entities.name(h)}\t{graph.relations.name(r)}\t{graph.entities.name(t)}\n")
-
-
-def write_events(graph: HeterogeneousGraph, out: TextIO) -> None:
-    for ev in graph.events:
-        obj = {
-            "event_id": graph.event_ids.name(ev.id),
-            "trigger": graph.triggers.name(ev.trigger),
-            "event_type": graph.event_types.name(ev.event_type),
-            "arguments": [
-                {"entity": graph.entities.name(e), "role": graph.roles.name(z)}
-                for e, z in ev.arguments
-            ],
-        }
-        out.write(json.dumps(obj) + "\n")
-
-
-def write_temporal_links(graph: HeterogeneousGraph, out: TextIO) -> None:
-    for a, b in graph.temporal_links:
-        out.write(f"{graph.event_ids.name(a)}\t{graph.event_ids.name(b)}\n")

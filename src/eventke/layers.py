@@ -50,8 +50,9 @@ class ModelConfig:
             raise ValueError("dim must be >= 1")
         if self.num_layers < 1:
             raise ValueError("num_layers must be >= 1")
-        if self.temporal_mix < 0 or self.event_mix < 0:
-            raise ValueError("mixing weights must be >= 0")
+        for name in ("temporal_mix", "event_mix"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
@@ -174,11 +175,13 @@ class IndexPlan:
     Stage 1 reads one row per argument slot; stage 2 one row per
     (event, temporal neighbor) pair of the ``temporal_updated`` events;
     stage 3 one row per (entity, distinct incident event) pair of the
-    ``incidence_updated`` entities; stage 4 one row per relational edge
-    in both directions plus each entity's self loop, ordered by
-    (relation, source) so that stage 4 composes each relation's edges in
-    one product.  ``*_slot`` arrays number the updated nodes of a stage
-    0, 1, ..
+    ``incidence_updated`` entities, which are also stage 1's distinct
+    argument entities; stage 4 one row per relational edge in both
+    directions plus each entity's self loop, ordered by (relation,
+    source) so that stage 4 composes each relation's edges in one
+    product.  ``*_slot`` arrays number the updated nodes of a stage 0,
+    1, ..; ``arg_slot`` places each argument slot's entity among
+    ``incidence_updated``.
     """
 
     arg_event: np.ndarray
@@ -186,6 +189,7 @@ class IndexPlan:
     arg_role: np.ndarray
     arg_trigger: np.ndarray
     arg_type: np.ndarray
+    arg_slot: np.ndarray
     trigger_ids: np.ndarray
     type_ids: np.ndarray
     temporal_src: np.ndarray
@@ -193,7 +197,6 @@ class IndexPlan:
     temporal_updated: np.ndarray
     incidence_event: np.ndarray
     incidence_slot: np.ndarray
-    incidence_entity: np.ndarray
     incidence_updated: np.ndarray
     edge_src: np.ndarray
     edge_rel: np.ndarray
@@ -259,6 +262,7 @@ def _build_index_plan(graph: HeterogeneousGraph) -> IndexPlan:
         arg_role=_ids(arg_role),
         arg_trigger=_ids([trigger_ids[j] for j in arg_event]),
         arg_type=_ids([type_ids[j] for j in arg_event]),
+        arg_slot=_ids(np.searchsorted(incidence_updated, arg_entity)),
         trigger_ids=_ids(trigger_ids),
         type_ids=_ids(type_ids),
         temporal_src=_ids(temporal_src),
@@ -266,7 +270,6 @@ def _build_index_plan(graph: HeterogeneousGraph) -> IndexPlan:
         temporal_updated=_ids(temporal_updated),
         incidence_event=_ids(incidence_event),
         incidence_slot=_ids(incidence_slot),
-        incidence_entity=_ids([incidence_updated[k] for k in incidence_slot]),
         incidence_updated=_ids(incidence_updated),
         edge_src=_ids(np.take(edge_src, edge_order)),
         edge_rel=_ids(np.take(edge_rel, edge_order)),
@@ -300,7 +303,9 @@ def stage1_entity_to_event(
     weight in argument_index order, events is the (n_events, 3d) matrix
     [trigger, type, attended argument message].  Logits come from a
     leaky-ReLU scored linear map of [trigger, type, argument entity,
-    role].
+    role]; the map splits into one score per trigger, type, entity and
+    role row, which each argument slot gathers and sums.  Messages are
+    likewise projected once per distinct argument entity and gathered.
     """
     n_ev = len(graph.events)
     plan = index_plan(graph)
@@ -308,19 +313,28 @@ def stage1_entity_to_event(
 
     t_rows = tape.gather_rows(params["trigger_embeddings"], plan.trigger_ids)
     c_rows = tape.gather_rows(params["event_type_embeddings"], plan.type_ids)
-    arg_v = tape.gather_rows(entity_vecs, plan.arg_entity)
-    feats = tape.concat_cols(
-        tape.gather_rows(params["trigger_embeddings"], plan.arg_trigger),
-        tape.gather_rows(params["event_type_embeddings"], plan.arg_type),
-        arg_v,
-        tape.gather_rows(params["role_embeddings"], plan.arg_role),
+    attn = tape.reshape(params["attn_entity_to_event"], (4, -1))
+
+    def score(rows: Tensor, part: int, slots: np.ndarray) -> Tensor:
+        # one score per row, gathered per argument slot
+        return tape.gather_rows(tape.rows_affine(rows, tape.gather_rows(attn, [part])), slots)
+
+    # the distinct argument entities, scored and projected once each
+    u = tape.gather_rows(entity_vecs, plan.incidence_updated)
+    logits = tape.add_n(
+        [
+            score(params["trigger_embeddings"], 0, plan.arg_trigger),
+            score(params["event_type_embeddings"], 1, plan.arg_type),
+            score(u, 2, plan.arg_slot),
+            score(params["role_embeddings"], 3, plan.arg_role),
+        ]
     )
-    logits = tape.leaky_relu(
-        tape.reshape(tape.rows_affine(feats, params["attn_entity_to_event"]), (-1,)),
-        config.leaky_slope,
+    alpha = tape.segment_softmax(
+        tape.leaky_relu(tape.reshape(logits, (-1,)), config.leaky_slope), arg_event, n_ev
     )
-    alpha = tape.segment_softmax(logits, arg_event, n_ev)
-    messages = tape.relu(tape.rows_affine(arg_v, params["entity_message"]))
+    messages = tape.gather_rows(
+        tape.relu(tape.rows_affine(u, params["entity_message"])), plan.arg_slot
+    )
     lam = tape.segment_sum(tape.scale_rows(messages, alpha), arg_event, n_ev)
     return alpha, tape.concat_cols(t_rows, c_rows, lam)
 
@@ -363,6 +377,8 @@ def stage3_event_to_entity(
     """Attention over the events an entity takes part in, added residually.
 
     Entities with no incident events pass through bitwise unchanged.
+    As in stage 1, a logit is one event score plus one entity score and
+    each event's message is projected once; incidence rows gather them.
     ``collect_betas`` maps entity id to its attention weights over its
     event set, for callers that want to inspect them.
     """
@@ -373,18 +389,23 @@ def stage3_event_to_entity(
     if not updated.size:
         return entity_vecs
 
-    inc_e = tape.gather_rows(tilde_events, plan.incidence_event)
-    inc_v = tape.gather_rows(entity_vecs, plan.incidence_entity)
-    logits = tape.leaky_relu(
-        tape.reshape(
-            tape.rows_affine(tape.concat_cols(inc_e, inc_v), params["attn_event_to_entity"]), (-1,)
-        ),
-        config.leaky_slope,
+    attn = tape.reshape(params["attn_event_to_entity"], (4, -1))
+    v = tape.gather_rows(entity_vecs, updated)
+    event_part = tape.reshape(tape.gather_rows(attn, [0, 1, 2]), (1, -1))
+    event_score = tape.rows_affine(tilde_events, event_part)
+    entity_score = tape.rows_affine(v, tape.gather_rows(attn, [3]))
+    logits = tape.add(
+        tape.gather_rows(event_score, plan.incidence_event),
+        tape.gather_rows(entity_score, inc_slot),
     )
-    beta = tape.segment_softmax(logits, inc_slot, len(updated))
-    messages = tape.rows_affine(inc_e, params["event_projection"])
+    beta = tape.segment_softmax(
+        tape.leaky_relu(tape.reshape(logits, (-1,)), config.leaky_slope), inc_slot, len(updated)
+    )
+    messages = tape.gather_rows(
+        tape.rows_affine(tilde_events, params["event_projection"]), plan.incidence_event
+    )
     mix = tape.segment_sum(tape.scale_rows(messages, beta), inc_slot, len(updated))
-    bumped = tape.add(tape.gather_rows(entity_vecs, updated), tape.scale(mix, config.event_mix))
+    bumped = tape.add(v, tape.scale(mix, config.event_mix))
     if collect_betas is not None:
         for slot, i in enumerate(updated.tolist()):
             collect_betas[i] = beta.data[inc_slot == slot]

@@ -52,8 +52,9 @@ class ConvScorerConfig:
         return self.filters * oh * ow
 
     def __post_init__(self) -> None:
-        if min(self.rows, self.cols, self.filters, self.kernel) < 1:
-            raise ValueError("scorer shape fields must be positive")
+        for name in ("rows", "cols", "filters", "kernel"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.kernel > min(2 * self.rows, self.cols):
             raise ValueError(
                 f"kernel {self.kernel} does not fit the stacked {2 * self.rows}x{self.cols} image"
@@ -154,18 +155,13 @@ class NegativeSampler:
         self.known_tails = known_tails or {}
         self.filtered = filtered
 
-    def sample(self, h: int, r: int, gold_t: int, round_: int = 0) -> list[int]:
-        return self._draw(h, r, {gold_t}, round_)
-
     def sample_group(self, h: int, r: int, gold_tails: list[int], round_: int = 0) -> list[int]:
         """Negatives for a grouped query; every gold tail is excluded."""
-        return self._draw(h, r, set(gold_tails), round_)
-
-    def _draw(self, h: int, r: int, excluded: set[int], round_: int) -> list[int]:
         if self.k_neg == 0:
             return []
+        excluded = set(gold_tails)
         if self.filtered:
-            excluded = excluded | self.known_tails.get((h, r), set())
+            excluded |= self.known_tails.get((h, r), set())
         if self.n_entities - len(excluded) < 1:
             raise ValueError(
                 f"no candidate negatives for query ({h}, {r}): all entities excluded"

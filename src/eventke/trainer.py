@@ -55,14 +55,17 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if min(self.learning_rate, self.eps) <= 0:
-            raise ValueError("learning_rate and eps must be positive")
-        if min(self.max_epochs, self.patience, self.batch_groups) < 1:
-            raise ValueError("max_epochs, patience, and batch_groups must be positive")
+        for name in ("learning_rate", "eps"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("max_epochs", "patience", "batch_groups"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.patience > self.max_epochs:
             raise ValueError("patience cannot exceed max_epochs")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("Adam betas must lie in [0, 1)")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie in [0, 1)")
 
 
 def adam_step(store: ParameterStore, config: TrainConfig, t: int) -> None:

@@ -4,6 +4,7 @@ the real parsers so every test exercises the ingestion path."""
 from __future__ import annotations
 
 import json
+from typing import TextIO
 
 import numpy as np
 
@@ -226,3 +227,30 @@ def cluster_lines(
         members = [c for c in range(n_clusters) if groups[c] == group]
         temporal_lines += [f"ev{a}\tev{b}" for a, b in zip(members, members[1:])]
     return train_lines, test_lines, event_lines, temporal_lines
+
+
+# -- serialization: the parsers' round-trip counterparts ------------------
+
+
+def write_triples(graph: HeterogeneousGraph, out: TextIO) -> None:
+    for h, r, t in graph.triples:
+        out.write(f"{graph.entities.name(h)}\t{graph.relations.name(r)}\t{graph.entities.name(t)}\n")
+
+
+def write_events(graph: HeterogeneousGraph, out: TextIO) -> None:
+    for ev in graph.events:
+        obj = {
+            "event_id": graph.event_ids.name(ev.id),
+            "trigger": graph.triggers.name(ev.trigger),
+            "event_type": graph.event_types.name(ev.event_type),
+            "arguments": [
+                {"entity": graph.entities.name(e), "role": graph.roles.name(z)}
+                for e, z in ev.arguments
+            ],
+        }
+        out.write(json.dumps(obj) + "\n")
+
+
+def write_temporal_links(graph: HeterogeneousGraph, out: TextIO) -> None:
+    for a, b in graph.temporal_links:
+        out.write(f"{graph.event_ids.name(a)}\t{graph.event_ids.name(b)}\n")

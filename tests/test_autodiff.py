@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,6 +221,35 @@ def test_add_n_matches_chained_add():
     assert loss.data == loss2.data
     for g, x in zip(grads, xs):
         assert np.array_equal(g, x.grad)
+
+
+def test_backward_consumes_the_tape():
+    params = _all_op_params()
+    tape, loss = _loss_through_all_ops(params)
+    assert len(tape) > 0
+    tape.backward(loss)
+    assert len(tape) == 0
+    assert all(np.any(p.grad) for p in params.values())
+
+
+def test_backward_frees_each_gradient_once_consumed():
+    m, d = 4000, 32
+    x = Tensor(np.random.default_rng(3).normal(size=(m, d)))
+    tape = Tape()
+    y = tape.scale(x, 0.5)
+    for _ in range(9):
+        y = tape.scale(y, 0.5)
+    loss = tape.tensor_sum(y)
+    del y  # the chain is now held by the tape alone
+    tracemalloc.start()
+    try:
+        tape.backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(x.grad == 0.5**10)
+    # a tape that kept its records would hold all ten (m, d) gradients
+    assert peak < 3 * m * d * 8
 
 
 def test_gradients_accumulate_across_reuse():

@@ -120,8 +120,13 @@ def test_bad_config_value_names_section_and_key(section, key, value, reason, tmp
 
 @pytest.mark.parametrize("section, key, value, reason", [
     ("model", "dim", "0", "dim must be >= 1"),
-    ("scorer", "kernel", "0", "scorer shape fields must be positive"),
-    ("train", "patience", "0", "max_epochs, patience, and batch_groups must be positive"),
+    ("scorer", "kernel", "0", "kernel must be >= 1"),
+    ("scorer", "filters", "0", "filters must be >= 1"),
+    ("train", "patience", "0", "patience must be >= 1"),
+    ("train", "batch_groups", "0", "batch_groups must be >= 1"),
+    ("model", "event_mix", "-0.5", "event_mix must be >= 0"),
+    ("model", "temporal_mix", "nan", "temporal_mix must be >= 0"),
+    ("train", "learning_rate", "0", "learning_rate must be positive"),
     ("eval", "protocol", "bogus", "unknown protocol mode 'bogus'"),
 ])
 def test_config_range_error_names_section(section, key, value, reason, tmp_path, capsys):

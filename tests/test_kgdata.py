@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from _synth import write_events, write_temporal_links, write_triples
 from eventke.kgdata import (
     ParseError,
     build_graph,
@@ -14,9 +15,6 @@ from eventke.kgdata import (
     parse_temporal_links,
     parse_triples,
     split_dataset,
-    write_events,
-    write_temporal_links,
-    write_triples,
 )
 
 

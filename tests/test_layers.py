@@ -105,6 +105,102 @@ def test_attention_vectors_sum_to_one():
         assert abs(b.sum() - 1.0) <= 1e-12
 
 
+def _leaky(x, slope):
+    return x if x >= 0.0 else slope * x
+
+
+def _softmax_1d(x):
+    e = np.exp(x - x.max())
+    return e / e.sum()
+
+
+def _oracle_graph():
+    # 2-5 arguments per event; some entities fill several events, some none
+    t, e, l = dataset_lines(40, 3, 60, 14, 2, 5, 6, seed=23)
+    graph = build_from_lines(t, e, l)
+    event_counts = [len({j for j, _ in incident}) for incident in graph.entity_events]
+    assert max(event_counts) >= 2 and min(event_counts) == 0
+    assert {len(ev.arguments) for ev in graph.events} >= {2, 5}
+    return graph
+
+
+def test_stage1_matches_per_slot_brute_force():
+    graph = _oracle_graph()
+    d = 4
+    config = ModelConfig(dim=d, seed=3)
+    params = init_parameters(graph, config)
+    vecs = np.random.default_rng(5).normal(size=(graph.entity_count, d))
+    alpha, events = stage1_entity_to_event(Tape(), graph, params, Tensor(vecs), config)
+
+    trig, etype = params["trigger_embeddings"].data, params["event_type_embeddings"].data
+    role, attn = params["role_embeddings"].data, params["attn_entity_to_event"].data[0]
+    w_msg = params["entity_message"].data
+    expect_alpha, expect_events = [], []
+    for ev in graph.events:
+        logits = np.array([
+            _leaky(attn @ np.concatenate([trig[ev.trigger], etype[ev.event_type], vecs[e], role[z]]),
+                   config.leaky_slope)
+            for e, z in ev.arguments
+        ])
+        a = _softmax_1d(logits)
+        lam = sum(a_k * np.maximum(w_msg @ vecs[e], 0.0) for a_k, (e, _) in zip(a, ev.arguments))
+        expect_alpha.extend(a)
+        expect_events.append(np.concatenate([trig[ev.trigger], etype[ev.event_type], lam]))
+    assert np.max(np.abs(alpha.data - expect_alpha)) <= 1e-12
+    assert np.max(np.abs(events.data - np.array(expect_events))) <= 1e-12
+
+
+def test_stage3_matches_per_row_brute_force():
+    graph = _oracle_graph()
+    d = 4
+    config = ModelConfig(dim=d, event_mix=0.7, seed=3)
+    params = init_parameters(graph, config)
+    rng = np.random.default_rng(6)
+    vecs = rng.normal(size=(graph.entity_count, d))
+    tilde = rng.normal(size=(graph.event_count, 3 * d))
+    betas: dict[int, np.ndarray] = {}
+    out = stage3_event_to_entity(
+        Tape(), graph, params, Tensor(vecs), Tensor(tilde), config, collect_betas=betas
+    )
+
+    attn, proj = params["attn_event_to_entity"].data[0], params["event_projection"].data
+    for i, incident in enumerate(graph.entity_events):
+        if not incident:
+            assert i not in betas
+            assert np.array_equal(out.data[i], vecs[i])
+            continue
+        seen = list(dict.fromkeys(j for j, _ in incident))
+        b = _softmax_1d(np.array([
+            _leaky(attn @ np.concatenate([tilde[j], vecs[i]]), config.leaky_slope) for j in seen
+        ]))
+        mix = sum(b_k * (proj @ tilde[j]) for b_k, j in zip(b, seen))
+        assert np.max(np.abs(betas[i] - b)) <= 1e-12
+        assert np.max(np.abs(out.data[i] - (vecs[i] + config.event_mix * mix))) <= 1e-12
+
+
+def test_stages_1_and_3_gradient_check():
+    t, e, l = dataset_lines(6, 2, 8, 3, 2, 3, 1, seed=4)
+    graph = build_from_lines(t, e, l)
+    config = ModelConfig(dim=3, seed=2)
+    params = init_parameters(graph, config)
+    weights = Tensor(np.random.default_rng(8).normal(size=(1, graph.entity_count * 3)))
+    names = [
+        "entity_embeddings", "trigger_embeddings", "event_type_embeddings", "role_embeddings",
+        "attn_entity_to_event", "entity_message", "attn_event_to_entity", "event_projection",
+    ]
+
+    def build():
+        tape = Tape()
+        vecs = params["entity_embeddings"]
+        _, events = stage1_entity_to_event(tape, graph, params, vecs, config)
+        out = stage3_event_to_entity(tape, graph, params, vecs, events, config)
+        row = tape.reshape(out, (1, -1))
+        return tape, tape.tensor_sum(tape.rows_affine(row, weights))
+
+    err = grad_check(build, [params[n] for n in names], step=1e-5)
+    assert err < 1e-4
+
+
 def _two_event_graph():
     return build_from_lines(
         ["a\tr\tb"],

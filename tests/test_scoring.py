@@ -113,35 +113,35 @@ def test_conv_trunk_rejects_mismatched_rows():
 
 def test_sampler_determinism_and_exclusions():
     sampler = NegativeSampler(n_entities=10, k_neg=6, seed=9)
-    a = sampler.sample(2, 1, gold_t=5)
-    b = sampler.sample(2, 1, gold_t=5)
+    a = sampler.sample_group(2, 1, [5])
+    b = sampler.sample_group(2, 1, [5])
     assert a == b
     assert len(a) == 6
     assert 5 not in a
 
-    other_round = sampler.sample(2, 1, gold_t=5, round_=1)
+    other_round = sampler.sample_group(2, 1, [5], round_=1)
     assert other_round != a  # epochs see different negatives
 
-    assert NegativeSampler(10, 0, seed=0).sample(0, 0, 1) == []
+    assert NegativeSampler(10, 0, seed=0).sample_group(0, 0, [1]) == []
 
-    forced = NegativeSampler(2, 8, seed=0).sample(0, 0, gold_t=0)
+    forced = NegativeSampler(2, 8, seed=0).sample_group(0, 0, [0])
     assert forced == [1] * 8
 
 
 def test_sampler_filtering_excludes_known_tails():
     known = {(0, 0): {1, 2, 3}}
     sampler = NegativeSampler(5, 50, seed=1, known_tails=known, filtered=True)
-    draws = sampler.sample(0, 0, gold_t=4)
+    draws = sampler.sample_group(0, 0, [4])
     assert set(draws) == {0}  # only entity left
 
     unfiltered = NegativeSampler(5, 50, seed=1, known_tails=known, filtered=False)
-    assert set(unfiltered.sample(0, 0, gold_t=4)) - {4} == set(unfiltered.sample(0, 0, 4))
+    assert set(unfiltered.sample_group(0, 0, [4])) - {4} == set(unfiltered.sample_group(0, 0, [4]))
 
 
 def test_sampler_empty_pool_is_an_error():
     sampler = NegativeSampler(2, 4, seed=0, known_tails={(0, 0): {0, 1}})
     with pytest.raises(ValueError, match="no candidate negatives"):
-        sampler.sample(0, 0, gold_t=0)
+        sampler.sample_group(0, 0, [0])
 
 
 def test_known_tails_grouping():

@@ -52,8 +52,10 @@ def test_train_config_validation():
         TrainConfig(patience=0)
     with pytest.raises(ValueError):
         TrainConfig(max_epochs=5, patience=6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^beta2 must lie in \[0, 1\)$"):
         TrainConfig(beta2=1.0)
+    with pytest.raises(ValueError, match="^eps must be positive$"):
+        TrainConfig(eps=0.0)
 
 
 def test_adam_first_step_matches_hand_formula():
