@@ -9,7 +9,7 @@ and drops each record as it goes.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -76,42 +76,99 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
-# Flattened scatter cells of read-only index arrays, keyed by identity and
-# width.  An index that cannot change keeps its cells, so the fixed index
-# plans of a graph pay for them once; the entry holds the array itself,
-# so its id cannot be reused while cached.
-_CELLS: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-_CELLS_MAX = 64
+class _Diagonals(NamedTuple):
+    """Jagged diagonals of an index: its segments, longest first, and for
+    each k the rows of every segment's k-th member."""
+
+    segments: np.ndarray  # segments with members, by member count descending, stable
+    rows: list[np.ndarray]  # rows[k][s]: row of the k-th member of segments[s]
 
 
-def _scatter_cells(index: np.ndarray, width: int) -> np.ndarray:
+def _diagonals(index: np.ndarray, counts: np.ndarray) -> _Diagonals:
+    """The diagonals of ``index``, whose segments have ``counts`` members."""
+    segments = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts)]
+    rank = np.empty(counts.size, dtype=np.intp)
+    rank[segments] = np.arange(segments.size)
+    # rows grouped by segment rank, each segment's members in index order
+    by_segment = np.argsort(rank[index], kind="stable")
+    sizes = counts[segments]
+    member = np.arange(index.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    # segments with more than k members are a prefix of ``segments``, so a
+    # stable sort by member number lays out each diagonal in segment order
+    flat = by_segment[np.argsort(member, kind="stable")]
+    return _Diagonals(segments, np.split(flat, np.cumsum(np.bincount(member))[:-1]))
+
+
+# Calibrated on (m, w) float64 rows, w in 1..192, one BLAS thread: a
+# diagonal costs a Python-level gather and add, so it beats the flattened
+# bincount only from about this many cells, and narrower rows lose at any
+# length.
+_DIAGONAL_MIN_CELLS = 4096
+_DIAGONAL_MIN_WIDTH = 32
+
+# Scatter plans of read-only index arrays, keyed by identity and width: the
+# jagged diagonals or the flattened bincount cells, as _scatter_rows
+# chooses.  An index that cannot change keeps its plan, so the fixed index
+# plans of a graph pay for it once; the entry holds the array itself, so
+# its id cannot be reused while cached.
+_PLANS: dict[tuple[int, int], tuple[np.ndarray, _Diagonals | np.ndarray]] = {}
+_PLANS_MAX = 64
+
+
+def _bincount_cells(index: np.ndarray, width: int) -> np.ndarray:
     """cells[i * width + c] = index[i] * width + c, the flat cell of row i, column c."""
+    return (index[:, None] * width + np.arange(width)).ravel()
+
+
+def _scatter_plan(index: np.ndarray, width: int) -> _Diagonals | np.ndarray:
+    """The way ``_scatter_rows`` sums rows of ``width`` by ``index``."""
     if index.flags.writeable:
-        return (index[:, None] * width + np.arange(width)).ravel()
+        return _bincount_cells(index, width)
     key = (id(index), width)
-    hit = _CELLS.get(key)
+    hit = _PLANS.get(key)
     if hit is not None and hit[0] is index:
         return hit[1]
-    cells = (index[:, None] * width + np.arange(width)).ravel()
-    cells.flags.writeable = False
-    if len(_CELLS) >= _CELLS_MAX:
-        _CELLS.pop(next(iter(_CELLS)))
-    _CELLS[key] = (index, cells)
-    return cells
+    plan: _Diagonals | np.ndarray
+    counts = np.bincount(index)
+    # the longest segment sets the number of diagonals
+    cells_per_diagonal = index.size * width / counts.max() if index.size else 0
+    if width >= _DIAGONAL_MIN_WIDTH and cells_per_diagonal >= _DIAGONAL_MIN_CELLS:
+        plan = _diagonals(index, counts)
+    else:
+        plan = _bincount_cells(index, width)
+        plan.flags.writeable = False
+    if len(_PLANS) >= _PLANS_MAX:
+        _PLANS.pop(next(iter(_PLANS)))
+    _PLANS[key] = (index, plan)
+    return plan
 
 
 def _scatter_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     """out[j] = 0 + the sum of rows[i] over index[i] == j, in index order.
 
-    One bincount over the flattened (row, column) cells: each cell sums
-    its rows in index order, exactly as one bincount per column would,
-    so the result is bitwise the same at a fraction of the calls.
+    Two layouts give the same bits.  The flattened bincount sums every
+    (row, column) cell in one call, each cell's rows in index order, as
+    one bincount per column would.  The jagged diagonals add whole rows
+    instead: a zero buffer, one row per segment, takes the k-th member of
+    every segment with more than k members, diagonal after diagonal, so
+    each segment again adds its rows in index order from +0.0; the buffer
+    then goes to its segments in a zero output.  A diagonal moves
+    contiguous rows but costs a Python-level call, so read-only indices
+    (which keep their plan) take the diagonals when a diagonal averages
+    at least _DIAGONAL_MIN_CELLS cells of rows at least
+    _DIAGONAL_MIN_WIDTH wide, and everything else the bincount: few long
+    segments, narrow rows, and writable indices, which may change.
     """
-    if rows.ndim == 1:
-        return np.bincount(index, weights=rows, minlength=n)
     width = rows.shape[1]
-    cells = _scatter_cells(index, width)
-    return np.bincount(cells, weights=rows.ravel(), minlength=n * width).reshape(n, width)
+    plan = _scatter_plan(index, width)
+    if isinstance(plan, np.ndarray):
+        return np.bincount(plan, weights=rows.ravel(), minlength=n * width).reshape(n, width)
+    acc = np.zeros((plan.segments.size, width))
+    for diagonal in plan.rows:
+        acc[: diagonal.size] += rows[diagonal]
+    out = np.zeros((n, width))
+    out[plan.segments] = acc
+    return out
 
 
 def _doubled_windows(b: np.ndarray) -> np.ndarray:

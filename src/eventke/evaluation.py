@@ -136,9 +136,10 @@ def frozen_entity_matrix(
 def _sampled_candidates(n_entities: int, k: int, seed: int, query: KnowledgeTriple) -> np.ndarray:
     h, r, t = query
     rng = np.random.default_rng(np.random.SeedSequence([seed, h, r, t]))
-    allowed = np.delete(np.arange(n_entities), t)
-    negatives = rng.choice(allowed, size=k, replace=False)
-    return np.concatenate((negatives, [t]))
+    # positions among the entities other than t; choosing from that array
+    # would draw these same positions and index it
+    picked = rng.choice(n_entities - 1, size=k, replace=False)
+    return np.concatenate((picked + (picked >= t), [t]))
 
 
 def _thread_count() -> int:

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from eventke import autodiff
 from eventke.autodiff import ParameterStore, Tape, Tensor, grad_check
 
 
@@ -417,18 +418,66 @@ def test_tensor_grad_is_allocated_on_first_use():
     assert np.array_equal(x.grad, np.zeros((2, 3)))
 
 
+def _scatter_layout(layout: str, rng) -> tuple[np.ndarray, int]:
+    """A read-only (index, segment count) of one scatter shape."""
+    if layout == "empty_segments":  # two segments in three have no member
+        n, idx = 600, 3 * rng.integers(0, 200, size=3000)
+    elif layout == "hub":  # one segment with ten times the others' members
+        n, idx = 500, rng.integers(0, 500, size=6000)
+        idx[::100] = 7
+    elif layout == "permutation":  # one member each: a single diagonal
+        n, idx = 1000, rng.permutation(1000)
+    else:  # "few_segments": a few long segments and one empty
+        n, idx = 4, rng.integers(0, 3, size=3000)
+    idx.flags.writeable = False
+    return idx, n
+
+
+def _per_column_bincount(idx: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    expected = np.zeros((n, rows.shape[1]))
+    for col in range(rows.shape[1]):
+        expected[:, col] += np.bincount(idx, weights=rows[:, col], minlength=n)
+    return expected
+
+
+def _scatter_both_ways(idx: np.ndarray, rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """gather_rows' table gradient and segment_sum's output, both sums of rows by idx."""
+    table = Tensor(np.zeros((n, rows.shape[1])))
+    tape = Tape()
+    _backward_with(tape, tape.gather_rows(table, idx), rows)
+    return table.grad, Tape().segment_sum(Tensor(rows), idx, n).data
+
+
 def test_gather_rows_scatter_equals_per_column_bincount_bitwise():
     rng = np.random.default_rng(37)
-    table = Tensor(rng.normal(size=(7, 5)))
-    idx = rng.integers(0, 7, size=40)
-    tape = Tape()
-    picked = tape.gather_rows(table, idx)
-    g = rng.normal(size=picked.shape)
-    _backward_with(tape, picked, g)
-    expected = np.zeros((7, 5))
-    for col in range(5):
-        expected[:, col] += np.bincount(idx, weights=g[:, col], minlength=7)
-    assert table.grad.tobytes() == expected.tobytes()
+    for layout in ("empty_segments", "hub", "permutation", "few_segments"):
+        idx, n = _scatter_layout(layout, rng)
+        writable = idx.copy()
+        for width in (1, 64, 192):
+            rows = rng.normal(size=(idx.size, width))
+            rows[::7] = -0.0  # a sum from +0.0 turns a lone -0.0 into +0.0
+            expected = _per_column_bincount(idx, rows, n).tobytes()
+            # wide rows in many segments take the diagonals, the rest the bincount
+            diagonal = width >= 64 and layout != "few_segments"
+            assert isinstance(autodiff._scatter_plan(idx, width), autodiff._Diagonals) == diagonal
+            assert isinstance(autodiff._scatter_plan(writable, width), np.ndarray)
+            for index in (idx, writable):
+                for _ in range(2):  # the second call reads the cached plan
+                    grad, summed = _scatter_both_ways(index, rows, n)
+                    assert grad.tobytes() == expected, (layout, width)
+                    assert summed.tobytes() == expected, (layout, width)
+
+
+def test_scatter_by_a_mutated_writable_index_gives_fresh_sums():
+    rng = np.random.default_rng(43)
+    idx = 3 * rng.integers(0, 200, size=3000)
+    rows = rng.normal(size=(idx.size, 64))
+    for _ in range(2):
+        expected = _per_column_bincount(idx, rows, 600).tobytes()
+        grad, summed = _scatter_both_ways(idx, rows, 600)
+        assert grad.tobytes() == expected
+        assert summed.tobytes() == expected
+        idx[:] = rng.permutation(idx) // 3
 
 
 def test_affine_grad_with_dead_output_rows_equals_outer_product_bitwise():

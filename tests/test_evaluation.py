@@ -194,6 +194,20 @@ def test_sampled_protocol_is_seed_deterministic():
     assert a.to_json() == b.to_json()
 
 
+@pytest.mark.parametrize("n", [2, 3, 50, 2000])
+def test_sampled_candidates_draw_the_stream_of_a_choice_from_the_others(n):
+    """The negatives are those a choice from every entity but t would draw."""
+    for t in sorted({0, n // 2, n - 1}):
+        for k in sorted({1, (n - 1) // 2 or 1, n - 1}):
+            query = KnowledgeTriple(n - 1 - t, 1, t)
+            rng = np.random.default_rng(np.random.SeedSequence([4, *query]))
+            expected = np.concatenate(
+                (rng.choice(np.delete(np.arange(n), t), size=k, replace=False), [t]))
+            got = evaluation._sampled_candidates(n, k, 4, query)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+
+
 def test_sampled_rank_bounded_by_candidate_count():
     graph, store = eval_setup()
     triples = list(graph.triples[:10])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import struct
@@ -5,9 +6,10 @@ import struct
 import numpy as np
 import pytest
 
+from eventke import autodiff
 from eventke.autodiff import ParameterStore, Tape
 from eventke.kgdata import KnowledgeTriple
-from eventke.layers import ModelConfig, forward_model
+from eventke.layers import ModelConfig, forward_model, index_plan
 from eventke.scoring import ConvScorerConfig, NegativeSampler, known_tails_from_triples, triple_loss
 from eventke.trainer import (
     Checkpoint,
@@ -236,6 +238,45 @@ def test_epoch_loss_independent_of_shuffle_when_single_batch():
             shuffle_rng=np.random.default_rng(9), step_counter=[0],
         ))
     assert losses[0] == losses[1]
+
+
+def diagonal_step():
+    """One training step on a graph whose stage-4 sums take the jagged
+    diagonals: 3,300 edge rows of width 64 in 23 diagonals.  Returns the
+    graph and the trained store."""
+    lines = dataset_lines(
+        n_entities=300, n_relations=4, n_triples=1500, n_events=40,
+        min_args=2, max_args=4, n_temporal=20, seed=12,
+    )
+    graph, store = build_model(build_from_lines(*lines), ModelConfig(), ConvScorerConfig())
+    groups = group_queries(graph.triples)[:8]
+    config = TrainConfig(k_neg=4, batch_groups=8)
+    sampler = NegativeSampler(
+        graph.entity_count, config.k_neg, seed=0,
+        known_tails=known_tails_from_triples(graph.triples),
+    )
+    train_epoch(
+        graph, store, ModelConfig(), ConvScorerConfig(), groups, sampler, config,
+        epoch=1, shuffle_rng=np.random.default_rng(0), step_counter=[0],
+    )
+    return graph, store
+
+
+# sha256 of the state arrays after diagonal_step, taken with the flattened
+# bincount summing every segment: the diagonals must reproduce its bits
+DIAGONAL_STEP_STATE = "24db63f84cc2399a8572a78a81036b0d0dc0a9dea7d417668089f098288a52ec"
+
+
+def test_diagonal_scatter_step_is_pinned():
+    graph, store = diagonal_step()
+    plan = index_plan(graph)
+    for index in (plan.edge_dst, plan.edge_src):
+        assert isinstance(autodiff._scatter_plan(index, 64), autodiff._Diagonals)
+    digest = hashlib.sha256()
+    for name, array in store.state_arrays().items():
+        digest.update(name.encode())
+        digest.update(array.tobytes())
+    assert digest.hexdigest() == DIAGONAL_STEP_STATE
 
 
 def test_fit_rejects_empty_train_set():
