@@ -163,11 +163,96 @@ def _scatter_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     plan = _scatter_plan(index, width)
     if isinstance(plan, np.ndarray):
         return np.bincount(plan, weights=rows.ravel(), minlength=n * width).reshape(n, width)
-    acc = np.zeros((plan.segments.size, width))
+    out = np.zeros((n, width))
+    _add_diagonals(out, plan, rows)
+    return out
+
+
+def _add_diagonals(out: np.ndarray, plan: _Diagonals, rows: np.ndarray) -> None:
+    """out[j] += each row of segment j, in index order, diagonal after diagonal."""
+    acc = out[plan.segments]
     for diagonal in plan.rows:
         acc[: diagonal.size] += rows[diagonal]
-    out = np.zeros((n, width))
     out[plan.segments] = acc
+
+
+# Calibrated on stage 4 of a 50k-edge graph, d = 64, one BLAS thread: chunks
+# of 512 to 4096 rows took alike, 8192 rows 20% longer and one chunk 40%;
+# a chunk of about a megabyte lives in reused memory, while an edge-sized
+# array is faulted in afresh at every step.
+_CHUNK_MIN_CELLS = 2048 * 64
+
+
+class _Chunk(NamedTuple):
+    """Whole runs of equal relation ids of a circ_corr_sum edge list."""
+
+    runs: list[tuple[int, int, int]]  # (lo, hi, relation) of each run, in chunk rows
+    src: np.ndarray  # the chunk's sources and destinations
+    dst: np.ndarray
+    # where a later chunk adds its rows into the sums; None for the first chunk
+    src_diagonals: _Diagonals | None
+    dst_diagonals: _Diagonals | None
+
+
+class _ChunkPlan(NamedTuple):
+    indices: tuple[np.ndarray, np.ndarray, np.ndarray]  # the (src, rel, dst) planned
+    chunks: list[_Chunk]
+    run_rel: np.ndarray  # relation id of every run, in order
+
+
+# Chunk plans of read-only (src, rel, dst) triples, keyed by identity and
+# width like _PLANS.  The plan keeps the first chunk's index arrays, so
+# _scatter_rows finds their plans under the same identities on every call.
+_CHUNK_PLANS: dict[tuple[int, int, int, int], _ChunkPlan] = {}
+_CHUNK_PLANS_MAX = 16
+
+
+def _chunk_plan(src: np.ndarray, rel: np.ndarray, dst: np.ndarray, width: int) -> _ChunkPlan:
+    """Split an edge list into chunks of whole runs of equal ``rel``; a chunk
+    closes once it holds _CHUNK_MIN_CELLS cells of rows ``width`` wide."""
+    readonly = not (src.flags.writeable or rel.flags.writeable or dst.flags.writeable)
+    key = (id(src), id(rel), id(dst), width)
+    hit = _CHUNK_PLANS.get(key) if readonly else None
+    if hit is not None and all(a is b for a, b in zip(hit.indices, (src, rel, dst))):
+        return hit
+    bounds = np.append(np.flatnonzero(np.diff(rel, prepend=-1)), rel.size)
+    runs = list(zip(bounds[:-1].tolist(), bounds[1:].tolist(), rel[bounds[:-1]].tolist()))
+    groups: list[list[tuple[int, int, int]]] = [[]]
+    for run in runs:
+        if groups[-1] and (groups[-1][-1][1] - groups[-1][0][0]) * width >= _CHUNK_MIN_CELLS:
+            groups.append([])
+        groups[-1].append(run)
+    if len(groups) == 1:
+        chunks = [_Chunk(runs, src, dst, None, None)]
+    else:
+        chunks = []
+        for group in groups:
+            lo, hi = group[0][0], group[-1][1]
+            # persistent copies: a fresh slice would miss _scatter_rows' cache
+            chunk_src, chunk_dst = src[lo:hi].copy(), dst[lo:hi].copy()
+            chunk_src.flags.writeable = chunk_dst.flags.writeable = not readonly
+            later = bool(chunks)
+            chunks.append(_Chunk(
+                [(a - lo, b - lo, r) for a, b, r in group], chunk_src, chunk_dst,
+                _diagonals(chunk_src, np.bincount(chunk_src)) if later else None,
+                _diagonals(chunk_dst, np.bincount(chunk_dst)) if later else None,
+            ))
+    plan = _ChunkPlan((src, rel, dst), chunks, rel[bounds[:-1]])
+    if readonly:
+        if len(_CHUNK_PLANS) >= _CHUNK_PLANS_MAX:
+            _CHUNK_PLANS.pop(next(iter(_CHUNK_PLANS)))
+        _CHUNK_PLANS[key] = plan
+    return plan
+
+
+def _sum_chunk(out: np.ndarray | None, index: np.ndarray, diagonals: _Diagonals | None,
+               rows: np.ndarray, n: int) -> np.ndarray:
+    """A chunk's rows summed by ``index`` onto the sums of the chunks before
+    it: the first chunk (``out`` None) gives a fresh _scatter_rows output,
+    a later one continues every cell's sum in index order."""
+    if out is None:
+        return _scatter_rows(index, rows, n)
+    _add_diagonals(out, diagonals, rows)
     return out
 
 
@@ -303,15 +388,6 @@ class Tape:
         self._records.append(backward)
         return out
 
-    def tensor_sum(self, x: Tensor) -> Tensor:
-        out = Tensor(x.data.sum())
-
-        def backward() -> None:
-            x.grad += out.grad
-
-        self._records.append(backward)
-        return out
-
     # -- nonlinearities -------------------------------------------------
 
     def relu(self, x: Tensor) -> Tensor:
@@ -340,12 +416,83 @@ class Tape:
     def circ_corr(self, a: Tensor, b: Tensor) -> Tensor:
         """Circular correlation of two vectors: out[k] = sum_i a[i] * b[(k + i) mod d].
 
-        The one-row case of ``circ_corr_rows``.
+        The one-edge case of ``circ_corr_sum``.
         """
         if a.data.shape != b.data.shape or a.data.ndim != 1:
             raise ValueError(f"circ_corr shape mismatch: {a.shape} vs {b.shape}")
-        row = self.circ_corr_rows(self.reshape(a, (1, -1)), self.reshape(b, (1, -1)), [0])
+        row = self.circ_corr_sum(
+            self.reshape(a, (1, -1)), self.reshape(b, (1, -1)), [0], [0], [0], 1
+        )
         return self.reshape(row, (-1,))
+
+    def circ_corr_sum(self, x: Tensor, table: Tensor, src, rel, dst, n: int) -> Tensor:
+        """out[j] = the sum of circ_corr(x[src[i]], table[rel[i]]) over edges
+        i with dst[i] == j, in index order from +0.0; x (N, d), table (R, d),
+        out (n, d).
+
+        Correlating with a fixed b is a product with its circulant
+        W[j, k] = b[(j + k) % d], which is symmetric, so every run of equal
+        consecutive ids in ``rel`` is one product: forward x[src] @ W,
+        x-gradient out.grad[dst] @ W, and table gradient
+        x[src].T @ out.grad[dst] summed along its wrapped anti-diagonals
+        (j + k) % d, one bincount for all runs.  Grouping equal ids makes
+        the runs long and the products few.
+
+        The edges go in chunks of whole runs (see _chunk_plan), so no array
+        grows with the edge count; backward gathers a chunk's rows again
+        instead of keeping them, unless there is one chunk.  The first
+        chunk sums by _scatter_rows and each later one continues every
+        cell's sum along its own diagonals, so the bits do not depend on
+        the chunking.  A run is never split: a row's product bits depend on
+        its gemm batch.
+        """
+        if x.data.ndim != 2 or table.data.ndim != 2 or x.data.shape[1] != table.data.shape[1]:
+            raise ValueError(f"circ_corr_sum shape mismatch: {x.shape} with table {table.shape}")
+        n_rel, d = table.data.shape
+        src = _as_index(src, x.data.shape[0], "circ_corr_sum")
+        rel = _as_index(rel, n_rel, "circ_corr_sum")
+        dst = _as_index(dst, n, "circ_corr_sum")
+        if not src.size == rel.size == dst.size:
+            raise ValueError("circ_corr_sum needs one source, relation and destination per edge")
+        plan = _chunk_plan(src, rel, dst, d)
+        circulants = np.ascontiguousarray(_doubled_windows(table.data))
+        sums = None
+        for chunk in plan.chunks:
+            a = x.data[chunk.src]
+            phi = np.empty(a.shape)
+            for lo, hi, r in chunk.runs:
+                np.dot(a[lo:hi], circulants[r], out=phi[lo:hi])
+            sums = _sum_chunk(sums, chunk.dst, chunk.dst_diagonals, phi, n)
+        out = Tensor(sums)
+        # A single chunk keeps its rows and products until backward, as the
+        # separate gather and product records did.  Freeing them at once
+        # left a heap layout in which ranking on the memorization graph gave
+        # its block buffers back to the system and faulted them in again at
+        # every call (glibc), which cost 20% of its queries per second.
+        kept = (a, phi) if len(plan.chunks) == 1 else None
+
+        def backward() -> None:
+            blocks = np.empty((plan.run_rel.size, d, d))
+            grad_x = None
+            k = 0
+            for chunk in plan.chunks:
+                g = out.grad[chunk.dst]
+                a = kept[0] if kept is not None else x.data[chunk.src]
+                grad_a = np.empty(g.shape)
+                for lo, hi, r in chunk.runs:
+                    np.dot(g[lo:hi], circulants[r], out=grad_a[lo:hi])
+                    np.dot(a[lo:hi].T, g[lo:hi], out=blocks[k])
+                    k += 1
+                grad_x = _sum_chunk(grad_x, chunk.src, chunk.src_diagonals, grad_a, x.data.shape[0])
+            x.add_grad(grad_x)
+            folds = (np.arange(d)[:, None] + np.arange(d)) % d
+            cells = (plan.run_rel[:, None, None] * d + folds).ravel()
+            table.add_grad(
+                np.bincount(cells, weights=blocks.ravel(), minlength=n_rel * d).reshape(n_rel, d)
+            )
+
+        self._records.append(backward)
+        return out
 
     # -- batched row ops -------------------------------------------------
     #
@@ -488,47 +635,6 @@ class Tape:
             g[idx] = 0.0
             base.add_grad(g)
             rows.add_grad(out.grad[idx])
-
-        self._records.append(backward)
-        return out
-
-    def circ_corr_rows(self, a: Tensor, table: Tensor, rel) -> Tensor:
-        """out[i] = circ_corr(a[i], table[rel[i]]) for a (m, d), table (R, d).
-
-        Correlating with a fixed b is a product with its circulant
-        W[j, k] = b[(j + k) % d], which is symmetric, so every run of equal
-        consecutive ids in ``rel`` is one (rows, d) x (d, d) product:
-        forward a @ W, a-gradient g @ W.  The table gradient of a run is
-        a.T @ g summed along its wrapped anti-diagonals (j + k) % d, one
-        bincount for all runs.  Any order of ``rel`` is correct; grouping
-        equal ids makes the runs long and the products few.
-        """
-        if a.data.ndim != 2 or table.data.ndim != 2 or a.data.shape[1] != table.data.shape[1]:
-            raise ValueError(f"circ_corr_rows shape mismatch: {a.shape} with table {table.shape}")
-        n_rel, d = table.data.shape
-        idx = _as_index(rel, n_rel, "circ_corr_rows")
-        if idx.shape[0] != a.data.shape[0]:
-            raise ValueError("circ_corr_rows needs one relation id per row")
-        circulants = np.ascontiguousarray(_doubled_windows(table.data))
-        bounds = np.append(np.flatnonzero(np.diff(idx, prepend=-1)), idx.size)
-        runs = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
-        out = Tensor(np.empty(a.data.shape))
-        for lo, hi in runs:
-            np.dot(a.data[lo:hi], circulants[idx[lo]], out=out.data[lo:hi])
-
-        def backward() -> None:
-            g = out.grad
-            grad_a = np.empty(g.shape)
-            blocks = np.empty((len(runs), d, d))
-            for n, (lo, hi) in enumerate(runs):
-                np.dot(g[lo:hi], circulants[idx[lo]], out=grad_a[lo:hi])
-                np.dot(a.data[lo:hi].T, g[lo:hi], out=blocks[n])
-            a.add_grad(grad_a)
-            folds = (np.arange(d)[:, None] + np.arange(d)) % d
-            cells = (idx[bounds[:-1], None, None] * d + folds).ravel()
-            table.add_grad(
-                np.bincount(cells, weights=blocks.ravel(), minlength=n_rel * d).reshape(n_rel, d)
-            )
 
         self._records.append(backward)
         return out

@@ -421,14 +421,13 @@ def stage4_entity_message_pass(
     """Relational update: circular-correlation composition summed over
     neighbors (inverse edges included) plus a self loop, then one shared
     linear map and ReLU.  The edges come grouped by relation, so the
-    composition is one circulant product per relation."""
+    composition is one circulant product per relation, made and summed
+    a chunk of whole relation runs at a time."""
     plan = index_plan(graph)
-    phi = tape.circ_corr_rows(
-        tape.gather_rows(tilde_entity_vecs, plan.edge_src),
-        params["relation_embeddings"],
-        plan.edge_rel,
+    agg = tape.circ_corr_sum(
+        tilde_entity_vecs, params["relation_embeddings"],
+        plan.edge_src, plan.edge_rel, plan.edge_dst, graph.entity_count,
     )
-    agg = tape.segment_sum(phi, plan.edge_dst, graph.entity_count)
     return tape.relu(tape.rows_affine(agg, params["relation_message"]))
 
 

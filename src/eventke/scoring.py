@@ -8,12 +8,13 @@ dot) depends only on (head, relation) and is shared across candidates.
 ``conv_trunk`` is the one implementation of the trunk, over a batch of
 (head, relation) rows, as ConvE scores its queries.  Training runs it once
 per step over the step's query groups and hands each group its row;
-ranking runs it on a tape that is thrown away (``frozen_trunk``) over
-blocks of queries; a single pair is the one-row case.
+ranking runs the same arithmetic without a tape (``frozen_trunk``) over
+blocks of queries, bitwise equal; a single pair is the one-row case.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,15 +73,19 @@ def add_scorer_parameters(store: ParameterStore, config: ConvScorerConfig, seed:
     store.add("conv_projection", rng.uniform(-limit, limit, size=(config.dim, fan_in)))
 
 
+def _check_rows(config: ConvScorerConfig, s: np.ndarray, r: np.ndarray) -> None:
+    if s.ndim != 2 or s.shape != r.shape or s.shape[1] != config.dim:
+        raise ValueError(
+            f"scorer expects matching (q, {config.dim}) rows, got {s.shape} and {r.shape}"
+        )
+
+
 def conv_trunk(
     tape: Tape, params: ParameterStore, config: ConvScorerConfig, s: Tensor, r: Tensor
 ) -> Tensor:
     """(q, d) trunk rows ReLU(project(flatten(ReLU(conv(stack(reshape s, reshape r))))))
     of (q, d) head rows ``s`` and relation rows ``r``."""
-    if s.data.ndim != 2 or s.data.shape != r.data.shape or s.data.shape[1] != config.dim:
-        raise ValueError(
-            f"scorer expects matching (q, {config.dim}) rows, got {s.shape} and {r.shape}"
-        )
+    _check_rows(config, s.data, r.data)
     q = s.data.shape[0]
     images = tape.reshape(tape.concat_cols(s, r), (q, 2 * config.rows, config.cols))
     conv = tape.relu(tape.conv2d(images, params["conv_filters"]))
@@ -116,12 +121,48 @@ def score_against_all(
     return tape.affine(candidates, tape.reshape(row, (-1,)))
 
 
+# frozen_trunk's patch columns, conv activations and flattened rows, one
+# set per thread, kept between calls and grown to the largest block.  A
+# block's activations are megabytes; allocated afresh for every block, glibc
+# gave them back to the system whenever they were freed at the top of the
+# heap and faulted them in again on the next block, so a ranking call's
+# speed depended on the heap layout the rest of the process had left.
+_TRUNK_BUFFERS = threading.local()
+
+
+def _trunk_buffer(name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A C-contiguous float64 view of ``shape`` on this thread's buffer ``name``."""
+    size = int(np.prod(shape))
+    buffer = getattr(_TRUNK_BUFFERS, name, None)
+    if buffer is None or buffer.size < size:
+        buffer = np.empty(size)
+        setattr(_TRUNK_BUFFERS, name, buffer)
+    return buffer[:size].reshape(shape)
+
+
 def frozen_trunk(
     params: ParameterStore, config: ConvScorerConfig, s_rows: np.ndarray, r_rows: np.ndarray
 ) -> np.ndarray:
-    """(q, d) trunk rows of plain (q, d) arrays, for evaluation: ``conv_trunk``
-    on a tape that is thrown away."""
-    return conv_trunk(Tape(), params, config, Tensor(s_rows), Tensor(r_rows)).data
+    """(q, d) trunk rows of plain (q, d) arrays, for evaluation: bitwise
+    ``conv_trunk`` of the same batch, without a tape.  The products are
+    the tape's (Tape.conv2d's patch product, then rows_affine's), with the
+    intermediates written into this thread's reused buffers; the result is
+    a fresh array."""
+    _check_rows(config, s_rows, r_rows)
+    q = s_rows.shape[0]
+    k, f = config.kernel, config.filters
+    oh, ow = 2 * config.rows - k + 1, config.cols - k + 1
+    images = np.concatenate((s_rows, r_rows), axis=1).reshape(q, 2 * config.rows, config.cols)
+    patches = np.lib.stride_tricks.sliding_window_view(images, (k, k), axis=(1, 2))
+    columns = _trunk_buffer("columns", (k, k, q, oh, ow))
+    columns[...] = patches.transpose(3, 4, 0, 1, 2)
+    conv = _trunk_buffer("conv", (f, q * oh * ow))
+    np.dot(params["conv_filters"].data.reshape(f, k * k), columns.reshape(k * k, q * oh * ow), out=conv)
+    np.maximum(conv, 0.0, out=conv)
+    flat = _trunk_buffer("flat", (q, f, oh, ow))
+    flat[...] = conv.reshape(f, q, oh, ow).transpose(1, 0, 2, 3)
+    trunk = flat.reshape(q, config.flat_width) @ params["conv_projection"].data.T
+    return np.maximum(trunk, 0.0, out=trunk)
 
 
 def known_tails_from_triples(triples: list[KnowledgeTriple]) -> dict[tuple[int, int], set[int]]:

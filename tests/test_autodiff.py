@@ -102,7 +102,7 @@ def test_relu_subgradient_at_zero_is_one():
         tape = Tape()
         x = Tensor([0.0])
         y = op(tape, x, *extra)
-        loss = tape.tensor_sum(y)
+        loss = _total(tape, y)
         tape.backward(loss)
         assert x.grad[0] == 1.0
 
@@ -150,7 +150,12 @@ def test_lookup_out_of_range():
 def _dot(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
     """Scalar sum(a * b) of two same-size tensors, through recorded ops."""
     row_a, row_b = tape.reshape(a, (1, -1)), tape.reshape(b, (1, -1))
-    return tape.tensor_sum(tape.rows_affine(row_a, row_b))
+    return tape.reshape(tape.rows_affine(row_a, row_b), ())
+
+
+def _total(tape: Tape, x: Tensor) -> Tensor:
+    """Scalar sum of every entry of x, through recorded ops."""
+    return _dot(tape, x, Tensor(np.ones(x.shape)))
 
 
 def _loss_through_all_ops(params: dict[str, Tensor]) -> tuple[Tape, Tensor]:
@@ -240,7 +245,7 @@ def test_backward_frees_each_gradient_once_consumed():
     y = tape.scale(x, 0.5)
     for _ in range(9):
         y = tape.scale(y, 0.5)
-    loss = tape.tensor_sum(y)
+    loss = _total(tape, y)
     del y  # the chain is now held by the tape alone
     tracemalloc.start()
     try:
@@ -257,7 +262,7 @@ def test_gradients_accumulate_across_reuse():
     # x used twice: d(2x)/dx = 2 exactly
     tape = Tape()
     x = Tensor([3.0])
-    loss = tape.tensor_sum(tape.add(x, x))
+    loss = _total(tape, tape.add(x, x))
     tape.backward(loss)
     assert x.grad[0] == 2.0
 
@@ -267,7 +272,7 @@ def test_gather_rows_values_and_repeated_index_grads():
     tape = Tape()
     picked = tape.gather_rows(table, [2, 0, 2])
     assert np.array_equal(picked.data, table.data[[2, 0, 2]])
-    loss = tape.tensor_sum(picked)
+    loss = _total(tape, picked)
     tape.backward(loss)
     # row 2 was used twice, row 1 never
     assert np.array_equal(table.grad, [[1.0] * 3, [0.0] * 3, [2.0] * 3, [0.0] * 3])
@@ -323,7 +328,7 @@ def test_replace_rows_keeps_other_rows_bitwise():
     out = tape.replace_rows(base, [3, 1], rows)
     assert np.array_equal(out.data[[0, 2]], base.data[[0, 2]])
     assert np.all(out.data[[3, 1]] == 1.0)
-    loss = tape.tensor_sum(out)
+    loss = _total(tape, out)
     tape.backward(loss)
     assert np.array_equal(base.grad, [[1.0] * 3, [0.0] * 3, [1.0] * 3, [0.0] * 3])
     assert np.all(rows.grad == 1.0)
@@ -333,15 +338,17 @@ def test_replace_rows_keeps_other_rows_bitwise():
 
 
 def test_circ_corr_rows_matches_per_vector_op():
+    """Each row of circ_corr_sum is the sum of its edges' circ_corr."""
     rng = np.random.default_rng(29)
-    rel = [2, 0, 0, 1, 2, 2]
+    src, rel, dst = [0, 3, 3, 1, 2, 0], [2, 0, 0, 1, 2, 2], [1, 0, 1, 3, 1, 0]
     for d in (1, 2, 5, 16):
-        a = rng.normal(size=(6, d))
+        x = rng.normal(size=(4, d))
         table = rng.normal(size=(3, d))
-        out = Tape().circ_corr_rows(Tensor(a), Tensor(table), rel)
+        out = Tape().circ_corr_sum(Tensor(x), Tensor(table), src, rel, dst, 5)
+        expected = np.zeros((5, d))
         for i in range(6):
-            one = Tape().circ_corr(Tensor(a[i]), Tensor(table[rel[i]]))
-            assert np.max(np.abs(out.data[i] - one.data)) <= 1e-12
+            expected[dst[i]] += Tape().circ_corr(Tensor(x[src[i]]), Tensor(table[rel[i]])).data
+        assert np.max(np.abs(out.data - expected)) <= 1e-12
 
 
 def _loss_through_batched_ops(params: dict[str, Tensor]) -> tuple[Tape, Tensor]:
@@ -354,7 +361,7 @@ def _loss_through_batched_ops(params: dict[str, Tensor]) -> tuple[Tape, Tensor]:
     alpha = tape.segment_softmax(logits, seg, 3)
     pooled = tape.segment_sum(tape.scale_rows(mapped, alpha), seg, 3)
     mixed = tape.concat_cols(pooled, tape.segment_mean(picked, seg, 3))
-    phi = tape.circ_corr_rows(mixed, tape.relu(mixed), [1, 1, 0])
+    phi = tape.circ_corr_sum(mixed, tape.relu(mixed), [0, 2, 1, 2], [1, 1, 0, 0], [2, 0, 2, 1], 3)
     patched = tape.replace_rows(phi, [1], tape.gather_rows(mixed, [0]))
     return tape, _dot(tape, patched, patched)
 
@@ -494,26 +501,26 @@ def test_affine_grad_with_dead_output_rows_equals_outer_product_bitwise():
     assert w.grad.tobytes() == (before + np.outer(g, x.data)).tobytes()
 
 
-def _circ_corr_rows_grads(a, table, rel, g):
-    ta, tt = Tensor(a), Tensor(table)
+def _circ_corr_sum_grads(x, table, src, rel, dst, n, g):
+    tx, tt = Tensor(x), Tensor(table)
     tape = Tape()
-    out = tape.circ_corr_rows(ta, tt, rel)
+    out = tape.circ_corr_sum(tx, tt, src, rel, dst, n)
     _backward_with(tape, out, g)
-    return out.data, ta.grad, tt.grad
+    return out.data, tx.grad, tt.grad
 
 
-def _circ_corr_rows_loops(a, table, rel, g):
-    """Forward and both gradients of circ_corr_rows, one product at a time."""
-    m, d = a.shape
-    out, grad_a, grad_table = np.zeros((m, d)), np.zeros((m, d)), np.zeros(table.shape)
-    for i in range(m):
+def _circ_corr_sum_loops(x, table, src, rel, dst, n, g):
+    """Forward and both gradients of circ_corr_sum, one product at a time."""
+    d = x.shape[1]
+    out, grad_x, grad_table = np.zeros((n, d)), np.zeros(x.shape), np.zeros(table.shape)
+    for i in range(len(rel)):
         b = table[rel[i]]
         for k in range(d):
             for j in range(d):
-                out[i, k] += a[i, j] * b[(k + j) % d]
-                grad_a[i, j] += g[i, k] * b[(k + j) % d]
-                grad_table[rel[i], (k + j) % d] += a[i, j] * g[i, k]
-    return out, grad_a, grad_table
+                out[dst[i], k] += x[src[i], j] * b[(k + j) % d]
+                grad_x[src[i], j] += g[dst[i], k] * b[(k + j) % d]
+                grad_table[rel[i], (k + j) % d] += x[src[i], j] * g[dst[i], k]
+    return out, grad_x, grad_table
 
 
 @pytest.mark.parametrize("d", [1, 2, 7, 64])
@@ -523,35 +530,104 @@ def _circ_corr_rows_loops(a, table, rel, g):
     [1],  # m = 1
 ])
 def test_circ_corr_rows_matches_double_loop(d, rel):
+    """circ_corr_sum, with recurring sources and destinations."""
     rng = np.random.default_rng(43 + d)
-    a, g = rng.normal(size=(len(rel), d)), rng.normal(size=(len(rel), d))
+    m, n = len(rel), 3
+    src, dst = rng.integers(0, 4, size=m), rng.integers(0, n, size=m)
+    x, g = rng.normal(size=(5, d)), rng.normal(size=(n, d))
     table = rng.normal(size=(4, d))
-    got = _circ_corr_rows_grads(a, table, rel, g)
-    for x, y in zip(got, _circ_corr_rows_loops(a, table, rel, g)):
-        assert np.max(np.abs(x - y)) <= 1e-12
+    got = _circ_corr_sum_grads(x, table, src, rel, dst, n, g)
+    for a, b in zip(got, _circ_corr_sum_loops(x, table, src, rel, dst, n, g)):
+        assert np.max(np.abs(a - b)) <= 1e-12
 
 
 def test_circ_corr_rows_grad_check_through_recurring_ids():
+    """circ_corr_sum's gradients, with ids recurring in every index."""
     rng = np.random.default_rng(47)
-    params = {"a": Tensor(rng.normal(size=(7, 5))), "table": Tensor(rng.normal(size=(3, 5)))}
-    weights = Tensor(rng.normal(size=(7, 5)))
+    params = {"x": Tensor(rng.normal(size=(4, 5))), "table": Tensor(rng.normal(size=(3, 5)))}
+    weights = Tensor(rng.normal(size=(3, 5)))
 
     def build():
         tape = Tape()
-        out = tape.circ_corr_rows(params["a"], params["table"], [2, 0, 2, 2, 1, 0, 2])
+        out = tape.circ_corr_sum(
+            params["x"], params["table"],
+            [1, 0, 3, 1, 2, 0, 1], [2, 0, 2, 2, 1, 0, 2], [0, 2, 2, 1, 0, 0, 2], 3,
+        )
         return tape, _dot(tape, out, weights)
 
     assert grad_check(build, params.values()) < 1e-6
 
 
 def test_circ_corr_rows_rejects_bad_ids():
-    a, table = Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4)))
+    """circ_corr_sum checks the length and range of each index."""
+    x, table = Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4)))
+    ok = [0, 1, 2]
     with pytest.raises(ValueError):
-        Tape().circ_corr_rows(a, table, [0, 1])
+        Tape().circ_corr_sum(x, table, ok, [0, 1], ok, 3)
+    with pytest.raises(ValueError):
+        Tape().circ_corr_sum(x, table, [0, 1], [0, 1, 1], ok, 3)
     with pytest.raises(IndexError):
-        Tape().circ_corr_rows(a, table, [0, 2, 1])
+        Tape().circ_corr_sum(x, table, ok, [0, 2, 1], ok, 3)
     with pytest.raises(IndexError):
-        Tape().circ_corr_rows(a, table, [0, -1, 1])
+        Tape().circ_corr_sum(x, table, ok, [0, -1, 1], ok, 3)
+    with pytest.raises(IndexError):
+        Tape().circ_corr_sum(x, table, [0, 3, 1], [0, 1, 1], ok, 3)
+    with pytest.raises(IndexError):
+        Tape().circ_corr_sum(x, table, ok, [0, 1, 1], [0, 1, 3], 3)
+
+
+def _circ_corr_sum_reference(x, table, src, rel, dst, n, g):
+    """Forward and gradients of circ_corr_sum in plain numpy: a gather, one
+    np.dot per run of equal relation ids, and a per-column bincount."""
+    d = x.shape[1]
+    folds = (np.arange(d)[:, None] + np.arange(d)) % d
+    bounds = np.append(np.flatnonzero(np.diff(rel, prepend=-1)), len(rel))
+    a, g_rows = x[src], g[dst]
+    phi, grad_a, blocks = np.empty(a.shape), np.empty(a.shape), []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        circulant = table[rel[lo]][folds]
+        phi[lo:hi] = np.dot(a[lo:hi], circulant)
+        grad_a[lo:hi] = np.dot(g_rows[lo:hi], circulant)
+        blocks.append(np.dot(a[lo:hi].T, g_rows[lo:hi]))
+    # the table gradient folds every run's block along its anti-diagonals
+    cells = (np.asarray(rel)[bounds[:-1], None, None] * d + folds).ravel()
+    grad_table = np.bincount(cells, weights=np.ravel(blocks), minlength=table.size)
+    return (
+        _per_column_bincount(dst, phi, n),
+        _per_column_bincount(src, grad_a, x.shape[0]),
+        grad_table.reshape(table.shape),
+    )
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 40, 150, None])
+def test_circ_corr_sum_equals_numpy_reference_bitwise(monkeypatch, chunk_rows):
+    """Chunk by chunk, circ_corr_sum gives the bits of one gather, one
+    product per run and one per-column sum, for read-only and writable
+    indices; None leaves the whole edge list in one chunk."""
+    d = 64
+    if chunk_rows is not None:
+        monkeypatch.setattr(autodiff, "_CHUNK_MIN_CELLS", chunk_rows * d)
+    monkeypatch.setattr(autodiff, "_CHUNK_PLANS", {})
+    rng = np.random.default_rng(59)
+    # runs of 1 to 90 rows; relations recur in separate runs
+    sizes = [90, 1, 35, 60, 2, 80, 45, 1, 70, 30]
+    rel = np.repeat([3, 0, 1, 3, 2, 4, 0, 1, 2, 4], sizes)
+    m, n_nodes, n = rel.size, 80, 60
+    src, dst = rng.integers(0, n_nodes, size=m), rng.integers(0, n, size=m)
+    dst[::6] = 7  # a hub segment in every chunk
+    x, g = rng.normal(size=(n_nodes, d)), rng.normal(size=(n, d))
+    x[::7] = -0.0  # a sum from +0.0 turns a lone -0.0 into +0.0
+    g[::5] = -0.0
+    table = rng.normal(size=(5, d))
+    expected = [a.tobytes() for a in _circ_corr_sum_reference(x, table, src, rel, dst, n, g)]
+    readonly = [src.copy(), rel.copy(), dst.copy()]
+    for index in readonly:
+        index.flags.writeable = False
+    chunks = len(autodiff._chunk_plan(*readonly, d).chunks)
+    assert chunks > 1 if chunk_rows is not None else chunks == 1
+    for indices in (readonly, readonly, [src, rel, dst]):  # the second reads the cached plan
+        got = _circ_corr_sum_grads(x, table, *indices, n, g)
+        assert [a.tobytes() for a in got] == expected
 
 
 def test_conv2d_equals_tensordot_form_bitwise():

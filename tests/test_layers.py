@@ -195,7 +195,7 @@ def test_stages_1_and_3_gradient_check():
         _, events = stage1_entity_to_event(tape, graph, params, vecs, config)
         out = stage3_event_to_entity(tape, graph, params, vecs, events, config)
         row = tape.reshape(out, (1, -1))
-        return tape, tape.tensor_sum(tape.rows_affine(row, weights))
+        return tape, tape.reshape(tape.rows_affine(row, weights), ())
 
     err = grad_check(build, [params[n] for n in names], step=1e-5)
     assert err < 1e-4
@@ -325,7 +325,7 @@ def test_stage4_matches_per_edge_loop():
     tape = Tape()
     out = stage4_entity_message_pass(tape, graph, params, Tensor(rows))
     row, weights = tape.reshape(out, (1, -1)), Tensor(g.reshape(1, -1))
-    tape.backward(tape.tensor_sum(tape.rows_affine(row, weights)))
+    tape.backward(tape.reshape(tape.rows_affine(row, weights), ()))
 
     # one composition per edge, self loop first, then neighbors in graph order
     rel, w = params["relation_embeddings"].data, params["relation_message"].data
@@ -495,7 +495,7 @@ def test_full_model_gradient_check_tiny():
     def build():
         tape = Tape()
         row = tape.reshape(forward_model(tape, graph, params, config), (1, -1))
-        return tape, tape.tensor_sum(tape.rows_affine(row, row))
+        return tape, tape.reshape(tape.rows_affine(row, row), ())
 
     err = grad_check(build, params.tensors(), step=1e-5)
     assert err < 1e-4

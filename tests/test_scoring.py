@@ -7,6 +7,7 @@ import pytest
 
 from eventke.autodiff import ParameterStore, Tape, Tensor, grad_check
 from eventke.scoring import (
+    _TRUNK_BUFFERS,
     ConvScorerConfig,
     NegativeSampler,
     add_scorer_parameters,
@@ -100,6 +101,25 @@ def test_frozen_trunk_matches_taped():
     for i in range(10):
         taped = conv_trunk(Tape(), store, config, Tensor(s[i : i + 1]), Tensor(r[i : i + 1]))
         assert np.max(np.abs(frozen[i] - taped.data[0])) <= 1e-12
+    # bitwise the taped batch, also while the reused buffers shrink and grow
+    kept = frozen.copy()
+    for q in (10, 3, 1, 10):
+        taped = conv_trunk(Tape(), store, config, Tensor(s[:q]), Tensor(r[:q]))
+        assert frozen_trunk(store, config, s[:q], r[:q]).tobytes() == taped.data.tobytes()
+    # the result is not a view of the buffers
+    assert frozen.tobytes() == kept.tobytes()
+
+
+def test_frozen_trunk_keeps_its_buffers_between_calls():
+    config = ConvScorerConfig(rows=2, cols=4, filters=3, kernel=2)
+    store = _scorer(config)
+    rng = np.random.default_rng(5)
+    s, r = rng.normal(size=(6, 8)), rng.normal(size=(6, 8))
+    frozen_trunk(store, config, s, r)
+    held = {name: getattr(_TRUNK_BUFFERS, name) for name in ("columns", "conv", "flat")}
+    frozen_trunk(store, config, s[:4], r[:4])
+    frozen_trunk(store, config, s, r)
+    assert all(getattr(_TRUNK_BUFFERS, name) is buffer for name, buffer in held.items())
 
 
 def test_conv_trunk_rejects_mismatched_rows():
@@ -109,6 +129,8 @@ def test_conv_trunk_rejects_mismatched_rows():
         conv_trunk(Tape(), store, config, Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4))))
     with pytest.raises(ValueError, match="rows"):
         conv_trunk(Tape(), store, config, Tensor(np.ones(4)), Tensor(np.ones(4)))
+    with pytest.raises(ValueError, match="rows"):
+        frozen_trunk(store, config, np.ones((2, 4)), np.ones((3, 4)))
 
 
 def test_sampler_determinism_and_exclusions():

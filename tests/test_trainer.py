@@ -1,11 +1,15 @@
 import hashlib
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import eventke
 from eventke import autodiff
 from eventke.autodiff import ParameterStore, Tape
 from eventke.kgdata import KnowledgeTriple
@@ -242,7 +246,7 @@ def test_epoch_loss_independent_of_shuffle_when_single_batch():
 
 def diagonal_step():
     """One training step on a graph whose stage-4 sums take the jagged
-    diagonals: 3,300 edge rows of width 64 in 23 diagonals.  Returns the
+    diagonals: 3,300 edge rows of width 64, in two chunks.  Returns the
     graph and the trained store."""
     lines = dataset_lines(
         n_entities=300, n_relations=4, n_triples=1500, n_events=40,
@@ -262,21 +266,42 @@ def diagonal_step():
     return graph, store
 
 
-# sha256 of the state arrays after diagonal_step, taken with the flattened
-# bincount summing every segment: the diagonals must reproduce its bits
-DIAGONAL_STEP_STATE = "24db63f84cc2399a8572a78a81036b0d0dc0a9dea7d417668089f098288a52ec"
-
-
-def test_diagonal_scatter_step_is_pinned():
-    graph, store = diagonal_step()
-    plan = index_plan(graph)
-    for index in (plan.edge_dst, plan.edge_src):
-        assert isinstance(autodiff._scatter_plan(index, 64), autodiff._Diagonals)
+def diagonal_step_digest() -> str:
+    """sha256 of the state arrays after diagonal_step."""
+    _, store = diagonal_step()
     digest = hashlib.sha256()
     for name, array in store.state_arrays().items():
         digest.update(name.encode())
         digest.update(array.tobytes())
-    assert digest.hexdigest() == DIAGONAL_STEP_STATE
+    return digest.hexdigest()
+
+
+# sha256 of the state arrays after diagonal_step with one BLAS thread, taken
+# with the flattened bincount summing every segment and stage 4 in one piece:
+# the diagonals and the chunks must reproduce its bits
+DIAGONAL_STEP_STATE = "dbcc33f8d7ec9ff771e6f4dc7a250050fc37ece0b6bda6d42b73b1ac73e4ddfb"
+
+
+def test_diagonal_scatter_step_is_pinned():
+    graph, _ = diagonal_step()
+    plan = index_plan(graph)
+    chunks = autodiff._chunk_plan(plan.edge_src, plan.edge_rel, plan.edge_dst, 64).chunks
+    assert len(chunks) > 1
+    for index in (chunks[0].dst, chunks[0].src):
+        assert isinstance(autodiff._scatter_plan(index, 64), autodiff._Diagonals)
+    # the BLAS thread count changes product bits, so the step runs in a
+    # child process that starts BLAS with one thread
+    paths = [os.path.dirname(os.path.dirname(eventke.__file__)), os.path.dirname(__file__)]
+    env = dict(
+        os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+        PYTHONPATH=os.pathsep.join(paths + [os.environ.get("PYTHONPATH", "")]),
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", "import test_trainer; print(test_trainer.diagonal_step_digest())"],
+        env=env, capture_output=True, text=True,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == DIAGONAL_STEP_STATE
 
 
 def test_fit_rejects_empty_train_set():
