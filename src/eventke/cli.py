@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import logging
 import os
 import sys
 from dataclasses import dataclass
@@ -496,26 +497,36 @@ def build_parser() -> argparse.ArgumentParser:
         description="Event-enhanced knowledge graph embeddings",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    logs = argparse.ArgumentParser(add_help=False)
+    logs.add_argument(
+        "--log-level", default="WARNING", type=str.upper,
+        choices=["DEBUG", "INFO", "WARNING", "ERROR"],
+        help="lowest level of the package's log lines on stderr (default WARNING)",
+    )
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="INI run configuration")
         p.add_argument("--out", help="output directory (overrides [output] dir)")
         p.add_argument("--seed", type=int, help="override every configured seed")
 
-    p_train = sub.add_parser("train", help="fit a model, write checkpoint and loss log")
+    p_train = sub.add_parser(
+        "train", parents=[logs], help="fit a model, write checkpoint and loss log"
+    )
     add_common(p_train)
     p_train.set_defaults(func=cmd_train)
 
-    p_eval = sub.add_parser("eval", help="rank test triples against a checkpoint")
+    p_eval = sub.add_parser("eval", parents=[logs], help="rank test triples against a checkpoint")
     add_common(p_eval)
     p_eval.add_argument("--checkpoint", required=True, help="trained model file")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_inspect = sub.add_parser("graph-inspect", help="print dataset size and degree counts")
+    p_inspect = sub.add_parser(
+        "graph-inspect", parents=[logs], help="print dataset size and degree counts"
+    )
     add_common(p_inspect)
     p_inspect.set_defaults(func=cmd_graph_inspect)
 
-    p_diff = sub.add_parser("rank-diff", help="compare two ranking reports")
+    p_diff = sub.add_parser("rank-diff", parents=[logs], help="compare two ranking reports")
     p_diff.add_argument("report_a")
     p_diff.add_argument("report_b")
     p_diff.set_defaults(func=cmd_rank_diff)
@@ -524,11 +535,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # the package's loggers report to stderr for the length of the command
+    package = logging.getLogger("eventke")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    level = package.level
+    package.addHandler(handler)
+    package.setLevel(args.log_level)
     try:
         return args.func(args)
     except (CliError, ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        package.removeHandler(handler)
+        package.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """Ranking metrics for tail prediction and the two classification probes.
 
 Ranking scores queries ConvE's 1-N way: one product scores a block of
-queries against every entity, and each query then ranks its gold tail
-within its own row (the whole row, a sampled subset of it, or the row
-with the other known tails removed).
+queries against every entity, and one call then ranks each query's gold
+tail within its own row (the whole row, a sampled subset of it, or the
+row with the other known tails masked out).
 
 Ranks use the mid-rank tie policy: rank = 1 + #strictly-above + #ties/2.
 Each report entry keeps its (head, relation, tail) query so that two
@@ -12,6 +12,7 @@ reports can be joined for before/after comparisons.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import os
@@ -37,17 +38,26 @@ THREADS_ENV = "EVENTKE_THREADS"
 EVAL_BLOCK = 64
 
 
-def rank_of_gold(scores: np.ndarray, gold: int) -> float:
-    """Mid-rank of the gold candidate: ties share their average position."""
+def rank_of_gold(scores: np.ndarray, gold) -> float | np.ndarray:
+    """Mid-rank of the gold candidate: 1 + #strictly-above + #ties/2.
+
+    A vector and an int ``gold`` give a float; a (B, m) matrix and B gold
+    columns give B ranks.  A NaN entry counts in neither term, so it masks
+    its candidate out exactly as deleting it would.
+    """
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1:
-        raise ValueError("scores must be a vector")
-    if not 0 <= gold < scores.shape[0]:
-        raise IndexError(f"gold index {gold} out of range for {scores.shape[0]} scores")
-    s = scores[gold]
-    above = int(np.sum(scores > s))
-    ties = int(np.sum(scores == s)) - 1
-    return 1.0 + above + ties / 2.0
+    golds = np.asarray(gold)
+    if scores.ndim not in (1, 2) or golds.shape != scores.shape[:-1]:
+        raise ValueError("scores must be a vector, or a matrix with one gold index per row")
+    m = scores.shape[-1]
+    outside = (golds < 0) | (golds >= m)
+    if outside.any():
+        raise IndexError(f"gold index {golds[outside][0]} out of range for {m} scores")
+    s = np.take_along_axis(scores, golds[..., None], axis=-1)
+    above = np.count_nonzero(scores > s, axis=-1)
+    ties = np.count_nonzero(scores == s, axis=-1) - 1
+    ranks = 1.0 + above + ties / 2.0
+    return float(ranks) if scores.ndim == 1 else ranks
 
 
 @dataclass
@@ -165,14 +175,14 @@ def kg_completion_eval(
 
     Queries run in blocks of EVAL_BLOCK: one ``frozen_trunk`` call gives
     the block's trunk rows, and one product of those rows with the entity
-    matrix gives its (block, n) scores (1-N scoring).  Each query ranks
-    its gold tail within its row: the whole row (full), the row's sampled
-    candidates (sampled), and with ``protocol.filtered`` the other tails
-    that ``known_tails`` lists for its (head, relation) removed.  Blocks
+    matrix gives its (block, n) scores (1-N scoring).  A non-finite score
+    raises ValueError naming its query.  Then, with ``protocol.filtered``,
+    the other tails ``known_tails`` lists for a query's (head, relation)
+    become NaN in its row, and one ``rank_of_gold`` call ranks each gold
+    tail within its row (full) or its sampled candidates (sampled).  Blocks
     are scored independently (thread pool capped by the EVENTKE_THREADS
     environment variable); ranks are aggregated in query order, so the
-    report never depends on completion order.  A block with a non-finite
-    score raises ValueError naming its first such query.
+    report never depends on completion order.
     """
     if not test_triples:
         raise ValueError("no test triples to evaluate")
@@ -187,37 +197,28 @@ def kg_completion_eval(
     entity_matrix = frozen_entity_matrix(graph, params, model_config)
     relation_rows = params["relation_embeddings"].data
 
-    def rank_one(query: KnowledgeTriple, row: np.ndarray) -> float:
-        """Rank the gold tail within the query's row of its block's scores."""
-        h, r, t = query
-        gold = t
-        if protocol.mode == "sampled":
-            candidates = _sampled_candidates(n, protocol.k, protocol.seed, query)
-            row, gold = row[candidates], protocol.k  # the gold tail comes last
-        if protocol.filtered:
-            others = known_tails.get((h, r), set()) - {t}
-            if others:
-                removed = np.fromiter(others, dtype=np.intp, count=len(others))
-                if protocol.mode == "sampled":
-                    removed = np.flatnonzero(np.isin(candidates, removed))
-                row = np.delete(row, removed)
-                # each removed candidate below the gold moves it down one place
-                gold -= int(np.count_nonzero(removed < gold))
-        return rank_of_gold(row, gold)
-
-    def rank_block(start: int) -> list[float]:
+    def rank_block(start: int) -> np.ndarray:
         block = test_triples[start : start + EVAL_BLOCK]
-        trunks = frozen_trunk(
-            params, scorer_config,
-            entity_matrix[[h for h, _, _ in block]], relation_rows[[r for _, r, _ in block]],
-        )
+        heads, relations, golds = np.array(block, dtype=np.intp).T
+        trunks = frozen_trunk(params, scorer_config, entity_matrix[heads], relation_rows[relations])
         # 1-N scoring: every query of the block against every entity in one product
         scores = trunks @ entity_matrix.T
         finite = np.isfinite(scores).all(axis=1)
         if not finite.all():
             bad = int(np.argmin(finite))
             raise ValueError(f"query {start + bad} {tuple(block[bad])} has non-finite scores")
-        return [rank_one(query, row) for query, row in zip(block, scores)]
+        if protocol.filtered:
+            # NaN takes each query's other known tails out of both rank counts
+            tails = [known_tails.get((h, r), ()) for h, r, _ in block]
+            rows = np.repeat(np.arange(len(block)), [len(known) for known in tails])
+            cols = np.fromiter(itertools.chain.from_iterable(tails), np.intp, len(rows))
+            other = cols != golds[rows]
+            scores[rows[other], cols[other]] = np.nan
+        if protocol.mode == "sampled":
+            picks = [_sampled_candidates(n, protocol.k, protocol.seed, query) for query in block]
+            scores = scores[np.arange(len(block))[:, None], np.stack(picks)]
+            golds = np.full(len(block), protocol.k)  # the gold tail comes last
+        return rank_of_gold(scores, golds)
 
     starts = range(0, len(test_triples), EVAL_BLOCK)
     if threads == 1:
@@ -225,13 +226,10 @@ def kg_completion_eval(
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             blocks = list(pool.map(rank_block, starts))
-    ranks = [rank for block in blocks for rank in block]
+    sampled = protocol.mode == "sampled"
     return aggregate_report(
-        test_triples,
-        ranks,
-        protocol.mode,
-        protocol.k if protocol.mode == "sampled" else None,
-        protocol.seed if protocol.mode == "sampled" else None,
+        test_triples, np.concatenate(blocks).tolist(), protocol.mode,
+        protocol.k if sampled else None, protocol.seed if sampled else None,
     )
 
 

@@ -61,6 +61,8 @@ class TrainConfig:
         for name in ("max_epochs", "patience", "batch_groups"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.k_neg < 0:
+            raise ValueError("k_neg must be >= 0")
         if self.patience > self.max_epochs:
             raise ValueError("patience cannot exceed max_epochs")
         for name in ("beta1", "beta2"):

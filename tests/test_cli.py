@@ -124,6 +124,7 @@ def test_bad_config_value_names_section_and_key(section, key, value, reason, tmp
     ("scorer", "filters", "0", "filters must be >= 1"),
     ("train", "patience", "0", "patience must be >= 1"),
     ("train", "batch_groups", "0", "batch_groups must be >= 1"),
+    ("train", "k_neg", "-1", "k_neg must be >= 0"),
     ("model", "event_mix", "-0.5", "event_mix must be >= 0"),
     ("model", "temporal_mix", "nan", "temporal_mix must be >= 0"),
     ("train", "learning_rate", "0", "learning_rate must be positive"),
@@ -147,6 +148,38 @@ def test_empty_tsv_field_names_the_file(tmp_path, capsys):
     assert run_cli("graph-inspect", "--config", str(tmp_path / "config.ini")) == 1
     err = capsys.readouterr().err
     assert err == f"error: {tmp_path / 'triples.tsv'}: line 2: empty field 2\n"
+
+
+def test_log_level_info_shows_kgdata_lines(tmp_path, capsys):
+    # c and d appear only as event arguments, which kgdata reports at info level
+    (tmp_path / "triples.tsv").write_text("a\tr\tb\n")
+    (tmp_path / "events.jsonl").write_text(json.dumps({
+        "event_id": "e1", "trigger": "t", "event_type": "T",
+        "arguments": [{"entity": "c", "role": "x"}, {"entity": "d", "role": "x"}],
+    }) + "\n")
+    config = tmp_path / "config.ini"
+    config.write_text("[data]\ntriples = triples.tsv\nevents = events.jsonl\n[output]\ndir = out\n")
+    assert run_cli("graph-inspect", "--config", str(config)) == 0
+    default = capsys.readouterr()
+    assert run_cli("graph-inspect", "--config", str(config), "--log-level", "info") == 0
+    info = capsys.readouterr()
+    assert default.err == ""
+    assert info.err == (
+        "INFO eventke.kgdata: 2 argument entities absent from triples, added as isolated nodes\n"
+    )
+    assert info.out == default.out
+
+
+def test_default_log_level_leaves_train_outputs_unchanged(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", TOY_CONFIG, "--out", str(out)) == 0
+    default = capsys.readouterr()
+    loss = (out / "loss.csv").read_bytes()
+    assert run_cli("train", "--config", TOY_CONFIG, "--out", str(out), "--log-level", "DEBUG") == 0
+    debug = capsys.readouterr()
+    assert default.err == ""
+    assert debug.out == default.out
+    assert (out / "loss.csv").read_bytes() == loss
 
 
 # -- train ------------------------------------------------------------------

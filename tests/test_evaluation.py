@@ -71,6 +71,11 @@ def test_rank_gold_out_of_range():
         rank_of_gold(np.array([1.0, 2.0]), 2)
     with pytest.raises(IndexError):
         rank_of_gold(np.array([1.0, 2.0]), -1)
+    for golds in ([0, 3], [-1, 0]):
+        with pytest.raises(IndexError):
+            rank_of_gold(np.zeros((2, 3)), np.array(golds))
+    with pytest.raises(ValueError):
+        rank_of_gold(np.zeros((2, 3)), 0)
 
 
 def test_rank_invariant_under_monotone_transform():
@@ -82,6 +87,26 @@ def test_rank_invariant_under_monotone_transform():
         base = rank_of_gold(scores, gold)
         assert rank_of_gold(3.0 * scores + 7.0, gold) == base
         assert rank_of_gold(np.exp(scores), gold) == base
+
+
+def test_block_rank_equals_row_by_row_calls():
+    rng = np.random.default_rng(11)
+    # integer grid for ties; row 0 all equal; golds in the first and last column
+    scores = rng.integers(-2, 3, size=(6, 9)).astype(np.float64)
+    scores[0] = 1.0
+    golds = np.array([0, 8, 0, 8, 3, 5])
+    mask = rng.random(scores.shape) < 0.3
+    mask[np.arange(6), golds] = False
+    mask[5] = False  # one row with nothing masked
+    masked = np.where(mask, np.nan, scores)
+    ranks = rank_of_gold(masked, golds)
+    assert ranks.dtype == np.float64 and ranks.shape == (6,)
+    for i, gold in enumerate(golds):
+        keep = np.flatnonzero(~mask[i])
+        deleted = rank_of_gold(scores[i, keep], int(np.searchsorted(keep, gold)))
+        assert ranks[i] == rank_of_gold(masked[i], int(gold)) == deleted
+        assert deleted == _sort_rank(scores[i, keep], int(np.searchsorted(keep, gold)))
+    assert ranks[0] == (9 - mask[0].sum() + 1) / 2
 
 
 # -- metric aggregation vs sort-based oracle --------------------------------
@@ -395,6 +420,19 @@ def test_non_finite_parameter_raises_naming_the_query():
     store["conv_projection"].data[0, 0] = np.nan
     with pytest.raises(ValueError, match=rf"query 0 \({triples[0][0]}, .*non-finite scores"):
         kg_completion_eval(graph, store, MODEL, SCORER, triples, EvalProtocol(mode="full"))
+
+
+def test_non_finite_score_of_a_filtered_tail_still_raises(monkeypatch):
+    graph, store, queries, known = block_setup()
+    # start at a query whose other known tail, masked in its row, is non-finite
+    queries = [q for q in queries if known[q[:2]] - {q[2]}]
+    h, r, t = queries[0]
+    other = min(known[(h, r)] - {t})
+    matrix = frozen_entity_matrix(graph, store, MODEL)
+    matrix[other] = np.nan
+    monkeypatch.setattr(evaluation, "frozen_entity_matrix", lambda *args: matrix)
+    with pytest.raises(ValueError, match=rf"query 0 \({h}, {r}, {t}\) has non-finite scores"):
+        kg_completion_eval(graph, store, MODEL, SCORER, queries, PROTOCOLS["filtered"], known)
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5"])
