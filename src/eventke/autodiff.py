@@ -334,21 +334,6 @@ class Tape:
         self._records.append(backward)
         return out
 
-    def concat(self, *xs: Tensor) -> Tensor:
-        if not xs:
-            raise ValueError("concat of zero tensors")
-        if any(x.data.ndim != 1 for x in xs):
-            raise ValueError("concat expects 1-D tensors")
-        out = Tensor(np.concatenate([x.data for x in xs]))
-        offsets = np.cumsum([0] + [x.data.shape[0] for x in xs])
-
-        def backward() -> None:
-            for x, lo, hi in zip(xs, offsets[:-1], offsets[1:]):
-                x.grad += out.grad[lo:hi]
-
-        self._records.append(backward)
-        return out
-
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         if a.data.shape != b.data.shape:
             raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
@@ -712,20 +697,27 @@ class Tape:
         self._records.append(backward)
         return out
 
-    def cross_entropy(self, logits: Tensor, label: int) -> Tensor:
-        if logits.data.ndim != 1:
-            raise ValueError("cross_entropy expects 1-D logits")
-        k = logits.data.shape[0]
-        if not 0 <= label < k:
-            raise IndexError(f"label {label} out of range [0, {k})")
-        m = logits.data.max()
-        lse = m + np.log(np.exp(logits.data - m).sum())
-        out = Tensor(lse - logits.data[label])
+    def cross_entropy(self, logits: Tensor, label) -> Tensor:
+        """Softmax cross-entropy of 1-D logits against one label, or the sum
+        over the rows of (N, C) logits against N labels."""
+        if logits.data.ndim not in (1, 2):
+            raise ValueError("cross_entropy expects 1-D or 2-D logits")
+        x = logits.data.reshape(-1, logits.data.shape[-1])
+        labels = np.asarray(label, dtype=np.intp).reshape(-1)
+        if labels.shape != (x.shape[0],):
+            raise ValueError(f"cross_entropy needs {x.shape[0]} labels, got {labels.size}")
+        k = x.shape[1]
+        if labels.size and (labels.min() < 0 or labels.max() >= k):
+            raise IndexError(f"label out of range [0, {k})")
+        rows = np.arange(x.shape[0])
+        m = x.max(axis=1, keepdims=True)
+        lse = m + np.log(np.exp(x - m).sum(axis=1, keepdims=True))
+        out = Tensor((lse[:, 0] - x[rows, labels]).sum())
 
         def backward() -> None:
-            soft = np.exp(logits.data - lse)
-            soft[label] -= 1.0
-            logits.grad += soft * out.grad
+            soft = np.exp(x - lse)
+            soft[rows, labels] -= 1.0
+            logits.add_grad((soft * out.grad).reshape(logits.data.shape))
 
         self._records.append(backward)
         return out

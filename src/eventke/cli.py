@@ -13,7 +13,7 @@ import configparser
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .kgdata import (
     KnowledgeTriple,
     ParseError,
     build_graph,
+    check_split_ratios,
     load_pretrained_vectors,
     parse_events,
     parse_temporal_links,
@@ -41,174 +42,95 @@ from .layers import ModelConfig
 from .scoring import ConvScorerConfig, known_tails_from_triples
 from .trainer import TrainConfig, build_model, fit, load_checkpoint, save_checkpoint
 
+logger = logging.getLogger("eventke.cli")  # also when run as __main__
+
 
 class CliError(Exception):
     """User-facing failure; printed as a single `error:` line."""
 
 
+Path = str  # a file path; a relative one resolves against the config's directory
+Ratios = tuple[float, float, float]
+
+
 @dataclass
 class RunConfig:
-    triples: str
-    events: str | None
-    temporal: str | None
-    pretrained: str | None
-    entity_labels: str | None
-    split_ratios: tuple[float, float, float]
-    split_seed: int
-    model: ModelConfig
-    scorer: ConvScorerConfig
-    train: TrainConfig
-    protocol: EvalProtocol
-    eval_split: str
-    classify: bool
-    fine_tune: bool
-    out_dir: str
+    """Every setting of a run; a field's default applies when its key is left out."""
 
+    triples: Path | None = None
+    events: Path | None = None
+    temporal: Path | None = None
+    pretrained: Path | None = None
+    entity_labels: Path | None = None
+    split_ratios: Ratios = (0.8, 0.1, 0.1)
+    split_seed: int = 0
+    model: ModelConfig = field(default_factory=ModelConfig)
+    scorer: ConvScorerConfig = field(default_factory=ConvScorerConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    protocol: EvalProtocol = field(default_factory=EvalProtocol)
+    eval_split: str = "test"
+    classify: bool = False
+    fine_tune: bool = True
+    out_dir: Path | None = None
 
-_ALLOWED_KEYS = {
-    "data": {"triples", "events", "temporal", "pretrained", "entity_labels",
-             "split_ratios", "split_seed"},
-    "model": {"dim", "layers", "temporal_mix", "event_mix", "leaky_slope",
-              "no_temporal_links", "random_events", "no_events", "seed"},
-    "scorer": {"rows", "cols", "filters", "kernel"},
-    "train": {"learning_rate", "max_epochs", "patience", "batch_groups",
-              "k_neg", "mean_reduction", "shuffle", "seed"},
-    "eval": {"protocol", "k", "filtered", "split", "classify", "fine_tune", "seed"},
-    "output": {"dir"},
-}
-
-_EVAL_SPLITS = ("train", "val", "test", "all")
-
-
-def parse_run_config(
-    path: str,
-    seed_override: int | None = None,
-    out_override: str | None = None,
-) -> RunConfig:
-    cp = configparser.ConfigParser()
-    try:
-        read = cp.read(path)
-    except configparser.Error as exc:
-        raise CliError(f"{path}: {exc}") from None
-    if not read:
-        raise CliError(f"{path}: config file not found")
-    for section in cp.sections():
-        allowed = _ALLOWED_KEYS.get(section)
-        if allowed is None:
-            raise CliError(f"{path}: unknown section [{section}]")
-        unknown = sorted(set(cp[section]) - allowed)
-        if unknown:
-            raise CliError(f"{path}: unknown key {unknown[0]!r} in [{section}]")
-
-    base = os.path.dirname(os.path.abspath(path))
-
-    def resolve(p: str | None) -> str | None:
-        if p is None:
-            return None
-        return p if os.path.isabs(p) else os.path.join(base, p)
-
-    def get(section: str, key: str, fallback=None, convert=str):
-        raw = cp.get(section, key, fallback=fallback)
-        if raw is None:
-            return None
+    def __post_init__(self) -> None:
         try:
-            return convert(raw)
+            check_split_ratios(self.split_ratios)
         except ValueError as exc:
-            raise ValueError(f"[{section}] {key}: {exc}") from None
-
-    try:
-        triples = resolve(get("data", "triples"))
-        if triples is None:
-            raise CliError(f"{path}: [data] triples is required")
-        parts = get("data", "split_ratios", "0.8,0.1,0.1", _ratios)
-        split_seed = get("data", "split_seed", "0", int)
-
-        model = _build(
-            "model", ModelConfig,
-            dim=get("model", "dim", "64", int),
-            num_layers=get("model", "layers", "2", int),
-            temporal_mix=get("model", "temporal_mix", "0.5", float),
-            event_mix=get("model", "event_mix", "0.5", float),
-            leaky_slope=get("model", "leaky_slope", "0.2", float),
-            no_temporal_links=get("model", "no_temporal_links", "false", _as_bool),
-            random_events=get("model", "random_events", "false", _as_bool),
-            no_events=get("model", "no_events", "false", _as_bool),
-            seed=get("model", "seed", "0", int),
-        )
-        scorer = _build(
-            "scorer", ConvScorerConfig,
-            rows=get("scorer", "rows", "8", int),
-            cols=get("scorer", "cols", "8", int),
-            filters=get("scorer", "filters", "32", int),
-            kernel=get("scorer", "kernel", "3", int),
-        )
-        train = _build(
-            "train", TrainConfig,
-            learning_rate=get("train", "learning_rate", "1e-4", float),
-            max_epochs=get("train", "max_epochs", "200", int),
-            patience=get("train", "patience", "10", int),
-            batch_groups=get("train", "batch_groups", "32", int),
-            k_neg=get("train", "k_neg", "64", int),
-            mean_reduction=get("train", "mean_reduction", "false", _as_bool),
-            shuffle=get("train", "shuffle", "true", _as_bool),
-            seed=get("train", "seed", "0", int),
-        )
-        protocol = _build(
-            "eval", EvalProtocol,
-            mode=get("eval", "protocol", "full"),
-            k=get("eval", "k", "500", int),
-            seed=get("eval", "seed", "0", int),
-            filtered=get("eval", "filtered", "false", _as_bool),
-        )
-        eval_split = get("eval", "split", "test")
-        if eval_split not in _EVAL_SPLITS:
-            raise ValueError(f"[eval] split must be one of {_EVAL_SPLITS}, got {eval_split!r}")
-        classify = get("eval", "classify", "false", _as_bool)
-        fine_tune = get("eval", "fine_tune", "true", _as_bool)
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from None
-
-    out_dir = out_override or get("output", "dir")
-    if out_dir is None:
-        raise CliError(f"{path}: [output] dir is required (or pass --out)")
-    if seed_override is not None:
-        split_seed = seed_override
-        model = ModelConfig(**{**_asdict(model), "seed": seed_override})
-        train = TrainConfig(**{**_asdict(train), "seed": seed_override})
-        protocol = EvalProtocol(**{**_asdict(protocol), "seed": seed_override})
-
-    return RunConfig(
-        triples=triples,
-        events=resolve(get("data", "events")),
-        temporal=resolve(get("data", "temporal")),
-        pretrained=resolve(get("data", "pretrained")),
-        entity_labels=resolve(get("data", "entity_labels")),
-        split_ratios=parts,
-        split_seed=split_seed,
-        model=model,
-        scorer=scorer,
-        train=train,
-        protocol=protocol,
-        eval_split=eval_split,
-        classify=classify,
-        fine_tune=fine_tune,
-        out_dir=resolve(out_dir),
-    )
+            raise ValueError(f"[data] {exc}") from None
+        splits = ("train", "val", "test", "all")
+        if self.eval_split not in splits:
+            raise ValueError(f"[eval] split must be one of {splits}, got {self.eval_split!r}")
 
 
-def _build(section: str, cls, **fields):
-    """``cls(**fields)``; a range error it raises names the INI section."""
-    try:
-        return cls(**fields)
-    except ValueError as exc:
-        raise ValueError(f"[{section}] {exc}") from None
+# The config schema: one row per INI key, in the order the echo writes
+# them, as (section, key, owner, field).  ``owner`` names the RunConfig
+# attribute whose dataclass holds the field; None is RunConfig itself.
+_SCHEMA = (
+    ("data", "triples", None, "triples"),
+    ("data", "events", None, "events"),
+    ("data", "temporal", None, "temporal"),
+    ("data", "pretrained", None, "pretrained"),
+    ("data", "entity_labels", None, "entity_labels"),
+    ("data", "split_ratios", None, "split_ratios"),
+    ("data", "split_seed", None, "split_seed"),
+    ("model", "dim", "model", "dim"),
+    ("model", "layers", "model", "num_layers"),
+    ("model", "temporal_mix", "model", "temporal_mix"),
+    ("model", "event_mix", "model", "event_mix"),
+    ("model", "leaky_slope", "model", "leaky_slope"),
+    ("model", "no_temporal_links", "model", "no_temporal_links"),
+    ("model", "random_events", "model", "random_events"),
+    ("model", "no_events", "model", "no_events"),
+    ("model", "seed", "model", "seed"),
+    ("scorer", "rows", "scorer", "rows"),
+    ("scorer", "cols", "scorer", "cols"),
+    ("scorer", "filters", "scorer", "filters"),
+    ("scorer", "kernel", "scorer", "kernel"),
+    ("train", "learning_rate", "train", "learning_rate"),
+    ("train", "max_epochs", "train", "max_epochs"),
+    ("train", "patience", "train", "patience"),
+    ("train", "batch_groups", "train", "batch_groups"),
+    ("train", "k_neg", "train", "k_neg"),
+    ("train", "mean_reduction", "train", "mean_reduction"),
+    ("train", "shuffle", "train", "shuffle"),
+    ("train", "seed", "train", "seed"),
+    ("eval", "protocol", "protocol", "mode"),
+    ("eval", "k", "protocol", "k"),
+    ("eval", "filtered", "protocol", "filtered"),
+    ("eval", "split", None, "eval_split"),
+    ("eval", "classify", None, "classify"),
+    ("eval", "fine_tune", None, "fine_tune"),
+    ("eval", "seed", "protocol", "seed"),
+    ("output", "dir", None, "out_dir"),
+)
 
 
-def _ratios(raw: str) -> tuple[float, float, float]:
-    parts = [float(x) for x in raw.split(",")]
+def _ratios(raw: str) -> Ratios:
+    parts = tuple(float(x) for x in raw.split(","))
     if len(parts) != 3:
         raise ValueError(f"needs 3 values, got {len(parts)}")
-    return parts[0], parts[1], parts[2]
+    return parts
 
 
 def _as_bool(raw: str) -> bool:
@@ -220,95 +142,120 @@ def _as_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _asdict(obj) -> dict:
-    import dataclasses
+# (parse, format) by field annotation; every module of the package
+# postpones annotations, so a dataclass field's type is its source text
+_KINDS = {
+    "int": (int, str),
+    "float": (float, repr),
+    "bool": (_as_bool, lambda value: "true" if value else "false"),
+    "str": (str, str),
+    "Path | None": (str, str),
+    "Ratios": (_ratios, lambda ratios: ",".join(repr(r) for r in ratios)),
+}
+_DEFAULTS = RunConfig()
 
-    return dataclasses.asdict(obj)
+
+def _holder(config: RunConfig, owner: str | None):
+    return config if owner is None else getattr(config, owner)
+
+
+def _kind(owner: str | None, name: str) -> str:
+    return next(f.type for f in fields(_holder(_DEFAULTS, owner)) if f.name == name)
+
+
+def _format(owner: str | None, name: str, value) -> str:
+    return _KINDS[_kind(owner, name)][1](value)
+
+
+def parse_run_config(
+    path: str, seed_override: int | None = None, out_override: str | None = None
+) -> RunConfig:
+    """Read a run config: one value per table row, the field's default when
+    the key is left out; ``--seed`` replaces every seed, ``--out`` the dir."""
+    cp = configparser.ConfigParser()
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        raise CliError(f"{path}: {exc}") from None
+    if not read:
+        raise CliError(f"{path}: config file not found")
+    for section in cp.sections():
+        allowed = {key for in_section, key, _, _ in _SCHEMA if in_section == section}
+        if not allowed:
+            raise CliError(f"{path}: unknown section [{section}]")
+        unknown = sorted(set(cp[section]) - allowed)
+        if unknown:
+            raise CliError(f"{path}: unknown key {unknown[0]!r} in [{section}]")
+    if out_override:
+        cp.read_dict({"output": {"dir": out_override.replace("%", "%%")}})
+
+    base = os.path.dirname(os.path.abspath(path))
+    given: dict[str | None, dict] = {owner: {} for _, _, owner, _ in _SCHEMA}
+    for section, key, owner, name in _SCHEMA:
+        kind = _kind(owner, name)
+        try:
+            raw = cp.get(section, key, fallback=None)
+            if raw is not None:
+                value = _KINDS[kind][0](raw)
+                # a relative path resolves against the config's directory
+                given[owner][name] = os.path.join(base, value) if kind == "Path | None" else value
+        except (ValueError, configparser.Error) as exc:
+            raise CliError(f"{path}: [{section}] {key}: {exc}") from None
+        if seed_override is not None and key in ("seed", "split_seed"):
+            given[owner][name] = seed_override
+    own = given.pop(None)
+    if "triples" not in own:
+        raise CliError(f"{path}: [data] triples is required")
+    if "out_dir" not in own:
+        raise CliError(f"{path}: [output] dir is required (or pass --out)")
+
+    sections = {owner: section for section, _, owner, _ in _SCHEMA}
+    for owner, values in given.items():
+        try:
+            own[owner] = replace(getattr(_DEFAULTS, owner), **values)
+        except ValueError as exc:
+            raise CliError(f"{path}: [{sections[owner]}] {exc}") from None
+    try:
+        return RunConfig(**own)  # its own checks name their sections
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}") from None
 
 
 def write_effective_config(config: RunConfig, path: str) -> None:
     """Echo the fully-resolved config; reparsing it reproduces the run."""
-    cp = configparser.ConfigParser()
-    data = {"triples": config.triples}
-    for key in ("events", "temporal", "pretrained", "entity_labels"):
-        value = getattr(config, key)
+    echo: dict[str, dict[str, str]] = {}
+    for section, key, owner, name in _SCHEMA:
+        value = getattr(_holder(config, owner), name)
         if value is not None:
-            data[key] = value
-    data["split_ratios"] = ",".join(repr(r) for r in config.split_ratios)
-    data["split_seed"] = str(config.split_seed)
-    cp["data"] = data
-    cp["model"] = {
-        "dim": str(config.model.dim),
-        "layers": str(config.model.num_layers),
-        "temporal_mix": repr(config.model.temporal_mix),
-        "event_mix": repr(config.model.event_mix),
-        "leaky_slope": repr(config.model.leaky_slope),
-        "no_temporal_links": _fmt_bool(config.model.no_temporal_links),
-        "random_events": _fmt_bool(config.model.random_events),
-        "no_events": _fmt_bool(config.model.no_events),
-        "seed": str(config.model.seed),
-    }
-    cp["scorer"] = {
-        "rows": str(config.scorer.rows),
-        "cols": str(config.scorer.cols),
-        "filters": str(config.scorer.filters),
-        "kernel": str(config.scorer.kernel),
-    }
-    cp["train"] = {
-        "learning_rate": repr(config.train.learning_rate),
-        "max_epochs": str(config.train.max_epochs),
-        "patience": str(config.train.patience),
-        "batch_groups": str(config.train.batch_groups),
-        "k_neg": str(config.train.k_neg),
-        "mean_reduction": _fmt_bool(config.train.mean_reduction),
-        "shuffle": _fmt_bool(config.train.shuffle),
-        "seed": str(config.train.seed),
-    }
-    cp["eval"] = {
-        "protocol": config.protocol.mode,
-        "k": str(config.protocol.k),
-        "filtered": _fmt_bool(config.protocol.filtered),
-        "split": config.eval_split,
-        "classify": _fmt_bool(config.classify),
-        "fine_tune": _fmt_bool(config.fine_tune),
-        "seed": str(config.protocol.seed),
-    }
-    cp["output"] = {"dir": config.out_dir}
+            # the reader interpolates, so a literal % is written as %%
+            echo.setdefault(section, {})[key] = _format(owner, name, value).replace("%", "%%")
+    cp = configparser.ConfigParser()
+    cp.read_dict(echo)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         cp.write(fh)
-
-
-def _fmt_bool(value: bool) -> str:
-    return "true" if value else "false"
 
 
 # -- shared command plumbing ------------------------------------------------
 
 
-def _load_graph(config: RunConfig) -> HeterogeneousGraph:
-    def read_lines(path: str) -> list[str]:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                return fh.readlines()
-        except OSError as exc:
-            raise CliError(f"{path}: {exc.strerror}") from None
-
+def _parse_file(path: str, parse, *args):
+    """``parse(lines, *args)`` over the file's lines; a failure names the file."""
     try:
-        triples, entities, relations = parse_triples(read_lines(config.triples))
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh.readlines(), *args)
+    except OSError as exc:
+        raise CliError(f"{path}: {exc.strerror}") from None
     except ParseError as exc:
-        raise CliError(f"{config.triples}: {exc}") from None
-    parsed_events = None
-    links = []
+        raise CliError(f"{path}: {exc}") from None
+
+
+def _load_graph(config: RunConfig) -> HeterogeneousGraph:
+    triples, entities, relations = _parse_file(config.triples, parse_triples)
+    parsed_events, links = None, []
     if config.events is not None:
-        try:
-            parsed_events = parse_events(read_lines(config.events), entities)
-        except ParseError as exc:
-            raise CliError(f"{config.events}: {exc}") from None
+        parsed_events = _parse_file(config.events, parse_events, entities)
         if config.temporal is not None:
-            try:
-                links = parse_temporal_links(read_lines(config.temporal), parsed_events.event_ids)
-            except ParseError as exc:
-                raise CliError(f"{config.temporal}: {exc}") from None
+            links = _parse_file(config.temporal, parse_temporal_links, parsed_events.event_ids)
     elif config.temporal is not None:
         raise CliError("temporal links configured without an events file")
     return build_graph(triples, entities, relations, parsed_events, links)
@@ -322,18 +269,6 @@ def _split_triples(
     return pick(splits.train), pick(splits.validation), pick(splits.test)
 
 
-def _load_init_table(config: RunConfig) -> dict[str, np.ndarray] | None:
-    if config.pretrained is None:
-        return None
-    try:
-        with open(config.pretrained, encoding="utf-8") as fh:
-            return load_pretrained_vectors(fh)
-    except OSError as exc:
-        raise CliError(f"{config.pretrained}: {exc.strerror}") from None
-    except ParseError as exc:
-        raise CliError(f"{config.pretrained}: {exc}") from None
-
-
 # -- commands ---------------------------------------------------------------
 
 
@@ -341,7 +276,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = parse_run_config(args.config, args.seed, args.out)
     graph = _load_graph(config)
     train_t, val_t, _ = _split_triples(graph, config)
-    used, store = build_model(graph, config.model, config.scorer, _load_init_table(config))
+    init_table = None
+    if config.pretrained is not None:
+        init_table = _parse_file(config.pretrained, load_pretrained_vectors)
+    used, store = build_model(graph, config.model, config.scorer, init_table)
     result = fit(used, store, config.model, config.scorer, train_t, val_t, config.train)
 
     os.makedirs(config.out_dir, exist_ok=True)
@@ -368,23 +306,17 @@ def _entity_label_splits(
 ) -> tuple[dict[str, list], int] | None:
     if config.entity_labels is None:
         return None
-    try:
-        with open(config.entity_labels, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise CliError(f"{config.entity_labels}: {exc.strerror}") from None
+    lines = _parse_file(config.entity_labels, list)
     classes: dict[str, int] = {}
     examples = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
         if not line:
             continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise CliError(
-                f"{config.entity_labels}: line {lineno}: expected entity and label"
-            )
-        name, label = fields
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise CliError(f"{config.entity_labels}: line {lineno}: expected entity and label")
+        name, label = parts
         if name not in graph.entities:
             raise CliError(f"{config.entity_labels}: line {lineno}: unknown entity {name!r}")
         label_id = classes.setdefault(label, len(classes))
@@ -406,6 +338,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not os.path.exists(args.checkpoint):
         raise CliError(f"{args.checkpoint}: checkpoint not found")
     checkpoint = load_checkpoint(args.checkpoint)
+    stored = {"model": checkpoint.model_config, "scorer": checkpoint.scorer_config}
+    for section, key, owner, name in _SCHEMA:
+        if owner in stored:
+            ours, theirs = getattr(getattr(config, owner), name), getattr(stored[owner], name)
+            if ours != theirs:
+                logger.warning(
+                    "[%s] %s is %s in %s but %s in the checkpoint; the checkpoint's is used",
+                    section, key, _format(owner, name, ours), args.config,
+                    _format(owner, name, theirs))
     graph = _load_graph(config)
     train_t, val_t, test_t = _split_triples(graph, config)
     target = {
@@ -439,11 +380,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             ents = train_head_on_model(
                 used, store, checkpoint.model_config, splits, n_classes, head_config)
             print(f"{'Ents':<9}{ents.accuracy:.4f}")
-        rel_splits = {
-            "train": relation_examples(train_t),
-            "val": relation_examples(val_t),
-            "test": relation_examples(test_t),
-        }
+        rel_splits = {name: relation_examples(part)
+                      for name, part in (("train", train_t), ("val", val_t), ("test", test_t))}
         if all(rel_splits.values()):
             rels = train_head_on_model(
                 used, store, checkpoint.model_config, rel_splits,
@@ -504,27 +442,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="lowest level of the package's log lines on stderr (default WARNING)",
     )
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    for name, func, text in (
+        ("train", cmd_train, "fit a model, write checkpoint and loss log"),
+        ("eval", cmd_eval, "rank test triples against a checkpoint"),
+        ("graph-inspect", cmd_graph_inspect, "print dataset size and degree counts"),
+    ):
+        p = sub.add_parser(name, parents=[logs], help=text)
         p.add_argument("--config", required=True, help="INI run configuration")
         p.add_argument("--out", help="output directory (overrides [output] dir)")
         p.add_argument("--seed", type=int, help="override every configured seed")
-
-    p_train = sub.add_parser(
-        "train", parents=[logs], help="fit a model, write checkpoint and loss log"
-    )
-    add_common(p_train)
-    p_train.set_defaults(func=cmd_train)
-
-    p_eval = sub.add_parser("eval", parents=[logs], help="rank test triples against a checkpoint")
-    add_common(p_eval)
-    p_eval.add_argument("--checkpoint", required=True, help="trained model file")
-    p_eval.set_defaults(func=cmd_eval)
-
-    p_inspect = sub.add_parser(
-        "graph-inspect", parents=[logs], help="print dataset size and degree counts"
-    )
-    add_common(p_inspect)
-    p_inspect.set_defaults(func=cmd_graph_inspect)
+        if func is cmd_eval:
+            p.add_argument("--checkpoint", required=True, help="trained model file")
+        p.set_defaults(func=func)
 
     p_diff = sub.add_parser("rank-diff", parents=[logs], help="compare two ranking reports")
     p_diff.add_argument("report_a")

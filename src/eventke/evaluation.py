@@ -316,10 +316,6 @@ def _head_params(input_width: int, hidden: int, n_classes: int, seed: int) -> Pa
     return store
 
 
-def _head_logits(tape: Tape, head: ParameterStore, x: Tensor) -> Tensor:
-    return tape.affine(head["head_output"], tape.relu(tape.affine(head["head_hidden"], x)))
-
-
 def train_head_on_vectors(
     vectors: np.ndarray,
     splits: dict[str, list[Example]],
@@ -384,25 +380,26 @@ def _train_head(
     trained = [head] if model is None else [head, model]
     adam = TrainConfig(learning_rate=config.learning_rate)
 
-    def logits(tape: Tape, vecs: Tensor, ids: tuple[int, ...]) -> Tensor:
-        parts = [tape.lookup(vecs, i) for i in ids]
-        x = parts[0] if arity == 1 else tape.concat(*parts)
-        return _head_logits(tape, head, x)
+    # per split: every example's entity ids, end to end, and the labels
+    ids = {name: np.array([i for i, _ in ex], dtype=np.intp).ravel() for name, ex in splits.items()}
+    labels = {name: np.array([label for _, label in ex]) for name, ex in splits.items()}
 
-    def split_loss(tape: Tape, examples: list[Example]) -> Tensor:
-        vecs = encode(tape)
-        return tape.add_n(
-            [tape.cross_entropy(logits(tape, vecs, ids), label) for ids, label in examples]
-        )
+    def logits(tape: Tape, vecs: Tensor, split: str) -> Tensor:
+        x = tape.reshape(tape.gather_rows(vecs, ids[split]), (len(labels[split]), input_width))
+        x = tape.relu(tape.rows_affine(x, head["head_hidden"]))
+        return tape.rows_affine(x, head["head_output"])
+
+    def split_loss(tape: Tape, split: str) -> Tensor:
+        return tape.cross_entropy(logits(tape, encode(tape), split), labels[split])
 
     stopper = EarlyStopper(config.patience)
     best: list[dict[str, np.ndarray]] = [{} for _ in trained]
     for epoch in range(1, config.max_epochs + 1):
         tape = Tape()
-        tape.backward(split_loss(tape, splits["train"]))
+        tape.backward(split_loss(tape, "train"))
         for store in trained:
             adam_step(store, adam, epoch)
-        val = float(split_loss(Tape(), splits["val"]).data)
+        val = float(split_loss(Tape(), "val").data)
         improved = val < stopper.best
         stop = stopper.update(epoch, val)
         if improved:
@@ -413,12 +410,9 @@ def _train_head(
         store.load_state_arrays(arrays)
 
     tape = Tape()
-    vecs = encode(tape)
-    hits = sum(
-        int(np.argmax(logits(tape, vecs, ids).data)) == label for ids, label in splits["test"]
-    )
+    predicted = logits(tape, encode(tape), "test").data.argmax(axis=1)
     return HeadResult(
-        accuracy=hits / len(splits["test"]),
+        accuracy=int((predicted == labels["test"]).sum()) / len(labels["test"]),
         best_epoch=stopper.best_epoch,
         hidden_width=hidden,
         input_width=input_width,

@@ -314,6 +314,16 @@ def build_graph(
     )
 
 
+def check_split_ratios(ratios: tuple[float, float, float]) -> None:
+    """Three values in [0, 1] that sum to 1 within 1e-9; NaN fails both tests."""
+    if len(ratios) != 3 or not all(0.0 <= r <= 1.0 for r in ratios):
+        raise ValueError(
+            f"split_ratios must be three values in [0, 1], got {','.join(map(str, ratios))}"
+        )
+    if not abs(sum(ratios) - 1.0) <= 1e-9:
+        raise ValueError(f"split_ratios must sum to 1, got {sum(ratios)}")
+
+
 def split_dataset(n_items: int, ratios: tuple[float, float, float], seed: int) -> Splits:
     """Seeded shuffle, then contiguous partition at cumulative cut points.
 
@@ -321,8 +331,7 @@ def split_dataset(n_items: int, ratios: tuple[float, float, float], seed: int) -
     validation_ratio)), so each split size is within one item of its
     exact share: n=10 at (0.8, 0.1, 0.1) gives (8, 1, 1), n=7 gives (5, 1, 1).
     """
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"split ratios must sum to 1, got {sum(ratios)}")
+    check_split_ratios(ratios)
     order = np.random.default_rng(seed).permutation(n_items).tolist()
     c1 = int(np.floor(n_items * ratios[0]))
     c2 = int(np.floor(n_items * (ratios[0] + ratios[1])))

@@ -131,6 +131,16 @@ def test_cross_entropy_matches_log_softmax():
     loss = Tape().cross_entropy(Tensor(logits), 2)
     probs = np.exp(logits) / np.exp(logits).sum()
     assert abs(loss.data - (-math.log(probs[2]))) <= 1e-12
+    # (N, C) logits and N labels: the sum of the rows' losses
+    rows = rng.normal(size=(4, 5))
+    labels = np.array([2, 0, 4, 2])
+    loss = Tape().cross_entropy(Tensor(rows), labels)
+    expected = sum(-math.log(np.exp(r[y]) / np.exp(r).sum()) for r, y in zip(rows, labels))
+    assert abs(loss.data - expected) <= 1e-12
+    with pytest.raises(ValueError):
+        Tape().cross_entropy(Tensor(rows), labels[:3])
+    with pytest.raises(IndexError):
+        Tape().cross_entropy(Tensor(rows), np.array([0, 1, 5, 2]))
 
 
 def test_backward_requires_scalar():
@@ -158,6 +168,12 @@ def _total(tape: Tape, x: Tensor) -> Tensor:
     return _dot(tape, x, Tensor(np.ones(x.shape)))
 
 
+def _concat(tape: Tape, *xs: Tensor) -> Tensor:
+    """1-D tensors end to end, as one row of ``concat_cols``."""
+    row = tape.concat_cols(*(tape.reshape(x, (1, -1)) for x in xs))
+    return tape.reshape(row, (-1,))
+
+
 def _loss_through_all_ops(params: dict[str, Tensor]) -> tuple[Tape, Tensor]:
     """One scalar loss through every per-vector op and a batched conv,
     at a non-kink point."""
@@ -166,15 +182,16 @@ def _loss_through_all_ops(params: dict[str, Tensor]) -> tuple[Tape, Tensor]:
     a = tape.lookup(table, 0)
     b = tape.lookup(table, 1)
     c = tape.lookup(table, 2)
-    hid = tape.leaky_relu(tape.affine(w, tape.concat(a, b)), 0.2)
+    hid = tape.leaky_relu(tape.affine(w, _concat(tape, a, b)), 0.2)
     mixed = tape.add_n([hid, tape.relu(c), tape.scale(a, 0.5)])
     phi = tape.circ_corr(mixed, tape.add(b, c))
-    images = tape.reshape(tape.concat(phi, mixed), (2, 2, 3))
+    images = tape.reshape(_concat(tape, phi, mixed), (2, 2, 3))
     feat = tape.reshape(tape.conv2d(images, filt), (-1,))
     scores = tape.affine(proj, feat)
     bce = tape.bce_with_logits(scores, np.array([1.0, 0.0, 1.0]))
     ce = tape.cross_entropy(scores, 1)
-    return tape, tape.add(tape.add(bce, ce), _dot(tape, phi, phi))
+    ce_rows = tape.cross_entropy(tape.reshape(feat, (2, 4)), np.array([3, 0]))
+    return tape, tape.add_n([bce, ce, ce_rows, _dot(tape, phi, phi)])
 
 
 def _all_op_params() -> dict[str, Tensor]:

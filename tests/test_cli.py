@@ -5,7 +5,7 @@ import shutil
 
 import pytest
 
-from eventke.cli import main
+from eventke.cli import main, parse_run_config, write_effective_config
 from eventke.trainer import load_checkpoint, save_checkpoint
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "toy")
@@ -129,15 +129,30 @@ def test_bad_config_value_names_section_and_key(section, key, value, reason, tmp
     ("model", "temporal_mix", "nan", "temporal_mix must be >= 0"),
     ("train", "learning_rate", "0", "learning_rate must be positive"),
     ("eval", "protocol", "bogus", "unknown protocol mode 'bogus'"),
+    ("data", "split_ratios", "1.2,-0.1,-0.1",
+     "split_ratios must be three values in [0, 1], got 1.2,-0.1,-0.1"),
+    ("data", "split_ratios", "nan,0.5,0.5",
+     "split_ratios must be three values in [0, 1], got nan,0.5,0.5"),
+    ("data", "split_ratios", "0.5,0.5,0.5", "split_ratios must sum to 1, got 1.5"),
 ])
 def test_config_range_error_names_section(section, key, value, reason, tmp_path, capsys):
     shutil.copy(os.path.join(FIXTURES, "triples.tsv"), tmp_path / "triples.tsv")
+    body = {"data": "triples = triples.tsv\n", "output": "dir = out\n"}
+    body[section] = body.get(section, "") + f"{key} = {value}\n"
     config = tmp_path / "run.ini"
-    config.write_text(
-        f"[data]\ntriples = triples.tsv\n[{section}]\n{key} = {value}\n[output]\ndir = out\n"
-    )
+    config.write_text("".join(f"[{name}]\n{lines}" for name, lines in body.items()))
     assert run_cli("graph-inspect", "--config", str(config)) == 1
     assert capsys.readouterr().err == f"error: {config}: [{section}] {reason}\n"
+
+
+def test_bad_interpolation_names_section_and_key(tmp_path, capsys):
+    shutil.copy(os.path.join(FIXTURES, "triples.tsv"), tmp_path / "triples.tsv")
+    config = tmp_path / "run.ini"
+    config.write_text("[data]\ntriples = triples.tsv\n[output]\ndir = out%x\n")
+    assert run_cli("graph-inspect", "--config", str(config)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: [output] dir: '%' must be followed by")
+    assert err.count("\n") == 1
 
 
 def test_empty_tsv_field_names_the_file(tmp_path, capsys):
@@ -251,6 +266,211 @@ def test_seed_override_lands_in_echoed_config(tmp_path):
     assert cp["data"]["split_seed"] == "7"
 
 
+@pytest.mark.parametrize("via", ["--out", "[output] dir"])
+def test_percent_in_out_dir_is_echoed_and_reproduces(via, tmp_path):
+    out_a, out_b = tmp_path / "run%1", tmp_path / "b"
+    if via == "--out":
+        assert run_cli("train", "--config", TOY_CONFIG, "--out", str(out_a)) == 0
+    else:
+        for name in ("triples.tsv", "events.jsonl", "temporal.tsv", "labels.tsv"):
+            shutil.copy(os.path.join(FIXTURES, name), tmp_path / name)
+        with open(TOY_CONFIG) as fh:
+            text = fh.read().replace("dir = out", "dir = run%%1")
+        (tmp_path / "run.ini").write_text(text)
+        assert run_cli("train", "--config", str(tmp_path / "run.ini")) == 0
+    cp = configparser.ConfigParser()
+    cp.read(out_a / "config.ini")
+    assert cp["output"]["dir"] == str(out_a)
+    assert run_cli("train", "--config", str(out_a / "config.ini"), "--out", str(out_b)) == 0
+    assert (out_a / "loss.csv").read_bytes() == (out_b / "loss.csv").read_bytes()
+    assert (out_a / "model.ckpt").read_bytes() == (out_b / "model.ckpt").read_bytes()
+
+
+# A config that sets every key, spelled unlike its echo (spaces, exponents,
+# yes/on/0 booleans), so the echo's normalised bytes are pinned.
+EVERY_KEY_CONFIG = """\
+[data]
+triples = triples.tsv
+events = events.jsonl
+temporal = temporal.tsv
+pretrained = vectors.txt
+entity_labels = labels.tsv
+split_ratios = 0.7, 0.2, 0.1
+split_seed = 3
+
+[model]
+dim = 8
+layers = 2
+temporal_mix = 0.25
+event_mix = 1e-1
+leaky_slope = 0.3
+no_temporal_links = yes
+random_events = on
+no_events = 0
+seed = 5
+
+[scorer]
+rows = 2
+cols = 4
+filters = 3
+kernel = 2
+
+[train]
+learning_rate = 5e-3
+max_epochs = 3
+patience = 2
+batch_groups = 2
+k_neg = 3
+mean_reduction = True
+shuffle = off
+seed = 4
+
+[eval]
+protocol = sampled
+k = 5
+filtered = 1
+split = all
+classify = true
+fine_tune = no
+seed = 6
+
+[output]
+dir = out
+"""
+
+EVERY_KEY_ECHO = """\
+[data]
+triples = {root}/triples.tsv
+events = {root}/events.jsonl
+temporal = {root}/temporal.tsv
+pretrained = {root}/vectors.txt
+entity_labels = {root}/labels.tsv
+split_ratios = 0.7,0.2,0.1
+split_seed = {split_seed}
+
+[model]
+dim = 8
+layers = 2
+temporal_mix = 0.25
+event_mix = 0.1
+leaky_slope = 0.3
+no_temporal_links = true
+random_events = true
+no_events = false
+seed = {model_seed}
+
+[scorer]
+rows = 2
+cols = 4
+filters = 3
+kernel = 2
+
+[train]
+learning_rate = 0.005
+max_epochs = 3
+patience = 2
+batch_groups = 2
+k_neg = 3
+mean_reduction = true
+shuffle = false
+seed = {train_seed}
+
+[eval]
+protocol = sampled
+k = 5
+filtered = true
+split = all
+classify = true
+fine_tune = false
+seed = {eval_seed}
+
+[output]
+dir = {root}/out
+
+"""
+
+DEFAULTS_ECHO = """\
+[data]
+triples = {root}/triples.tsv
+split_ratios = 0.8,0.1,0.1
+split_seed = 0
+
+[model]
+dim = 64
+layers = 2
+temporal_mix = 0.5
+event_mix = 0.5
+leaky_slope = 0.2
+no_temporal_links = false
+random_events = false
+no_events = false
+seed = 0
+
+[scorer]
+rows = 8
+cols = 8
+filters = 32
+kernel = 3
+
+[train]
+learning_rate = 0.0001
+max_epochs = 200
+patience = 10
+batch_groups = 32
+k_neg = 64
+mean_reduction = false
+shuffle = true
+seed = 0
+
+[eval]
+protocol = full
+k = 500
+filtered = false
+split = test
+classify = false
+fine_tune = true
+seed = 0
+
+[output]
+dir = {root}/out
+
+"""
+
+
+def _every_key_config(tmp_path) -> str:
+    for name in ("triples.tsv", "events.jsonl", "temporal.tsv", "labels.tsv"):
+        shutil.copy(os.path.join(FIXTURES, name), tmp_path / name)
+    (tmp_path / "vectors.txt").write_text(
+        "alice 0.1 0.2 0.3 0.4 0.5 0.6 0.7 0.8\nbob -0.1 -0.2 -0.3 -0.4 -0.5 -0.6 -0.7 -0.8\n"
+    )
+    config = tmp_path / "every.ini"
+    config.write_text(EVERY_KEY_CONFIG)
+    return str(config)
+
+
+@pytest.mark.parametrize("seed", [None, 11])
+def test_echo_of_every_key_is_pinned(seed, tmp_path):
+    config = _every_key_config(tmp_path)
+    argv = ["train", "--config", config]
+    if seed is None:
+        seeds = {"split_seed": 3, "model_seed": 5, "train_seed": 4, "eval_seed": 6}
+    else:
+        argv += ["--seed", str(seed)]
+        seeds = dict.fromkeys(("split_seed", "model_seed", "train_seed", "eval_seed"), seed)
+    assert run_cli(*argv) == 0
+    echo = (tmp_path / "out" / "config.ini").read_bytes()
+    assert echo == EVERY_KEY_ECHO.format(root=tmp_path, **seeds).encode()
+
+
+def test_echo_of_defaults_is_pinned(tmp_path):
+    shutil.copy(os.path.join(FIXTURES, "triples.tsv"), tmp_path / "triples.tsv")
+    config = tmp_path / "min.ini"
+    config.write_text("[data]\ntriples = triples.tsv\n[output]\ndir = out\n")
+    write_effective_config(parse_run_config(str(config)), str(tmp_path / "echo.ini"))
+    echo = (tmp_path / "echo.ini").read_bytes()
+    assert echo == DEFAULTS_ECHO.format(root=tmp_path).encode()
+
+
 # -- eval -------------------------------------------------------------------
 
 
@@ -315,6 +535,26 @@ def test_eval_classification_accuracies(trained, tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "Ents" in stdout
     assert "Rels" in stdout
+
+
+def test_eval_warns_when_config_and_checkpoint_disagree(trained, tmp_path, capsys):
+    args = ["--checkpoint", str(trained / "model.ckpt")]
+    assert run_cli("eval", "--config", TOY_CONFIG, *args, "--out", str(tmp_path / "a")) == 0
+    matching = capsys.readouterr()
+    config = _config_with(tmp_path, layers="2", leaky_slope="0.1")
+    assert run_cli("eval", "--config", config, *args, "--out", str(tmp_path / "b")) == 0
+    differing = capsys.readouterr()
+    assert matching.err == ""
+    assert differing.err == (
+        f"WARNING eventke.cli: [model] layers is 2 in {config} but 1 in the checkpoint;"
+        " the checkpoint's is used\n"
+        f"WARNING eventke.cli: [model] leaky_slope is 0.1 in {config} but 0.2 in the"
+        " checkpoint; the checkpoint's is used\n"
+    )
+    assert differing.out.replace(str(tmp_path / "b"), "") == matching.out.replace(
+        str(tmp_path / "a"), "")
+    report_a = (tmp_path / "a" / "report.json").read_bytes()
+    assert (tmp_path / "b" / "report.json").read_bytes() == report_a
 
 
 def test_eval_missing_checkpoint_errors(tmp_path, capsys):

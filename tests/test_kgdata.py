@@ -268,8 +268,9 @@ def test_split_sizes_and_determinism():
 
 
 def test_split_bad_ratios():
-    with pytest.raises(ValueError):
-        split_dataset(10, (0.8, 0.1, 0.2), seed=0)
+    for ratios in [(0.8, 0.1, 0.2), (float("nan"), 0.5, 0.5), (1.2, -0.1, -0.1), (0.5, 0.5)]:
+        with pytest.raises(ValueError, match="split_ratios"):
+            split_dataset(10, ratios, seed=0)
 
 
 def test_pretrained_vectors_parse():
