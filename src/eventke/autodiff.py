@@ -296,43 +296,7 @@ class Tape:
     def __len__(self) -> int:
         return len(self._records)
 
-    # -- embedding / linear algebra -------------------------------------
-
-    def lookup(self, table: Tensor, index: int) -> Tensor:
-        """Fetch row ``index`` of a 2-D table; backward scatters into that row."""
-        if table.data.ndim != 2:
-            raise ValueError("lookup expects a 2-D table")
-        n = table.data.shape[0]
-        if not 0 <= index < n:
-            raise IndexError(f"lookup index {index} out of range [0, {n})")
-        out = Tensor(table.data[index])
-
-        def backward() -> None:
-            table.grad[index] += out.grad
-
-        self._records.append(backward)
-        return out
-
-    def affine(self, w: Tensor, x: Tensor) -> Tensor:
-        """Matrix-vector product ``w @ x`` (w: m x n, x: n)."""
-        if w.data.ndim != 2 or x.data.ndim != 1 or w.data.shape[1] != x.data.shape[0]:
-            raise ValueError(f"affine shape mismatch: {w.shape} @ {x.shape}")
-        out = Tensor(w.data @ x.data)
-
-        def backward() -> None:
-            g = out.grad
-            # A row whose output gradient is zero (a ReLU-masked unit)
-            # would add 0 * x, which changes no finite value of w.grad,
-            # so only live rows are updated.
-            live = np.flatnonzero(g)
-            if live.size == g.size:
-                w.grad += np.outer(g, x.data)
-            elif live.size:
-                w.grad[live] += np.outer(g[live], x.data)
-            x.add_grad(w.data.T @ g)
-
-        self._records.append(backward)
-        return out
+    # -- linear algebra --------------------------------------------------
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         if a.data.shape != b.data.shape:
@@ -680,19 +644,35 @@ class Tape:
 
     # -- losses ----------------------------------------------------------
 
-    def bce_with_logits(self, scores: Tensor, labels: np.ndarray) -> Tensor:
-        """Summed binary cross-entropy; probabilities clamped to [1e-12, 1-1e-12]."""
-        if scores.data.ndim != 1 or labels.shape != scores.data.shape:
-            raise ValueError("bce_with_logits expects matching 1-D scores and labels")
+    def candidate_bce(self, trunks: Tensor, row: int, table: Tensor, candidates,
+                      positives: int, factor: float) -> Tensor:
+        """``factor`` times the summed binary cross-entropy of the scores
+        table[candidates] @ trunks[row], the first ``positives`` labelled 1
+        and the rest 0; probabilities clamped to [1e-12, 1-1e-12].
+
+        One query's loss in one record: the candidate gather, the product,
+        the BCE and the scale.
+        """
+        if trunks.data.ndim != 2 or table.data.shape[1:] != trunks.data.shape[1:]:
+            raise ValueError(f"candidate_bce shape mismatch: {trunks.shape} with {table.shape}")
+        if not 0 <= row < trunks.data.shape[0]:
+            raise IndexError(f"candidate_bce row {row} out of range [0, {trunks.data.shape[0]})")
+        idx = _as_index(candidates, table.data.shape[0], "candidate_bce")
+        if not 0 <= positives <= idx.size:
+            raise ValueError(f"candidate_bce has {positives} positives of {idx.size} candidates")
+        trunk, rows = trunks.data[row], table.data[idx]
+        labels = (np.arange(idx.size) < positives).astype(np.float64)
         lo, hi = 1e-12, 1.0 - 1e-12
-        p = _stable_sigmoid(scores.data)
+        p = _stable_sigmoid(rows @ trunk)
         pc = np.clip(p, lo, hi)
-        out = Tensor(-(labels * np.log(pc) + (1.0 - labels) * np.log1p(-pc)).sum())
+        out = Tensor(-(labels * np.log(pc) + (1.0 - labels) * np.log1p(-pc)).sum() * factor)
 
         def backward() -> None:
             # clamped terms are locally constant in the loss
             active = (p > lo) & (p < hi)
-            scores.add_grad(np.where(active, p - labels, 0.0) * out.grad)
+            g = np.where(active, p - labels, 0.0) * (factor * out.grad)
+            table.add_grad(_scatter_rows(idx, np.outer(g, trunk), table.data.shape[0]))
+            trunks.grad[row] += rows.T @ g
 
         self._records.append(backward)
         return out

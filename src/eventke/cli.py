@@ -1,9 +1,9 @@
 """Command-line interface: train, eval, graph-inspect, rank-diff.
 
 One INI config file drives every run.  Relative paths inside it resolve
-against the config file's own directory, and the fully-resolved config
-is echoed into the output directory so a run can be reproduced from its
-artifacts alone.
+against the config file's own directory, and ``--out`` against the
+working directory.  The fully-resolved config is echoed into the output
+directory so a run can be reproduced from its artifacts alone.
 """
 
 from __future__ import annotations
@@ -186,8 +186,6 @@ def parse_run_config(
         unknown = sorted(set(cp[section]) - allowed)
         if unknown:
             raise CliError(f"{path}: unknown key {unknown[0]!r} in [{section}]")
-    if out_override:
-        cp.read_dict({"output": {"dir": out_override.replace("%", "%%")}})
 
     base = os.path.dirname(os.path.abspath(path))
     given: dict[str | None, dict] = {owner: {} for _, _, owner, _ in _SCHEMA}
@@ -204,6 +202,9 @@ def parse_run_config(
         if seed_override is not None and key in ("seed", "split_seed"):
             given[owner][name] = seed_override
     own = given.pop(None)
+    if out_override:
+        # a command-line path resolves against the working directory
+        own["out_dir"] = os.path.abspath(out_override)
     if "triples" not in own:
         raise CliError(f"{path}: [data] triples is required")
     if "out_dir" not in own:

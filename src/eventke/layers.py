@@ -53,6 +53,9 @@ class ModelConfig:
         for name in ("temporal_mix", "event_mix"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
+        for name in ("temporal_mix", "event_mix", "leaky_slope"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:

@@ -118,7 +118,7 @@ def score_against_all(
     """Scores of every row of the (m, d) candidate tensor against one (d,)
     head and relation pair: the trunk is computed once."""
     row = conv_trunk(tape, params, config, tape.reshape(s, (1, -1)), tape.reshape(r, (1, -1)))
-    return tape.affine(candidates, tape.reshape(row, (-1,)))
+    return tape.reshape(tape.rows_affine(candidates, row), (-1,))
 
 
 # frozen_trunk's patch columns, conv activations and flattened rows, one
@@ -225,24 +225,23 @@ def triple_loss(
     positives: list[int],
     negatives: list[int],
     mean_reduction: bool = False,
-    trunk: Tensor | None = None,
+    trunks: Tensor | None = None,
+    row: int = 0,
 ) -> Tensor:
-    """Summed BCE over gold tails (label 1) and sampled tails (label 0).
+    """Summed BCE over gold tails (label 1) and sampled tails (label 0),
+    one ``candidate_bce`` record; divided by the candidate count under
+    ``mean_reduction``.
 
     ``entity_vecs`` is the full (n, d) entity tensor.  The relation
     embedding is the original (non-augmented) relation row, shared with
-    the aggregation layers.  ``trunk`` is the query's (d,) trunk row when
-    the caller has computed it with the rows of other queries; without
-    it the row is computed here, as a batch of one.
+    the aggregation layers.  ``trunks`` holds the query's trunk at ``row``
+    when the caller has computed it with the rows of other queries;
+    without it the trunk is computed here, as a batch of one.
     """
     if not positives:
         raise ValueError(f"query ({h}, {r}) has no gold tails")
-    if trunk is None:
-        trunk = tape.reshape(query_trunks(tape, params, config, entity_vecs, [h], [r]), (-1,))
-    candidates = tape.gather_rows(entity_vecs, np.array(positives + negatives, dtype=np.intp))
-    scores = tape.affine(candidates, trunk)
-    labels = np.concatenate([np.ones(len(positives)), np.zeros(len(negatives))])
-    loss = tape.bce_with_logits(scores, labels)
-    if mean_reduction:
-        loss = tape.scale(loss, 1.0 / labels.shape[0])
-    return loss
+    if trunks is None:
+        trunks, row = query_trunks(tape, params, config, entity_vecs, [h], [r]), 0
+    candidates = positives + negatives
+    factor = 1.0 / len(candidates) if mean_reduction else 1.0
+    return tape.candidate_bce(trunks, row, entity_vecs, candidates, len(positives), factor)

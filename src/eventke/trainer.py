@@ -58,6 +58,8 @@ class TrainConfig:
         for name in ("learning_rate", "eps"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         for name in ("max_epochs", "patience", "batch_groups"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -184,7 +186,8 @@ def _query_losses(
             tails,
             negatives,
             mean_reduction=train_config.mean_reduction,
-            trunk=tape.lookup(trunks, row),
+            trunks=trunks,
+            row=row,
         )
     return losses
 

@@ -107,19 +107,27 @@ def test_relu_subgradient_at_zero_is_one():
         assert x.grad[0] == 1.0
 
 
+def _bce(scores, positives: int, factor: float = 1.0) -> Tensor:
+    """candidate_bce of the given scores: a unit trunk against a table
+    whose i-th row is (scores[i], 0)."""
+    scores = np.asarray(scores, dtype=np.float64)
+    table = Tensor(np.stack([scores, np.zeros(scores.size)], axis=1))
+    trunks = Tensor([[0.0, 0.0], [1.0, 0.0]])
+    return Tape().candidate_bce(trunks, 1, table, np.arange(scores.size), positives, factor)
+
+
 def test_bce_known_values():
-    tape = Tape()
-    scores = Tensor([0.0, 0.0])
-    loss = tape.bce_with_logits(scores, np.array([1.0, 0.0]))
+    loss = _bce([0.0, 0.0], 1)
     assert abs(loss.data - 2.0 * math.log(2.0)) <= 1e-12
+    assert abs(_bce([0.0, 0.0], 1, 0.5).data - math.log(2.0)) <= 1e-12
 
     # saturated correct predictions contribute almost nothing
-    sat = Tape().bce_with_logits(Tensor([20.0, -20.0]), np.array([1.0, 0.0]))
+    sat = _bce([20.0, -20.0], 1)
     assert sat.data < 1e-8
 
 
 def test_bce_clamp_keeps_loss_finite():
-    loss = Tape().bce_with_logits(Tensor([500.0]), np.array([0.0]))
+    loss = _bce([500.0], 0)
     assert np.isfinite(loss.data)
     # bound is -log(1e-12) up to float rounding of the clamp endpoint
     assert loss.data <= -math.log(1e-12) + 1e-4
@@ -151,10 +159,12 @@ def test_backward_requires_scalar():
         tape.backward(y)
 
 
-def test_lookup_out_of_range():
-    table = Tensor(np.zeros((3, 2)))
+def test_candidate_bce_out_of_range():
+    trunks, table = Tensor(np.zeros((3, 2))), Tensor(np.zeros((4, 2)))
     with pytest.raises(IndexError):
-        Tape().lookup(table, 3)
+        Tape().candidate_bce(trunks, 3, table, [0, 1], 1, 1.0)
+    with pytest.raises(IndexError):
+        Tape().candidate_bce(trunks, 0, table, [0, 4], 1, 1.0)
 
 
 def _dot(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
@@ -175,21 +185,20 @@ def _concat(tape: Tape, *xs: Tensor) -> Tensor:
 
 
 def _loss_through_all_ops(params: dict[str, Tensor]) -> tuple[Tape, Tensor]:
-    """One scalar loss through every per-vector op and a batched conv,
-    at a non-kink point."""
+    """One scalar loss through every per-vector op, a batched conv and a
+    query loss, at a non-kink point."""
     tape = Tape()
     table, w, filt, proj = params["table"], params["w"], params["filt"], params["proj"]
-    a = tape.lookup(table, 0)
-    b = tape.lookup(table, 1)
-    c = tape.lookup(table, 2)
-    hid = tape.leaky_relu(tape.affine(w, _concat(tape, a, b)), 0.2)
+    a, b, c = (tape.reshape(tape.gather_rows(table, [i]), (-1,)) for i in range(3))
+    hidden = tape.rows_affine(tape.reshape(_concat(tape, a, b), (1, -1)), w)
+    hid = tape.leaky_relu(tape.reshape(hidden, (-1,)), 0.2)
     mixed = tape.add_n([hid, tape.relu(c), tape.scale(a, 0.5)])
     phi = tape.circ_corr(mixed, tape.add(b, c))
     images = tape.reshape(_concat(tape, phi, mixed), (2, 2, 3))
-    feat = tape.reshape(tape.conv2d(images, filt), (-1,))
-    scores = tape.affine(proj, feat)
-    bce = tape.bce_with_logits(scores, np.array([1.0, 0.0, 1.0]))
-    ce = tape.cross_entropy(scores, 1)
+    feat = tape.reshape(tape.conv2d(images, filt), (1, -1))
+    # proj's rows scored against feat: rows 0 and 2 gold, row 1 twice a negative
+    bce = tape.candidate_bce(feat, 0, proj, [0, 2, 1, 1], 2, 0.25)
+    ce = tape.cross_entropy(tape.rows_affine(feat, proj), [1])
     ce_rows = tape.cross_entropy(tape.reshape(feat, (2, 4)), np.array([3, 0]))
     return tape, tape.add_n([bce, ce, ce_rows, _dot(tape, phi, phi)])
 
@@ -304,8 +313,7 @@ def test_rows_affine_matches_per_row_affine():
     w = Tensor(rng.normal(size=(4, 3)))
     out = Tape().rows_affine(x, w)
     for i in range(5):
-        row = Tape().affine(w, Tensor(x.data[i]))
-        assert np.max(np.abs(out.data[i] - row.data)) <= 1e-12
+        assert np.max(np.abs(out.data[i] - w.data @ x.data[i])) <= 1e-12
 
 
 def test_segment_sum_and_mean_oracle():
@@ -504,18 +512,24 @@ def test_scatter_by_a_mutated_writable_index_gives_fresh_sums():
         idx[:] = rng.permutation(idx) // 3
 
 
-def test_affine_grad_with_dead_output_rows_equals_outer_product_bitwise():
+def test_candidate_bce_table_grad_equals_outer_product_scatter_bitwise():
     rng = np.random.default_rng(41)
-    w = Tensor(rng.normal(size=(6, 9)))
-    x = Tensor(rng.normal(size=9))
-    w.grad += rng.normal(size=(6, 9))
-    before = w.grad.copy()
+    table = Tensor(rng.normal(size=(6, 9)))
+    trunks = Tensor(rng.normal(size=(3, 9)))
+    candidates = np.array([4, 1, 4, 0, 5])
+    table.data[5] = 40.0 * trunks.data[2]  # a negative deep in the clamp
+    table.grad += rng.normal(size=(6, 9))
+    before = table.grad.copy()
     tape = Tape()
-    out = tape.affine(w, x)
-    g = rng.normal(size=6)
-    g[[0, 2, 3]] = 0.0
-    _backward_with(tape, out, g)
-    assert w.grad.tobytes() == (before + np.outer(g, x.data)).tobytes()
+    tape.backward(tape.candidate_bce(trunks, 2, table, candidates, 2, 0.2))
+    p = autodiff._stable_sigmoid(table.data[candidates] @ trunks.data[2])
+    g = 0.2 * (p - [1.0, 1.0, 0.0, 0.0, 0.0])
+    assert p[4] == 1.0  # the clamped candidate's gradient is zero
+    g[4] = 0.0
+    expected = np.zeros((6, 9))
+    for i, row in enumerate(candidates):
+        expected[row] += np.outer(g, trunks.data[2])[i]
+    assert table.grad.tobytes() == (before + expected).tobytes()
 
 
 def _circ_corr_sum_grads(x, table, src, rel, dst, n, g):

@@ -127,7 +127,11 @@ def test_bad_config_value_names_section_and_key(section, key, value, reason, tmp
     ("train", "k_neg", "-1", "k_neg must be >= 0"),
     ("model", "event_mix", "-0.5", "event_mix must be >= 0"),
     ("model", "temporal_mix", "nan", "temporal_mix must be >= 0"),
+    ("model", "temporal_mix", "inf", "temporal_mix must be finite"),
+    ("model", "leaky_slope", "nan", "leaky_slope must be finite"),
+    ("model", "leaky_slope", "inf", "leaky_slope must be finite"),
     ("train", "learning_rate", "0", "learning_rate must be positive"),
+    ("train", "learning_rate", "inf", "learning_rate must be finite"),
     ("eval", "protocol", "bogus", "unknown protocol mode 'bogus'"),
     ("data", "split_ratios", "1.2,-0.1,-0.1",
      "split_ratios must be three values in [0, 1], got 1.2,-0.1,-0.1"),
@@ -264,6 +268,21 @@ def test_seed_override_lands_in_echoed_config(tmp_path):
     assert cp["train"]["seed"] == "7"
     assert cp["eval"]["seed"] == "7"
     assert cp["data"]["split_seed"] == "7"
+
+
+def test_out_resolves_against_working_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    # [output] dir stays relative to the config, --out to the working directory
+    assert parse_run_config(TOY_CONFIG).out_dir == os.path.join(FIXTURES, "out")
+    assert parse_run_config(TOY_CONFIG, out_override="runs/x").out_dir == str(tmp_path / "runs" / "x")
+    # the README's flow: train into runs/demo, then eval its checkpoint by the same path
+    assert run_cli("train", "--config", TOY_CONFIG, "--out", "runs/demo") == 0
+    assert (tmp_path / "runs" / "demo" / "model.ckpt").exists()
+    assert run_cli(
+        "eval", "--config", TOY_CONFIG, "--checkpoint", "runs/demo/model.ckpt", "--out", "runs/eval"
+    ) == 0
+    assert (tmp_path / "runs" / "eval" / "report.json").exists()
+    assert not os.path.exists(os.path.join(FIXTURES, "runs"))
 
 
 @pytest.mark.parametrize("via", ["--out", "[output] dir"])

@@ -266,14 +266,34 @@ def diagonal_step():
     return graph, store
 
 
-def diagonal_step_digest() -> str:
-    """sha256 of the state arrays after diagonal_step."""
-    _, store = diagonal_step()
+def _state_digest(store: ParameterStore) -> str:
+    """sha256 of a store's state arrays."""
     digest = hashlib.sha256()
     for name, array in store.state_arrays().items():
         digest.update(name.encode())
         digest.update(array.tobytes())
     return digest.hexdigest()
+
+
+def diagonal_step_digest() -> str:
+    """sha256 of the state arrays after diagonal_step."""
+    return _state_digest(diagonal_step()[1])
+
+
+def _digest_in_child(function: str) -> str:
+    """test_trainer.<function>() run in a child process whose BLAS starts
+    with one thread: the thread count changes product bits."""
+    paths = [os.path.dirname(os.path.dirname(eventke.__file__)), os.path.dirname(__file__)]
+    env = dict(
+        os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+        PYTHONPATH=os.pathsep.join(paths + [os.environ.get("PYTHONPATH", "")]),
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", f"import test_trainer; print(test_trainer.{function}())"],
+        env=env, capture_output=True, text=True,
+    )
+    assert child.returncode == 0, child.stderr
+    return child.stdout.strip()
 
 
 # sha256 of the state arrays after diagonal_step with one BLAS thread, taken
@@ -289,19 +309,49 @@ def test_diagonal_scatter_step_is_pinned():
     assert len(chunks) > 1
     for index in (chunks[0].dst, chunks[0].src):
         assert isinstance(autodiff._scatter_plan(index, 64), autodiff._Diagonals)
-    # the BLAS thread count changes product bits, so the step runs in a
-    # child process that starts BLAS with one thread
-    paths = [os.path.dirname(os.path.dirname(eventke.__file__)), os.path.dirname(__file__)]
-    env = dict(
-        os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-        PYTHONPATH=os.pathsep.join(paths + [os.environ.get("PYTHONPATH", "")]),
+    assert _digest_in_child("diagonal_step_digest") == DIAGONAL_STEP_STATE
+
+
+def mean_reduction_step():
+    """One mean_reduction training step over every query group of a
+    10-entity graph with k_neg = 24, so negatives repeat within a group.
+    Returns the groups, the sampler and the trained store."""
+    lines = dataset_lines(
+        n_entities=10, n_relations=2, n_triples=40, n_events=4,
+        min_args=2, max_args=3, n_temporal=2, seed=5,
     )
-    child = subprocess.run(
-        [sys.executable, "-c", "import test_trainer; print(test_trainer.diagonal_step_digest())"],
-        env=env, capture_output=True, text=True,
+    graph, store = build_model(build_from_lines(*lines), ModelConfig(), ConvScorerConfig())
+    groups = group_queries(graph.triples)
+    config = TrainConfig(k_neg=24, batch_groups=len(groups), mean_reduction=True)
+    sampler = NegativeSampler(
+        graph.entity_count, config.k_neg, seed=0,
+        known_tails=known_tails_from_triples(graph.triples),
     )
-    assert child.returncode == 0, child.stderr
-    assert child.stdout.strip() == DIAGONAL_STEP_STATE
+    train_epoch(
+        graph, store, ModelConfig(), ConvScorerConfig(), groups, sampler, config,
+        epoch=1, shuffle_rng=np.random.default_rng(0), step_counter=[0],
+    )
+    return groups, sampler, store
+
+
+def mean_reduction_step_digest() -> str:
+    """sha256 of the state arrays after mean_reduction_step."""
+    return _state_digest(mean_reduction_step()[2])
+
+
+# sha256 of the state arrays after mean_reduction_step with one BLAS thread,
+# taken with each group's loss built from separate gather, product, BCE and
+# scale records: the one candidate_bce record must reproduce its bits
+MEAN_REDUCTION_STEP_STATE = "541ecff8305bb5e569df819d7d266ccfc74c9a3fba76b0bb0014644e6c53f0ed"
+
+
+def test_mean_reduction_step_is_pinned():
+    groups, sampler, _ = mean_reduction_step()
+    # the fixture covers multi-gold groups whose negatives repeat
+    multi_gold = [(h, r, tails) for h, r, tails in groups if len(tails) >= 2]
+    drawn = [sampler.sample_group(h, r, tails, 1) for h, r, tails in multi_gold]
+    assert any(len(set(negatives)) < len(negatives) for negatives in drawn)
+    assert _digest_in_child("mean_reduction_step_digest") == MEAN_REDUCTION_STEP_STATE
 
 
 def test_fit_rejects_empty_train_set():
