@@ -273,6 +273,16 @@ def _as_index(indices, n: int, what: str) -> np.ndarray:
     return idx
 
 
+def _pool_index(x: Tensor, indices, segments, n: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    if x.data.ndim != 2:
+        raise ValueError(f"{what} expects a 2-D tensor")
+    idx = _as_index(indices, x.data.shape[0], what)
+    seg = _as_index(segments, n, what)
+    if seg.shape != idx.shape:
+        raise ValueError(f"{what} needs one segment id per gathered row")
+    return idx, seg
+
+
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     pos = x >= 0
@@ -448,7 +458,8 @@ class Tape:
     # These keep whole node populations in single (m, d) tensors so a
     # full aggregation layer costs a fixed handful of records instead of
     # one per node.  Summation within a segment follows flattened index
-    # order.
+    # order.  The pooling ops (gather, weight, segment sum) keep no gathered
+    # rows: backward gathers them again and multiplies them in place.
 
     def gather_rows(self, table: Tensor, indices) -> Tensor:
         """out[i] = table[indices[i]]; backward scatter-adds into rows."""
@@ -491,48 +502,42 @@ class Tape:
         self._records.append(backward)
         return out
 
-    def scale_rows(self, x: Tensor, weights: Tensor) -> Tensor:
-        """out[i] = weights[i] * x[i] for a (m, d) tensor and (m,) weights."""
-        if x.data.ndim != 2 or weights.data.shape != (x.data.shape[0],):
-            raise ValueError(f"scale_rows shape mismatch: {x.shape} with {weights.shape}")
-        out = Tensor(x.data * weights.data[:, None])
+    def pool_sum(self, x: Tensor, indices, weights: Tensor, segments, n: int) -> Tensor:
+        """out[j] = the sum of weights[i] * x[indices[i]] over i with
+        segments[i] == j, in index order from +0.0; empty segments are zero."""
+        idx, seg = _pool_index(x, indices, segments, n, "pool_sum")
+        if weights.data.shape != idx.shape:
+            raise ValueError(f"pool_sum needs {idx.size} weights, got {weights.shape}")
+        rows = x.data[idx]
+        rows *= weights.data[:, None]
+        out = Tensor(_scatter_rows(seg, rows, n))
 
         def backward() -> None:
-            x.add_grad(out.grad * weights.data[:, None])
-            weights.add_grad((out.grad * x.data).sum(axis=1))
+            g = out.grad[seg]
+            products = x.data[idx]
+            products *= g
+            weights.add_grad(products.sum(axis=1))
+            del products
+            g *= weights.data[:, None]
+            x.add_grad(_scatter_rows(idx, g, x.data.shape[0]))
 
         self._records.append(backward)
         return out
 
-    def segment_sum(self, x: Tensor, segments, n: int) -> Tensor:
-        """Row sums by segment id; segments with no members come out zero."""
-        if x.data.ndim != 2:
-            raise ValueError("segment_sum expects a 2-D tensor")
-        seg = _as_index(segments, n, "segment_sum")
-        if seg.shape[0] != x.data.shape[0]:
-            raise ValueError("segment_sum needs one segment id per row")
-        out = Tensor(_scatter_rows(seg, x.data, n))
-
-        def backward() -> None:
-            x.add_grad(out.grad[seg])
-
-        self._records.append(backward)
-        return out
-
-    def segment_mean(self, x: Tensor, segments, n: int) -> Tensor:
-        """Row means by segment id; every segment must have a member."""
-        if x.data.ndim != 2:
-            raise ValueError("segment_mean expects a 2-D tensor")
-        seg = _as_index(segments, n, "segment_mean")
-        if seg.shape[0] != x.data.shape[0]:
-            raise ValueError("segment_mean needs one segment id per row")
+    def pool_mean(self, x: Tensor, indices, segments, n: int) -> Tensor:
+        """out[j] = the mean of x[indices[i]] over i with segments[i] == j;
+        every segment must have a member."""
+        idx, seg = _pool_index(x, indices, segments, n, "pool_mean")
         counts = np.bincount(seg, minlength=n).astype(np.float64)
         if not counts.all():
-            raise ValueError("segment_mean over an empty segment")
-        out = Tensor(_scatter_rows(seg, x.data, n) / counts[:, None])
+            raise ValueError("pool_mean over an empty segment")
+        out = Tensor(_scatter_rows(seg, x.data[idx], n))
+        out.data /= counts[:, None]
 
         def backward() -> None:
-            x.add_grad(out.grad[seg] / counts[seg, None])
+            g = out.grad[seg]
+            g /= counts[seg, None]
+            x.add_grad(_scatter_rows(idx, g, x.data.shape[0]))
 
         self._records.append(backward)
         return out

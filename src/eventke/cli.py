@@ -174,11 +174,9 @@ def parse_run_config(
     the key is left out; ``--seed`` replaces every seed, ``--out`` the dir."""
     cp = configparser.ConfigParser()
     try:
-        read = cp.read(path)
+        _parse_file(path, cp.read_file, path)
     except configparser.Error as exc:
         raise CliError(f"{path}: {exc}") from None
-    if not read:
-        raise CliError(f"{path}: config file not found")
     for section in cp.sections():
         allowed = {key for in_section, key, _, _ in _SCHEMA if in_section == section}
         if not allowed:
@@ -248,6 +246,8 @@ def _parse_file(path: str, parse, *args):
         raise CliError(f"{path}: {exc.strerror}") from None
     except ParseError as exc:
         raise CliError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not valid UTF-8 ({exc.reason})") from None
 
 
 def _load_graph(config: RunConfig) -> HeterogeneousGraph:

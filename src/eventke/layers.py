@@ -335,10 +335,8 @@ def stage1_entity_to_event(
     alpha = tape.segment_softmax(
         tape.leaky_relu(tape.reshape(logits, (-1,)), config.leaky_slope), arg_event, n_ev
     )
-    messages = tape.gather_rows(
-        tape.relu(tape.rows_affine(u, params["entity_message"])), plan.arg_slot
-    )
-    lam = tape.segment_sum(tape.scale_rows(messages, alpha), arg_event, n_ev)
+    messages = tape.relu(tape.rows_affine(u, params["entity_message"]))
+    lam = tape.pool_sum(messages, plan.arg_slot, alpha, arg_event, n_ev)
     return alpha, tape.concat_cols(t_rows, c_rows, lam)
 
 
@@ -360,9 +358,7 @@ def stage2_temporal(
     updated = plan.temporal_updated
     if not updated.size:
         return events
-    mean = tape.segment_mean(
-        tape.gather_rows(events, plan.temporal_src), plan.temporal_slot, updated.size
-    )
+    mean = tape.pool_mean(events, plan.temporal_src, plan.temporal_slot, updated.size)
     msg = tape.relu(tape.rows_affine(mean, params["temporal_message"]))
     bumped = tape.add(tape.gather_rows(events, updated), tape.scale(msg, config.temporal_mix))
     return tape.replace_rows(events, updated, bumped)
@@ -404,10 +400,8 @@ def stage3_event_to_entity(
     beta = tape.segment_softmax(
         tape.leaky_relu(tape.reshape(logits, (-1,)), config.leaky_slope), inc_slot, len(updated)
     )
-    messages = tape.gather_rows(
-        tape.rows_affine(tilde_events, params["event_projection"]), plan.incidence_event
-    )
-    mix = tape.segment_sum(tape.scale_rows(messages, beta), inc_slot, len(updated))
+    messages = tape.rows_affine(tilde_events, params["event_projection"])
+    mix = tape.pool_sum(messages, plan.incidence_event, beta, inc_slot, len(updated))
     bumped = tape.add(v, tape.scale(mix, config.event_mix))
     if collect_betas is not None:
         for slot, i in enumerate(updated.tolist()):

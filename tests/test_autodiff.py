@@ -316,18 +316,27 @@ def test_rows_affine_matches_per_row_affine():
         assert np.max(np.abs(out.data[i] - w.data @ x.data[i])) <= 1e-12
 
 
-def test_segment_sum_and_mean_oracle():
+def test_pool_sum_and_mean_oracle():
     x = Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    seg = [1, 0, 1]
-    summed = Tape().segment_sum(x, seg, 2)
-    assert np.array_equal(summed.data, [[3.0, 4.0], [6.0, 8.0]])
+    idx, seg = [2, 0, 1, 2], [1, 0, 1, 1]
+    summed = Tape().pool_sum(x, idx, Tensor(np.ones(4)), seg, 2)
+    assert np.array_equal(summed.data, [[1.0, 2.0], [13.0, 16.0]])
+    weighted = Tape().pool_sum(x, idx, Tensor([0.5, 2.0, 1.0, -1.0]), seg, 2)
+    assert np.array_equal(weighted.data, [[2.0, 4.0], [0.5, 1.0]])
     # absent segment sums to zero but is an error for the mean
-    padded = Tape().segment_sum(x, seg, 3)
+    padded = Tape().pool_sum(x, idx, Tensor(np.ones(4)), seg, 3)
     assert np.array_equal(padded.data[2], [0.0, 0.0])
     with pytest.raises(ValueError):
-        Tape().segment_mean(x, seg, 3)
-    mean = Tape().segment_mean(x, seg, 2)
-    assert np.array_equal(mean.data, [[3.0, 4.0], [3.0, 4.0]])
+        Tape().pool_mean(x, idx, seg, 3)
+    mean = Tape().pool_mean(x, idx, seg, 2)
+    assert np.array_equal(mean.data, [[1.0, 2.0], [13.0 / 3.0, 16.0 / 3.0]])
+
+    with pytest.raises(IndexError):
+        Tape().pool_mean(x, [3, 0, 1, 2], seg, 2)
+    with pytest.raises(ValueError):
+        Tape().pool_sum(x, idx, Tensor(np.ones(3)), seg, 2)
+    with pytest.raises(ValueError):
+        Tape().pool_mean(x, idx, seg[:3], 2)
 
 
 def test_segment_softmax_matches_blockwise_masked_softmax():
@@ -380,12 +389,12 @@ def _loss_through_batched_ops(params: dict[str, Tensor]) -> tuple[Tape, Tensor]:
     tape = Tape()
     table, w = params["btable"], params["bw"]
     seg = [0, 1, 1, 2]
-    picked = tape.gather_rows(table, [0, 2, 1, 2])
-    mapped = tape.rows_affine(picked, w)
+    idx = [0, 2, 1, 2]
+    picked = tape.gather_rows(table, idx)
     logits = tape.reshape(tape.rows_affine(picked, params["battn"]), (-1,))
     alpha = tape.segment_softmax(logits, seg, 3)
-    pooled = tape.segment_sum(tape.scale_rows(mapped, alpha), seg, 3)
-    mixed = tape.concat_cols(pooled, tape.segment_mean(picked, seg, 3))
+    pooled = tape.pool_sum(tape.rows_affine(table, w), idx, alpha, seg, 3)
+    mixed = tape.concat_cols(pooled, tape.pool_mean(table, idx, seg, 3))
     phi = tape.circ_corr_sum(mixed, tape.relu(mixed), [0, 2, 1, 2], [1, 1, 0, 0], [2, 0, 2, 1], 3)
     patched = tape.replace_rows(phi, [1], tape.gather_rows(mixed, [0]))
     return tape, _dot(tape, patched, patched)
@@ -473,11 +482,12 @@ def _per_column_bincount(idx: np.ndarray, rows: np.ndarray, n: int) -> np.ndarra
 
 
 def _scatter_both_ways(idx: np.ndarray, rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """gather_rows' table gradient and segment_sum's output, both sums of rows by idx."""
+    """gather_rows' table gradient and pool_sum's output, both sums of rows by idx."""
     table = Tensor(np.zeros((n, rows.shape[1])))
     tape = Tape()
     _backward_with(tape, tape.gather_rows(table, idx), rows)
-    return table.grad, Tape().segment_sum(Tensor(rows), idx, n).data
+    ones = Tensor(np.ones(idx.size))
+    return table.grad, Tape().pool_sum(Tensor(rows), np.arange(idx.size), ones, idx, n).data
 
 
 def test_gather_rows_scatter_equals_per_column_bincount_bitwise():
@@ -510,6 +520,74 @@ def test_scatter_by_a_mutated_writable_index_gives_fresh_sums():
         assert grad.tobytes() == expected
         assert summed.tobytes() == expected
         idx[:] = rng.permutation(idx) // 3
+
+
+def _pool_layout(rng, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x (500, width) with -0.0 rows, 3000 read-only gather indices that
+    repeat, and read-only ids of 200 segments with 15 members each."""
+    x = rng.normal(size=(500, width))
+    x[::7] = -0.0
+    idx = rng.integers(0, 500, size=3000)
+    seg = rng.permutation(np.arange(3000) % 200)
+    idx.flags.writeable = seg.flags.writeable = False
+    return x, idx, seg
+
+
+def _pool_sum_chain(x, idx, w, seg, n, g):
+    """pool_sum's value and x and w gradients as gather_rows, scale_rows and
+    segment_sum formed them, each scatter a per-column bincount."""
+    gathered = x[idx]
+    out = _per_column_bincount(seg, gathered * w[:, None], n)
+    grad_scaled = g[seg]
+    grad_w = (grad_scaled * gathered).sum(axis=1)
+    grad_x = _per_column_bincount(idx, grad_scaled * w[:, None], x.shape[0])
+    return out, grad_x, grad_w
+
+
+def _pool_mean_chain(x, idx, seg, n, g):
+    """pool_mean's value and x gradient as gather_rows and segment_mean formed them."""
+    counts = np.bincount(seg, minlength=n).astype(np.float64)
+    out = _per_column_bincount(seg, x[idx], n) / counts[:, None]
+    grad_x = _per_column_bincount(idx, g[seg] / counts[seg, None], x.shape[0])
+    return out, grad_x
+
+
+@pytest.mark.parametrize("width", [1, 64, 192])
+def test_pool_sum_equals_gather_scale_segment_sum_bitwise(width):
+    rng = np.random.default_rng(47)
+    x, idx, seg = _pool_layout(rng, width)
+    seg = 3 * seg  # 600 segments, two in three empty
+    seg.flags.writeable = False
+    w = rng.normal(size=idx.size)
+    g = rng.normal(size=(600, width))
+    expected = [a.tobytes() for a in _pool_sum_chain(x, idx, w, seg, 600, g)]
+    diagonal = width >= 64
+    assert isinstance(autodiff._scatter_plan(seg, width), autodiff._Diagonals) == diagonal
+    assert isinstance(autodiff._scatter_plan(idx, width), autodiff._Diagonals) == diagonal
+    for index, segments in ((idx, seg), (idx.copy(), seg.copy())):
+        for _ in range(2):  # the second run reads the cached plans
+            tx, tw = Tensor(x), Tensor(w)
+            tape = Tape()
+            out = tape.pool_sum(tx, index, tw, segments, 600)
+            _backward_with(tape, out, g)
+            got = [out.data.tobytes(), tx.grad.tobytes(), tw.grad.tobytes()]
+            assert got == expected, (width, index.flags.writeable)
+
+
+@pytest.mark.parametrize("width", [1, 64, 192])
+def test_pool_mean_equals_gather_segment_mean_bitwise(width):
+    rng = np.random.default_rng(53)
+    x, idx, seg = _pool_layout(rng, width)
+    g = rng.normal(size=(200, width))
+    expected = [a.tobytes() for a in _pool_mean_chain(x, idx, seg, 200, g)]
+    assert isinstance(autodiff._scatter_plan(seg, width), autodiff._Diagonals) == (width >= 64)
+    for index, segments in ((idx, seg), (idx.copy(), seg.copy())):
+        for _ in range(2):  # the second run reads the cached plans
+            tx = Tensor(x)
+            tape = Tape()
+            out = tape.pool_mean(tx, index, segments, 200)
+            _backward_with(tape, out, g)
+            assert [out.data.tobytes(), tx.grad.tobytes()] == expected, width
 
 
 def test_candidate_bce_table_grad_equals_outer_product_scatter_bitwise():

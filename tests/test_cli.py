@@ -169,6 +169,31 @@ def test_empty_tsv_field_names_the_file(tmp_path, capsys):
     assert err == f"error: {tmp_path / 'triples.tsv'}: line 2: empty field 2\n"
 
 
+@pytest.mark.parametrize("kind", ["config", "triples", "events", "temporal", "labels", "pretrained"])
+def test_undecodable_byte_names_the_file(kind, trained, tmp_path, capsys):
+    for name in ("triples.tsv", "events.jsonl", "temporal.tsv", "labels.tsv"):
+        shutil.copy(os.path.join(FIXTURES, name), tmp_path / name)
+    (tmp_path / "vectors.txt").write_text("alice " + " ".join(["0.5"] * 8) + "\n")
+    cp = configparser.ConfigParser()
+    cp.read(TOY_CONFIG)
+    cp["data"]["pretrained"] = "vectors.txt"
+    cp["eval"]["classify"] = "true"
+    config = tmp_path / "config.ini"
+    with open(config, "w") as fh:
+        cp.write(fh)
+    bad = {
+        "config": config, "triples": tmp_path / "triples.tsv", "events": tmp_path / "events.jsonl",
+        "temporal": tmp_path / "temporal.tsv", "labels": tmp_path / "labels.tsv",
+        "pretrained": tmp_path / "vectors.txt",
+    }[kind]
+    with open(bad, "ab") as fh:
+        fh.write(b"a\tr\t\xff\xfeb\n")
+    # the labels are read by eval only, the pretrained vectors by train only
+    argv = ["train"] if kind == "pretrained" else ["eval", "--checkpoint", str(trained / "model.ckpt")]
+    assert run_cli(*argv, "--config", str(config), "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"error: {bad}: not valid UTF-8 (invalid start byte)\n"
+
+
 def test_log_level_info_shows_kgdata_lines(tmp_path, capsys):
     # c and d appear only as event arguments, which kgdata reports at info level
     (tmp_path / "triples.tsv").write_text("a\tr\tb\n")

@@ -12,6 +12,7 @@ from eventke.layers import (
     argument_index,
     forward_model,
     forward_model_traced,
+    index_plan,
     init_parameters,
     randomize_event_structure,
     stage1_entity_to_event,
@@ -499,3 +500,46 @@ def test_full_model_gradient_check_tiny():
 
     err = grad_check(build, params.tensors(), step=1e-5)
     assert err < 1e-4
+
+
+def _held_arrays(value, depth: int = 0):
+    """Every array a backward closure's cell reaches through tensors, tuples and lists."""
+    if isinstance(value, Tensor):
+        yield value.data
+        if value._grad is not None:
+            yield value._grad
+    elif isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)) and depth < 4:
+        for item in value:
+            yield from _held_arrays(item, depth + 1)
+
+
+def test_recording_forward_keeps_no_per_row_matrices():
+    t, e, l = dataset_lines(60, 4, 150, 30, 2, 5, 40, seed=8)
+    graph = build_from_lines(t, e, l)
+    config = ModelConfig(dim=8, seed=1)
+    params = init_parameters(graph, config)
+    plan = index_plan(graph)
+    per_row = {plan.arg_event.size, plan.incidence_event.size, plan.temporal_src.size}
+    other_rows = {
+        graph.entity_count, graph.event_count, plan.incidence_updated.size,
+        plan.temporal_updated.size, plan.edge_src.size,
+        *(tensor.data.shape[0] for tensor in params.tensors()),
+    }
+    assert not per_row & other_rows
+    tape = Tape()
+    forward_model(tape, graph, params, config)
+    held = [
+        array
+        for record in tape._records
+        for cell in record.__closure__ or ()
+        for array in _held_arrays(cell.cell_contents)
+    ]
+    # the walk does reach the records' arrays: the entity matrices are there
+    assert any(a.ndim == 2 and a.shape[0] == graph.entity_count for a in held)
+    wide = {
+        a.shape for a in held
+        if a.dtype.kind == "f" and a.ndim == 2 and a.shape[1] > 1 and a.shape[0] in per_row
+    }
+    assert not wide
