@@ -320,15 +320,6 @@ class Tape:
         self._records.append(backward)
         return out
 
-    def scale(self, x: Tensor, factor: float) -> Tensor:
-        out = Tensor(x.data * factor)
-
-        def backward() -> None:
-            x.add_grad(factor * out.grad)
-
-        self._records.append(backward)
-        return out
-
     def add_n(self, xs: list[Tensor]) -> Tensor:
         """Sum of same-shape tensors in one record (left-to-right order)."""
         if not xs:
@@ -565,30 +556,31 @@ class Tape:
         self._records.append(backward)
         return out
 
-    def replace_rows(self, base: Tensor, indices, rows: Tensor) -> Tensor:
-        """Copy of ``base`` with ``rows`` written at distinct ``indices``.
+    def add_rows(self, base: Tensor, indices, rows: Tensor, factor: float) -> Tensor:
+        """Copy of ``base`` with ``factor * rows`` added at distinct ``indices``:
+        out[indices] = base[indices] + rows * factor.
 
         Untouched rows keep their exact bit patterns, which is what makes
         skip-this-node-entirely identities hold without special cases.
         """
         if base.data.ndim != 2 or rows.data.ndim != 2:
-            raise ValueError("replace_rows expects 2-D tensors")
-        idx = _as_index(indices, base.data.shape[0], "replace_rows")
+            raise ValueError("add_rows expects 2-D tensors")
+        idx = _as_index(indices, base.data.shape[0], "add_rows")
         if np.unique(idx).size != idx.size:
-            raise ValueError("replace_rows indices must be distinct")
+            raise ValueError("add_rows indices must be distinct")
         if rows.data.shape != (idx.size, base.data.shape[1]):
             raise ValueError(
-                f"replace_rows got {rows.shape} rows for {idx.size} slots of width {base.data.shape[1]}"
+                f"add_rows got {rows.shape} rows for {idx.size} slots of width {base.data.shape[1]}"
             )
         merged = base.data.copy()
-        merged[idx] = rows.data
+        merged[idx] = base.data[idx] + rows.data * factor
         out = Tensor(merged)
 
         def backward() -> None:
-            g = out.grad.copy()
-            g[idx] = 0.0
-            base.add_grad(g)
-            rows.add_grad(out.grad[idx])
+            base.add_grad(out.grad.copy())
+            g = out.grad[idx]
+            g *= factor
+            rows.add_grad(g)
 
         self._records.append(backward)
         return out

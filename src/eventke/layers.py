@@ -9,7 +9,6 @@ shared by all layers.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,7 @@ from .kgdata import EventRecord, HeterogeneousGraph, ParsedEvents, TemporalLink,
 __all__ = [
     "ModelConfig",
     "init_parameters",
+    "pairs_at",
     "randomize_event_structure",
     "IndexPlan",
     "index_plan",
@@ -117,6 +117,17 @@ def init_parameters(
     return store
 
 
+def pairs_at(n: int, positions) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (a, b), a < b < n, at ``positions`` in the order of
+    ``itertools.combinations(range(n), 2)``, without listing all n(n-1)/2:
+    row a starts at a(2n - a - 1)/2."""
+    positions = np.asarray(positions, dtype=np.int64)
+    rows = np.arange(n, dtype=np.int64)
+    starts = rows * (2 * n - rows - 1) // 2
+    a = np.searchsorted(starts, positions, side="right") - 1
+    return a, positions - starts[a] + a + 1
+
+
 def randomize_event_structure(graph: HeterogeneousGraph, seed: int) -> HeterogeneousGraph:
     """Replace argument and temporal structure with random links of equal count.
 
@@ -145,12 +156,12 @@ def randomize_event_structure(graph: HeterogeneousGraph, seed: int) -> Heterogen
         )
 
     n_events = graph.event_count
-    all_pairs = list(itertools.combinations(range(n_events), 2))
+    n_pairs = n_events * (n_events - 1) // 2
     n_links = len(graph.temporal_links)
-    if n_links > len(all_pairs):
+    if n_links > n_pairs:
         raise ValueError("cannot draw that many distinct temporal links")
-    picked = rng.choice(len(all_pairs), size=n_links, replace=False)
-    links = [TemporalLink(*all_pairs[i]) for i in picked]
+    a, b = pairs_at(n_events, rng.choice(n_pairs, size=n_links, replace=False))
+    links = [TemporalLink(*pair) for pair in zip(a.tolist(), b.tolist())]
 
     parsed = ParsedEvents(
         events=events,
@@ -360,8 +371,7 @@ def stage2_temporal(
         return events
     mean = tape.pool_mean(events, plan.temporal_src, plan.temporal_slot, updated.size)
     msg = tape.relu(tape.rows_affine(mean, params["temporal_message"]))
-    bumped = tape.add(tape.gather_rows(events, updated), tape.scale(msg, config.temporal_mix))
-    return tape.replace_rows(events, updated, bumped)
+    return tape.add_rows(events, updated, msg, config.temporal_mix)
 
 
 def stage3_event_to_entity(
@@ -402,11 +412,10 @@ def stage3_event_to_entity(
     )
     messages = tape.rows_affine(tilde_events, params["event_projection"])
     mix = tape.pool_sum(messages, plan.incidence_event, beta, inc_slot, len(updated))
-    bumped = tape.add(v, tape.scale(mix, config.event_mix))
     if collect_betas is not None:
         for slot, i in enumerate(updated.tolist()):
             collect_betas[i] = beta.data[inc_slot == slot]
-    return tape.replace_rows(entity_vecs, updated, bumped)
+    return tape.add_rows(entity_vecs, updated, mix, config.event_mix)
 
 
 def stage4_entity_message_pass(

@@ -173,11 +173,10 @@ def known_tails_from_triples(triples: list[KnowledgeTriple]) -> dict[tuple[int, 
 
 
 class NegativeSampler:
-    """Seeded corrupted-tail sampler; never returns the gold tail.
-
-    With filtering on, no known-true tail for the query's (head, relation)
-    is returned either.  Each (round, head, relation) triple derives its
-    own child seed, so sampling is independent of query order.
+    """Seeded corrupted-tail sampler; never returns the gold tail or any
+    known-true tail of the query's (head, relation).  Each (round, head,
+    relation) triple derives its own child seed, so sampling is
+    independent of query order.
     """
 
     def __init__(
@@ -186,7 +185,6 @@ class NegativeSampler:
         k_neg: int,
         seed: int,
         known_tails: dict[tuple[int, int], set[int]] | None = None,
-        filtered: bool = True,
     ) -> None:
         if k_neg < 0:
             raise ValueError("k_neg must be >= 0")
@@ -194,15 +192,12 @@ class NegativeSampler:
         self.k_neg = k_neg
         self.seed = seed
         self.known_tails = known_tails or {}
-        self.filtered = filtered
 
     def sample_group(self, h: int, r: int, gold_tails: list[int], round_: int = 0) -> list[int]:
         """Negatives for a grouped query; every gold tail is excluded."""
         if self.k_neg == 0:
             return []
-        excluded = set(gold_tails)
-        if self.filtered:
-            excluded |= self.known_tails.get((h, r), set())
+        excluded = set(gold_tails) | self.known_tails.get((h, r), set())
         if self.n_entities - len(excluded) < 1:
             raise ValueError(
                 f"no candidate negatives for query ({h}, {r}): all entities excluded"

@@ -316,7 +316,6 @@ def fit(
         train_config.k_neg,
         seed=train_config.seed,
         known_tails=known_tails_from_triples(train_triples),
-        filtered=True,
     )
     shuffle_rng = np.random.default_rng([train_config.seed, 404])
     stopper = EarlyStopper(train_config.patience)
@@ -385,7 +384,7 @@ def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
         "epoch": checkpoint.epoch,
         "best_val_loss": checkpoint.best_val_loss,
         "adam_t": checkpoint.adam_t,
-        "shuffle_state": _jsonify(checkpoint.shuffle_state),
+        "shuffle_state": checkpoint.shuffle_state,
     }
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
     tmp = path + ".tmp"
@@ -449,6 +448,8 @@ def _read_checkpoint(fh, size: int) -> Checkpoint:
         raise ValueError("trailing bytes after the last tensor")
     try:
         meta = json.loads(blob.decode("utf-8"))
+        # PCG64 checks the state's form here, not when a resume restores it
+        np.random.PCG64().state = meta["shuffle_state"]
         return Checkpoint(
             model_config=ModelConfig(**meta["model_config"]),
             scorer_config=ConvScorerConfig(**meta["scorer_config"]),
@@ -456,34 +457,9 @@ def _read_checkpoint(fh, size: int) -> Checkpoint:
             epoch=meta["epoch"],
             best_val_loss=meta["best_val_loss"],
             adam_t=meta["adam_t"],
-            shuffle_state=_dejsonify(meta["shuffle_state"]),
+            shuffle_state=meta["shuffle_state"],
             arrays=arrays,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad checkpoint header: {exc!r}") from None
 
-
-def _jsonify(state: dict) -> dict:
-    out = {}
-    for k, v in state.items():
-        if isinstance(v, dict):
-            out[k] = _jsonify(v)
-        elif isinstance(v, np.ndarray):
-            out[k] = {"__ndarray__": v.tolist(), "dtype": str(v.dtype)}
-        elif isinstance(v, (np.integer,)):
-            out[k] = int(v)
-        else:
-            out[k] = v
-    return out
-
-
-def _dejsonify(state: dict) -> dict:
-    out = {}
-    for k, v in state.items():
-        if isinstance(v, dict) and "__ndarray__" in v:
-            out[k] = np.array(v["__ndarray__"], dtype=v["dtype"])
-        elif isinstance(v, dict):
-            out[k] = _dejsonify(v)
-        else:
-            out[k] = v
-    return out

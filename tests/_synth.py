@@ -9,6 +9,7 @@ from typing import TextIO
 import numpy as np
 
 from eventke.kgdata import HeterogeneousGraph, build_graph, parse_events, parse_temporal_links, parse_triples
+from eventke.layers import pairs_at
 
 
 def dataset_lines(
@@ -51,9 +52,10 @@ def dataset_lines(
             )
         )
 
-    pairs = [(a, b) for a in range(n_events) for b in range(a + 1, n_events)]
-    chosen = rng.choice(len(pairs), size=n_temporal, replace=False) if n_temporal else []
-    temporal_lines = [f"ev{pairs[i][0]}\tev{pairs[i][1]}" for i in chosen]
+    n_pairs = n_events * (n_events - 1) // 2
+    chosen = rng.choice(n_pairs, size=n_temporal, replace=False) if n_temporal else []
+    firsts, seconds = pairs_at(n_events, chosen)
+    temporal_lines = [f"ev{a}\tev{b}" for a, b in zip(firsts.tolist(), seconds.tolist())]
     return triple_lines, event_lines, temporal_lines
 
 

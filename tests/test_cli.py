@@ -625,6 +625,21 @@ def test_eval_non_finite_checkpoint_is_one_error(trained, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("bad", [5, [1], "s"])
+def test_eval_bad_shuffle_state_is_one_error(bad, trained, tmp_path, capsys):
+    checkpoint = load_checkpoint(str(trained / "model.ckpt"))
+    checkpoint.shuffle_state = bad
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(checkpoint, str(path))
+    code = run_cli("eval", "--config", TOY_CONFIG,
+                   "--checkpoint", str(path), "--out", str(tmp_path / "out"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: bad checkpoint header: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_bad_thread_count_is_one_error(trained, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("EVENTKE_THREADS", "abc")
     code = run_cli("eval", "--config", TOY_CONFIG,

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -14,6 +16,7 @@ from eventke.layers import (
     forward_model_traced,
     index_plan,
     init_parameters,
+    pairs_at,
     randomize_event_structure,
     stage1_entity_to_event,
     stage2_temporal,
@@ -457,6 +460,32 @@ def test_randomize_event_structure_preserves_counts():
 
     again = randomize_event_structure(graph, seed=1)
     assert [ev.arguments for ev in again.events] == [ev.arguments for ev in shuffled.events]
+
+
+def test_pairs_at_follows_combinations_order():
+    for n in range(2, 41):
+        pairs = list(itertools.combinations(range(n), 2))
+        a, b = pairs_at(n, np.arange(len(pairs)))
+        assert list(zip(a.tolist(), b.tolist())) == pairs
+        picked = np.random.default_rng(n).choice(len(pairs), size=len(pairs) // 2, replace=False)
+        a, b = pairs_at(n, picked)
+        assert list(zip(a.tolist(), b.tolist())) == [pairs[i] for i in picked]
+
+
+# sha256 of randomize_event_structure's arguments and temporal links on a
+# 60-event graph, taken when the links were picked from a list of every
+# event pair: index arithmetic must draw the same graph
+RANDOM_EVENTS_GRAPH = "64ab400301fac571932dd892d163d017b1fc774d8027d7526e9dd2656df63c2d"
+
+
+def test_randomize_event_structure_is_pinned():
+    graph = build_from_lines(*dataset_lines(
+        n_entities=40, n_relations=3, n_triples=80, n_events=60,
+        min_args=2, max_args=4, n_temporal=300, seed=4,
+    ))
+    shuffled = randomize_event_structure(graph, seed=9)
+    drawn = repr(([ev.arguments for ev in shuffled.events], shuffled.temporal_links))
+    assert hashlib.sha256(drawn.encode()).hexdigest() == RANDOM_EVENTS_GRAPH
 
 
 def test_init_uses_pretrained_vectors():

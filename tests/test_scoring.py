@@ -152,12 +152,9 @@ def test_sampler_determinism_and_exclusions():
 
 def test_sampler_filtering_excludes_known_tails():
     known = {(0, 0): {1, 2, 3}}
-    sampler = NegativeSampler(5, 50, seed=1, known_tails=known, filtered=True)
+    sampler = NegativeSampler(5, 50, seed=1, known_tails=known)
     draws = sampler.sample_group(0, 0, [4])
     assert set(draws) == {0}  # only entity left
-
-    unfiltered = NegativeSampler(5, 50, seed=1, known_tails=known, filtered=False)
-    assert set(unfiltered.sample_group(0, 0, [4])) - {4} == set(unfiltered.sample_group(0, 0, [4]))
 
 
 def test_sampler_empty_pool_is_an_error():

@@ -1,16 +1,20 @@
+import contextlib
 import hashlib
+import io
 import math
 import os
+import pathlib
 import re
 import struct
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 
 import eventke
-from eventke import autodiff
+from eventke import autodiff, cli
 from eventke.autodiff import ParameterStore, Tape
 from eventke.kgdata import KnowledgeTriple
 from eventke.layers import ModelConfig, forward_model, index_plan
@@ -354,6 +358,33 @@ def test_mean_reduction_step_is_pinned():
     assert _digest_in_child("mean_reduction_step_digest") == MEAN_REDUCTION_STEP_STATE
 
 
+TOY_CONFIG = os.path.join(os.path.dirname(__file__), "fixtures", "toy", "config.ini")
+
+
+def toy_run_digests() -> str:
+    """sha256 of the loss.csv and model.ckpt that `eventke train` writes
+    for the toy config."""
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["train", "--config", TOY_CONFIG, "--out", out]) == 0
+        return " ".join(
+            hashlib.sha256(pathlib.Path(out, name).read_bytes()).hexdigest()
+            for name in ("loss.csv", "model.ckpt")
+        )
+
+
+# sha256 of the toy run's loss.csv and model.ckpt with one BLAS thread, taken
+# when stages 2 and 3 made their residual updates by gather, scale, add and
+# replace_rows records: the one add_rows record must reproduce their bits
+TOY_RUN = (
+    "45095fc08eb91204004e4a65df927c5ea0277fba3e07d1d3b87e71d72a3b68b3 "
+    "d4673316b286ee5374a63a5b792feef2d9bab72bc4273ba6eadf502cdef87bfc"
+)
+
+
+def test_toy_run_is_pinned():
+    assert _digest_in_child("toy_run_digests") == TOY_RUN
+
+
 def test_fit_rejects_empty_train_set():
     graph, store, _, val = small_setup()
     with pytest.raises(ValueError, match="empty train"):
@@ -484,6 +515,24 @@ def test_checkpoint_bad_header_names_the_file(tmp_path):
         + struct.pack("<I", 0)
     )
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: bad checkpoint header"):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("bad", [5, [1], "s"])
+def test_checkpoint_bad_shuffle_state_names_the_file(bad, tmp_path):
+    checkpoint = Checkpoint(
+        model_config=SMALL_MODEL,
+        scorer_config=SMALL_SCORER,
+        train_config=TrainConfig(),
+        epoch=1,
+        best_val_loss=0.5,
+        adam_t=3,
+        shuffle_state=bad,
+        arrays={"param/a": np.arange(3.0)},
+    )
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(checkpoint, str(path))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: bad checkpoint header: "):
         load_checkpoint(str(path))
 
 
