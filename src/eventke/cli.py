@@ -205,8 +205,6 @@ def parse_run_config(
         own["out_dir"] = os.path.abspath(out_override)
     if "triples" not in own:
         raise CliError(f"{path}: [data] triples is required")
-    if "out_dir" not in own:
-        raise CliError(f"{path}: [output] dir is required (or pass --out)")
 
     sections = {owner: section for section, _, owner, _ in _SCHEMA}
     for owner, values in given.items():
@@ -273,8 +271,16 @@ def _split_triples(
 # -- commands ---------------------------------------------------------------
 
 
-def cmd_train(args: argparse.Namespace) -> int:
+def _writing_config(args: argparse.Namespace) -> RunConfig:
+    """The run config of a command that writes files, which needs a dir."""
     config = parse_run_config(args.config, args.seed, args.out)
+    if config.out_dir is None:
+        raise CliError(f"{args.config}: [output] dir is required (or pass --out)")
+    return config
+
+
+def cmd_train(args: argparse.Namespace) -> int:
+    config = _writing_config(args)
     graph = _load_graph(config)
     train_t, val_t, _ = _split_triples(graph, config)
     init_table = None
@@ -335,7 +341,7 @@ def _entity_label_splits(
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    config = parse_run_config(args.config, args.seed, args.out)
+    config = _writing_config(args)
     if not os.path.exists(args.checkpoint):
         raise CliError(f"{args.checkpoint}: checkpoint not found")
     checkpoint = load_checkpoint(args.checkpoint)
@@ -393,7 +399,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_graph_inspect(args: argparse.Namespace) -> int:
-    config = parse_run_config(args.config, args.seed, args.out)
+    config = parse_run_config(args.config, args.seed)
     graph = _load_graph(config)
     print(f"{'Entities':<10}{graph.entity_count}")
     print(f"{'Rels':<10}{len(graph.triples)}")
@@ -450,8 +456,9 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, parents=[logs], help=text)
         p.add_argument("--config", required=True, help="INI run configuration")
-        p.add_argument("--out", help="output directory (overrides [output] dir)")
         p.add_argument("--seed", type=int, help="override every configured seed")
+        if func is not cmd_graph_inspect:
+            p.add_argument("--out", help="output directory (overrides [output] dir)")
         if func is cmd_eval:
             p.add_argument("--checkpoint", required=True, help="trained model file")
         p.set_defaults(func=func)

@@ -15,8 +15,6 @@ from __future__ import annotations
 import itertools
 import json
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -29,8 +27,6 @@ from .scoring import ConvScorerConfig, frozen_trunk
 from .trainer import EarlyStopper, TrainConfig, adam_step
 
 logger = logging.getLogger(__name__)
-
-THREADS_ENV = "EVENTKE_THREADS"
 
 # queries per frozen_trunk call and per (block, n) score matrix in
 # ranking: larger blocks gained the trunk no speed and hold more conv
@@ -152,16 +148,6 @@ def _sampled_candidates(n_entities: int, k: int, seed: int, query: KnowledgeTrip
     return np.concatenate((picked + (picked >= t), [t]))
 
 
-def _thread_count() -> int:
-    """Ranking threads: EVENTKE_THREADS if set, else up to four CPUs."""
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if not raw:
-        return min(4, os.cpu_count() or 1)
-    if not (raw.isdecimal() and int(raw) > 0):
-        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    return int(raw)
-
-
 def kg_completion_eval(
     graph: HeterogeneousGraph,
     params: ParameterStore,
@@ -180,9 +166,8 @@ def kg_completion_eval(
     the other tails ``known_tails`` lists for a query's (head, relation)
     become NaN in its row, and one ``rank_of_gold`` call ranks each gold
     tail within its row (full) or its sampled candidates (sampled).  Blocks
-    are scored independently (thread pool capped by the EVENTKE_THREADS
-    environment variable); ranks are aggregated in query order, so the
-    report never depends on completion order.
+    run in query order on the calling thread, which keeps reusing its trunk
+    buffers; BLAS threads parallelize each block's product.
     """
     if not test_triples:
         raise ValueError("no test triples to evaluate")
@@ -193,7 +178,6 @@ def kg_completion_eval(
         )
     if protocol.filtered and known_tails is None:
         raise ValueError("filtered ranking needs the known-tails index")
-    threads = _thread_count()
     entity_matrix = frozen_entity_matrix(graph, params, model_config)
     relation_rows = params["relation_embeddings"].data
 
@@ -220,12 +204,7 @@ def kg_completion_eval(
             golds = np.full(len(block), protocol.k)  # the gold tail comes last
         return rank_of_gold(scores, golds)
 
-    starts = range(0, len(test_triples), EVAL_BLOCK)
-    if threads == 1:
-        blocks = [rank_block(start) for start in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(rank_block, starts))
+    blocks = [rank_block(start) for start in range(0, len(test_triples), EVAL_BLOCK)]
     sampled = protocol.mode == "sampled"
     return aggregate_report(
         test_triples, np.concatenate(blocks).tolist(), protocol.mode,

@@ -4,7 +4,7 @@ File formats are line-oriented: triples and temporal links are TSV,
 events are one JSON object per line, pretrained vectors are whitespace
 separated.  All string identifiers are mapped to dense indices in
 first-appearance order; the built graph is immutable and safe to share
-across evaluation threads.
+across threads.
 """
 
 from __future__ import annotations

@@ -23,7 +23,6 @@ __all__ = [
     "randomize_event_structure",
     "IndexPlan",
     "index_plan",
-    "argument_index",
     "stage1_entity_to_event",
     "stage2_temporal",
     "stage3_event_to_entity",
@@ -298,12 +297,6 @@ def index_plan(graph: HeterogeneousGraph) -> IndexPlan:
     return graph.plan_cache
 
 
-def argument_index(graph: HeterogeneousGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flattened (event, entity, role) ids, one row per argument slot."""
-    plan = index_plan(graph)
-    return plan.arg_event, plan.arg_entity, plan.arg_role
-
-
 def stage1_entity_to_event(
     tape: Tape,
     graph: HeterogeneousGraph,
@@ -314,8 +307,8 @@ def stage1_entity_to_event(
     """Attention over each event's arguments.
 
     Returns (alpha, events): alpha holds every argument's attention
-    weight in argument_index order, events is the (n_events, 3d) matrix
-    [trigger, type, attended argument message].  Logits come from a
+    weight in ``IndexPlan.arg_event`` order, events is the (n_events, 3d)
+    matrix [trigger, type, attended argument message].  Logits come from a
     leaky-ReLU scored linear map of [trigger, type, argument entity,
     role]; the map splits into one score per trigger, type, entity and
     role row, which each argument slot gathers and sums.  Messages are

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import inspect
 import math
 import pathlib
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import eventke
-from eventke import autodiff
+from eventke import autodiff, layers, scoring
 from eventke.autodiff import ParameterStore, Tape, Tensor, grad_check
 
 
@@ -815,4 +816,38 @@ def test_every_tape_op_has_a_model_caller():
            if not name.startswith("_") and name not in ("backward", "circ_corr")]
     assert "gather_rows" in ops
     unused = [op for op in ops if not re.search(rf"\btape\.{op}\(", source)]
+    assert unused == []
+
+
+def test_every_public_name_has_a_user():
+    """A public name exists because something uses it: each name in the
+    ``__all__`` of autodiff, layers and scoring is used outside its own
+    top-level definition, in eventke, in the acceptance suite or its
+    ``_synth`` helpers, or in perfbench."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    paths = [
+        *sorted(pathlib.Path(eventke.__file__).parent.glob("*.py")),
+        root / "tests" / "test_acceptance.py",
+        root / "tests" / "_synth.py",
+        *sorted((root / "perfbench").glob("*.py")),
+    ]
+    # (file, names a top-level statement defines, names it uses)
+    statements = []
+    for path in paths:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            defined = {getattr(node, "name", None)}
+            defined |= {t.id for t in getattr(node, "targets", []) if isinstance(t, ast.Name)}
+            used = {
+                n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.name
+                for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute, ast.alias))
+            }
+            statements.append((path.resolve(), defined, used))
+    unused = []
+    for module in (autodiff, layers, scoring):
+        own = pathlib.Path(module.__file__).resolve()
+        unused += [
+            f"{module.__name__}.{name}" for name in module.__all__
+            if not any(name in used and not (path == own and name in defined)
+                       for path, defined, used in statements)
+        ]
     assert unused == []

@@ -68,6 +68,30 @@ def test_graph_inspect_empty_events_file(tmp_path, capsys):
     assert "Args      0" in out
 
 
+def _toy_without_output(tmp_path):
+    """A copy of the toy fixture whose config has no [output] section."""
+    shutil.copytree(FIXTURES, tmp_path / "toy")
+    config = tmp_path / "toy" / "config.ini"
+    cp = configparser.ConfigParser()
+    cp.read(config)
+    cp.remove_section("output")
+    with open(config, "w") as fh:
+        cp.write(fh)
+    return str(config)
+
+
+def test_graph_inspect_needs_no_output_dir(tmp_path, capsys):
+    assert run_cli("graph-inspect", "--config", _toy_without_output(tmp_path)) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "Entities  10"
+
+
+def test_train_without_output_dir_is_one_error(tmp_path, capsys):
+    config = _toy_without_output(tmp_path)
+    assert run_cli("train", "--config", config) == 1
+    assert capsys.readouterr().err == f"error: {config}: [output] dir is required (or pass --out)\n"
+    assert sorted(os.listdir(tmp_path / "toy")) == sorted(os.listdir(FIXTURES))
+
+
 # -- config handling --------------------------------------------------------
 
 
@@ -638,15 +662,6 @@ def test_eval_bad_shuffle_state_is_one_error(bad, trained, tmp_path, capsys):
     assert err.startswith(f"error: {path}: bad checkpoint header: ")
     assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
-
-
-def test_eval_bad_thread_count_is_one_error(trained, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("EVENTKE_THREADS", "abc")
-    code = run_cli("eval", "--config", TOY_CONFIG,
-                   "--checkpoint", str(trained / "model.ckpt"), "--out", str(tmp_path / "out"))
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err == "error: EVENTKE_THREADS must be a positive integer, got 'abc'\n"
 
 
 # -- rank-diff --------------------------------------------------------------

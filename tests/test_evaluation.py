@@ -1,7 +1,5 @@
 import hashlib
 import json
-import os
-import re
 
 import numpy as np
 import pytest
@@ -286,16 +284,6 @@ def test_filtered_ranking_requires_known_tails():
         )
 
 
-def test_thread_count_does_not_change_report(monkeypatch):
-    graph, store = eval_setup()
-    triples = list(graph.triples[:10])
-    monkeypatch.setenv("EVENTKE_THREADS", "1")
-    serial = kg_completion_eval(graph, store, MODEL, SCORER, triples, EvalProtocol(mode="full"))
-    monkeypatch.setenv("EVENTKE_THREADS", "3")
-    threaded = kg_completion_eval(graph, store, MODEL, SCORER, triples, EvalProtocol(mode="full"))
-    assert serial.to_json() == threaded.to_json()
-
-
 def _sort_rank(scores, gold):
     # independent route: mean descending-sort position of the gold's tie block
     order = np.argsort(-scores, kind="stable")
@@ -323,7 +311,7 @@ PROTOCOLS = {
 }
 
 
-def test_blocked_ranking_matches_one_row_trunk_oracle(monkeypatch):
+def test_blocked_ranking_matches_one_row_trunk_oracle():
     graph, store, queries, known = block_setup()
     tape = Tape()
     vecs = forward_model(tape, graph, store, MODEL).data
@@ -340,11 +328,7 @@ def test_blocked_ranking_matches_one_row_trunk_oracle(monkeypatch):
         ).data)
 
     for protocol in PROTOCOLS.values():
-        monkeypatch.setenv("EVENTKE_THREADS", "1")
         report = kg_completion_eval(graph, store, MODEL, SCORER, queries, protocol, known)
-        monkeypatch.setenv("EVENTKE_THREADS", "2")
-        threaded = kg_completion_eval(graph, store, MODEL, SCORER, queries, protocol, known)
-        assert threaded.to_json() == report.to_json()
         for i, (h, r, t) in enumerate(queries):
             if protocol.mode == "full":
                 candidates = list(range(graph.entity_count))
@@ -433,25 +417,6 @@ def test_non_finite_score_of_a_filtered_tail_still_raises(monkeypatch):
     monkeypatch.setattr(evaluation, "frozen_entity_matrix", lambda *args: matrix)
     with pytest.raises(ValueError, match=rf"query 0 \({h}, {r}, {t}\) has non-finite scores"):
         kg_completion_eval(graph, store, MODEL, SCORER, queries, PROTOCOLS["filtered"], known)
-
-
-@pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5"])
-def test_thread_count_must_be_a_positive_integer(raw, monkeypatch):
-    graph, store = eval_setup()
-    monkeypatch.setenv("EVENTKE_THREADS", raw)
-    message = f"EVENTKE_THREADS must be a positive integer, got '{raw}'"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        kg_completion_eval(graph, store, MODEL, SCORER, graph.triples[:2], EvalProtocol())
-
-
-@pytest.mark.parametrize("raw", [None, "", " ", " 3 "])
-def test_thread_count_default_and_accepted_values(raw, monkeypatch):
-    if raw is None:
-        monkeypatch.delenv("EVENTKE_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("EVENTKE_THREADS", raw)
-    default = min(4, os.cpu_count() or 1)
-    assert evaluation._thread_count() == (3 if raw == " 3 " else default)
 
 
 # -- report serialization ---------------------------------------------------

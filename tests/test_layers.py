@@ -11,7 +11,6 @@ from _synth import build_from_lines, dataset_lines, grad_fixture_graph
 from eventke.autodiff import Tape, Tensor, grad_check
 from eventke.layers import (
     ModelConfig,
-    argument_index,
     forward_model,
     forward_model_traced,
     index_plan,
@@ -101,8 +100,9 @@ def test_attention_vectors_sum_to_one():
     betas: dict[int, np.ndarray] = {}
     stage3_event_to_entity(tape, graph, params, vecs, tilde, config, collect_betas=betas)
 
-    arg_event, _, _ = argument_index(graph)
-    per_event = np.bincount(arg_event, weights=alpha.data, minlength=len(graph.events))
+    per_event = np.bincount(
+        index_plan(graph).arg_event, weights=alpha.data, minlength=len(graph.events)
+    )
     assert np.max(np.abs(per_event - 1.0)) <= 1e-12
     assert betas  # the fixture has entities with incident events
     for b in betas.values():

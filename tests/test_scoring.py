@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from eventke import scoring
 from eventke.autodiff import ParameterStore, Tape, Tensor, grad_check
+from eventke.evaluation import EvalProtocol, kg_completion_eval
+from eventke.layers import ModelConfig
 from eventke.scoring import (
-    _TRUNK_BUFFERS,
     ConvScorerConfig,
     NegativeSampler,
     add_scorer_parameters,
@@ -17,6 +20,9 @@ from eventke.scoring import (
     score_against_all,
     triple_loss,
 )
+from eventke.trainer import build_model
+
+from _synth import build_from_lines, dataset_lines
 
 
 def _scorer(config: ConvScorerConfig, seed: int = 0) -> ParameterStore:
@@ -110,16 +116,28 @@ def test_frozen_trunk_matches_taped():
     assert frozen.tobytes() == kept.tobytes()
 
 
-def test_frozen_trunk_keeps_its_buffers_between_calls():
+def test_frozen_trunk_keeps_its_buffers_between_calls(monkeypatch):
+    # fresh buffers, so only the calls below can have made them
+    monkeypatch.setattr(scoring, "_TRUNK_BUFFERS", threading.local())
+    monkeypatch.delenv("EVENTKE_THREADS", raising=False)
     config = ConvScorerConfig(rows=2, cols=4, filters=3, kernel=2)
-    store = _scorer(config)
+    model = ModelConfig(dim=config.dim, num_layers=1, seed=1)
+    lines = dataset_lines(
+        n_entities=12, n_relations=3, n_triples=20, n_events=3,
+        min_args=2, max_args=3, n_temporal=2, seed=5,
+    )
+    graph, store = build_model(build_from_lines(*lines), model, config)
+
+    def buffers():
+        return [getattr(scoring._TRUNK_BUFFERS, name) for name in ("columns", "conv", "flat")]
+
+    # ranking's blocks run on the calling thread, so they use its buffers
+    kg_completion_eval(graph, store, model, config, graph.triples, EvalProtocol())
+    held = buffers()
     rng = np.random.default_rng(5)
-    s, r = rng.normal(size=(6, 8)), rng.normal(size=(6, 8))
-    frozen_trunk(store, config, s, r)
-    held = {name: getattr(_TRUNK_BUFFERS, name) for name in ("columns", "conv", "flat")}
-    frozen_trunk(store, config, s[:4], r[:4])
-    frozen_trunk(store, config, s, r)
-    assert all(getattr(_TRUNK_BUFFERS, name) is buffer for name, buffer in held.items())
+    frozen_trunk(store, config, rng.normal(size=(4, 8)), rng.normal(size=(4, 8)))
+    kg_completion_eval(graph, store, model, config, graph.triples, EvalProtocol())
+    assert all(now is before for now, before in zip(buffers(), held))
 
 
 def test_conv_trunk_rejects_mismatched_rows():
