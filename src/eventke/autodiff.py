@@ -5,6 +5,11 @@ gradient checks matter more than speed.  A ``Tape`` records forward ops
 in order; ``Tape.backward`` replays them in strict reverse order, so a
 node's gradient is fully accumulated before it propagates to its inputs,
 and drops each record as it goes.
+
+A record keeps only the arrays its backward reads.  A tensor's gradient
+lives in a ``Sink`` apart from its values, and backward closures hold
+sinks, never tensors, so an intermediate's values are freed as soon as
+the forward code drops it unless a backward reads them.
 """
 
 from __future__ import annotations
@@ -21,44 +26,30 @@ __all__ = [
 ]
 
 
-class Tensor:
-    """A rank <= 4 float64 array with a gradient buffer of the same shape.
+class Sink:
+    """A tensor's gradient buffer, apart from its values.
 
-    The gradient buffer is allocated, zero-filled, on first access, so
-    forward-only tapes and intermediates that no gradient reaches cost
-    no second array.
+    The buffer is allocated, zero-filled, on first read, so forward-only
+    tapes and intermediates that no gradient reaches cost no array.
     """
 
-    __slots__ = ("data", "_grad")
+    __slots__ = ("shape", "buffer")
 
-    def __init__(self, data) -> None:
-        arr = np.asarray(data, dtype=np.float64)
-        if not arr.flags.c_contiguous:
-            arr = np.ascontiguousarray(arr)
-        if arr.ndim > 4:
-            raise ValueError(f"tensor rank {arr.ndim} exceeds 4")
-        self.data = arr
-        self._grad: np.ndarray | None = None
+    def __init__(self, shape: tuple[int, ...]) -> None:
+        self.shape = shape
+        self.buffer: np.ndarray | None = None
 
     @property
     def grad(self) -> np.ndarray:
-        if self._grad is None:
-            self._grad = np.zeros(self.data.shape)
-        return self._grad
+        if self.buffer is None:
+            self.buffer = np.zeros(self.shape)
+        return self.buffer
 
     @grad.setter
     def grad(self, value: np.ndarray) -> None:
-        self._grad = value
+        self.buffer = value
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    def zero_grad(self) -> None:
-        if self._grad is not None:
-            self._grad[...] = 0.0
-
-    def add_grad(self, value: np.ndarray) -> None:
+    def add(self, value: np.ndarray) -> None:
         """``grad += value`` for a fresh ``value`` of the same shape that
         nothing else holds.
 
@@ -67,10 +58,45 @@ class Tensor:
         a zero entry, which no sum or product with a nonzero changes, and
         parameter buffers, refilled with +0 after every step, sum it away.
         """
-        if self._grad is None:
-            self._grad = np.asarray(value)
+        if self.buffer is None:
+            self.buffer = np.asarray(value)
         else:
-            self._grad += value
+            self.buffer += value
+
+
+class Tensor:
+    """A rank <= 4 float64 array and the ``Sink`` of its gradient."""
+
+    __slots__ = ("data", "sink")
+
+    def __init__(self, data) -> None:
+        arr = np.asarray(data, dtype=np.float64)
+        if not arr.flags.c_contiguous:
+            arr = np.ascontiguousarray(arr)
+        if arr.ndim > 4:
+            raise ValueError(f"tensor rank {arr.ndim} exceeds 4")
+        self.data = arr
+        self.sink = Sink(arr.shape)
+
+    @property
+    def grad(self) -> np.ndarray:
+        return self.sink.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray) -> None:
+        self.sink.grad = value
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.data.shape
+
+    def zero_grad(self) -> None:
+        if self.sink.buffer is not None:
+            self.sink.buffer[...] = 0.0
+
+    def add_grad(self, value: np.ndarray) -> None:
+        """``Sink.add`` on this tensor's gradient."""
+        self.sink.add(value)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
@@ -296,8 +322,9 @@ class Tape:
     """Append-only record of forward ops, replayed in reverse for gradients.
 
     One training step owns one tape; ops are methods so every forward
-    result is recorded.  Backward closures read ``out.grad`` and add into
-    the input tensors' ``grad`` buffers.
+    result is recorded.  A backward closure reads the output's sink and
+    adds into the inputs' sinks; besides sinks it holds only the arrays,
+    indices and shapes it reads.
     """
 
     def __init__(self) -> None:
@@ -312,10 +339,11 @@ class Tape:
         if a.data.shape != b.data.shape:
             raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
         out = Tensor(a.data + b.data)
+        ga, gb, gout = a.sink, b.sink, out.sink
 
         def backward() -> None:
-            a.grad += out.grad
-            b.grad += out.grad
+            ga.grad += gout.grad
+            gb.grad += gout.grad
 
         self._records.append(backward)
         return out
@@ -330,10 +358,11 @@ class Tape:
         for x in xs[1:]:
             acc += x.data
         out = Tensor(acc)
+        sinks, gout = [x.sink for x in xs], out.sink
 
         def backward() -> None:
-            for x in xs:
-                x.grad += out.grad
+            for g in sinks:
+                g.grad += gout.grad
 
         self._records.append(backward)
         return out
@@ -344,9 +373,10 @@ class Tape:
         out = Tensor(np.maximum(x.data, 0.0))
         # subgradient at 0 fixed to the positive side (1)
         mask = x.data >= 0.0
+        gx, gout = x.sink, out.sink
 
         def backward() -> None:
-            x.add_grad(np.where(mask, out.grad, 0.0))
+            gx.add(np.where(mask, gout.grad, 0.0))
 
         self._records.append(backward)
         return out
@@ -354,9 +384,10 @@ class Tape:
     def leaky_relu(self, x: Tensor, slope: float) -> Tensor:
         out = Tensor(np.where(x.data >= 0.0, x.data, slope * x.data))
         mask = x.data >= 0.0
+        gx, gout = x.sink, out.sink
 
         def backward() -> None:
-            x.add_grad(np.where(mask, 1.0, slope) * out.grad)
+            gx.add(np.where(mask, 1.0, slope) * gout.grad)
 
         self._records.append(backward)
         return out
@@ -405,10 +436,11 @@ class Tape:
         if not src.size == rel.size == dst.size:
             raise ValueError("circ_corr_sum needs one source, relation and destination per edge")
         plan = _chunk_plan(src, rel, dst, d)
-        circulants = np.ascontiguousarray(_doubled_windows(table.data))
+        x_data, table_data = x.data, table.data
+        circulants = np.ascontiguousarray(_doubled_windows(table_data))
         sums = None
         for chunk in plan.chunks:
-            a = x.data[chunk.src]
+            a = x_data[chunk.src]
             phi = np.empty(a.shape)
             for lo, hi, r in chunk.runs:
                 np.dot(a[lo:hi], circulants[r], out=phi[lo:hi])
@@ -420,24 +452,28 @@ class Tape:
         # its block buffers back to the system and faulted them in again at
         # every call (glibc), which cost 20% of its queries per second.
         kept = (a, phi) if len(plan.chunks) == 1 else None
+        gx, gtable, gout = x.sink, table.sink, out.sink
 
         def backward() -> None:
+            # the circulants again: a few hundred microseconds, against
+            # R * d * d floats held from forward to backward
+            circulants = np.ascontiguousarray(_doubled_windows(table_data))
             blocks = np.empty((plan.run_rel.size, d, d))
             grad_x = None
             k = 0
             for chunk in plan.chunks:
-                g = out.grad[chunk.dst]
-                a = kept[0] if kept is not None else x.data[chunk.src]
+                g = gout.grad[chunk.dst]
+                a = kept[0] if kept is not None else x_data[chunk.src]
                 grad_a = np.empty(g.shape)
                 for lo, hi, r in chunk.runs:
                     np.dot(g[lo:hi], circulants[r], out=grad_a[lo:hi])
                     np.dot(a[lo:hi].T, g[lo:hi], out=blocks[k])
                     k += 1
-                grad_x = _sum_chunk(grad_x, chunk.src, chunk.src_diagonals, grad_a, x.data.shape[0])
-            x.add_grad(grad_x)
+                grad_x = _sum_chunk(grad_x, chunk.src, chunk.src_diagonals, grad_a, x_data.shape[0])
+            gx.add(grad_x)
             folds = (np.arange(d)[:, None] + np.arange(d)) % d
             cells = (plan.run_rel[:, None, None] * d + folds).ravel()
-            table.add_grad(
+            gtable.add(
                 np.bincount(cells, weights=blocks.ravel(), minlength=n_rel * d).reshape(n_rel, d)
             )
 
@@ -456,11 +492,13 @@ class Tape:
         """out[i] = table[indices[i]]; backward scatter-adds into rows."""
         if table.data.ndim != 2:
             raise ValueError("gather_rows expects a 2-D table")
-        idx = _as_index(indices, table.data.shape[0], "gather_rows")
+        n = table.data.shape[0]
+        idx = _as_index(indices, n, "gather_rows")
         out = Tensor(table.data[idx])
+        gtable, gout = table.sink, out.sink
 
         def backward() -> None:
-            table.add_grad(_scatter_rows(idx, out.grad, table.data.shape[0]))
+            gtable.add(_scatter_rows(idx, gout.grad, n))
 
         self._records.append(backward)
         return out
@@ -469,11 +507,13 @@ class Tape:
         """Apply ``w`` (b, a) to every row of ``x`` (m, a): out = x @ w.T."""
         if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
             raise ValueError(f"rows_affine shape mismatch: {x.shape} with {w.shape}")
-        out = Tensor(x.data @ w.data.T)
+        x_data, w_data = x.data, w.data
+        out = Tensor(x_data @ w_data.T)
+        gx, gw, gout = x.sink, w.sink, out.sink
 
         def backward() -> None:
-            x.add_grad(out.grad @ w.data)
-            w.add_grad(out.grad.T @ x.data)
+            gx.add(gout.grad @ w_data)
+            gw.add(gout.grad.T @ x_data)
 
         self._records.append(backward)
         return out
@@ -485,10 +525,11 @@ class Tape:
             raise ValueError("concat_cols expects 2-D tensors with equal row counts")
         out = Tensor(np.concatenate([x.data for x in xs], axis=1))
         offsets = np.cumsum([0] + [x.data.shape[1] for x in xs])
+        sinks, gout = [x.sink for x in xs], out.sink
 
         def backward() -> None:
-            for x, lo, hi in zip(xs, offsets[:-1], offsets[1:]):
-                x.grad += out.grad[:, lo:hi]
+            for g, lo, hi in zip(sinks, offsets[:-1], offsets[1:]):
+                g.grad += gout.grad[:, lo:hi]
 
         self._records.append(backward)
         return out
@@ -499,18 +540,20 @@ class Tape:
         idx, seg = _pool_index(x, indices, segments, n, "pool_sum")
         if weights.data.shape != idx.shape:
             raise ValueError(f"pool_sum needs {idx.size} weights, got {weights.shape}")
-        rows = x.data[idx]
-        rows *= weights.data[:, None]
+        x_data, w_data = x.data, weights.data
+        rows = x_data[idx]
+        rows *= w_data[:, None]
         out = Tensor(_scatter_rows(seg, rows, n))
+        gx, gw, gout = x.sink, weights.sink, out.sink
 
         def backward() -> None:
-            g = out.grad[seg]
-            products = x.data[idx]
+            g = gout.grad[seg]
+            products = x_data[idx]
             products *= g
-            weights.add_grad(products.sum(axis=1))
+            gw.add(products.sum(axis=1))
             del products
-            g *= weights.data[:, None]
-            x.add_grad(_scatter_rows(idx, g, x.data.shape[0]))
+            g *= w_data[:, None]
+            gx.add(_scatter_rows(idx, g, x_data.shape[0]))
 
         self._records.append(backward)
         return out
@@ -524,11 +567,13 @@ class Tape:
             raise ValueError("pool_mean over an empty segment")
         out = Tensor(_scatter_rows(seg, x.data[idx], n))
         out.data /= counts[:, None]
+        rows_x = x.data.shape[0]
+        gx, gout = x.sink, out.sink
 
         def backward() -> None:
-            g = out.grad[seg]
+            g = gout.grad[seg]
             g /= counts[seg, None]
-            x.add_grad(_scatter_rows(idx, g, x.data.shape[0]))
+            gx.add(_scatter_rows(idx, g, rows_x))
 
         self._records.append(backward)
         return out
@@ -546,12 +591,13 @@ class Tape:
         np.maximum.at(maxes, seg, logits.data)
         shifted = np.exp(logits.data - maxes[seg])
         denom = np.bincount(seg, weights=shifted, minlength=n)
-        out = Tensor(shifted / denom[seg])
+        s = shifted / denom[seg]
+        out = Tensor(s)
+        glogits, gout = logits.sink, out.sink
 
         def backward() -> None:
-            s = out.data
-            dots = np.bincount(seg, weights=out.grad * s, minlength=n)
-            logits.add_grad(s * (out.grad - dots[seg]))
+            dots = np.bincount(seg, weights=gout.grad * s, minlength=n)
+            glogits.add(s * (gout.grad - dots[seg]))
 
         self._records.append(backward)
         return out
@@ -575,12 +621,13 @@ class Tape:
         merged = base.data.copy()
         merged[idx] = base.data[idx] + rows.data * factor
         out = Tensor(merged)
+        gbase, grows, gout = base.sink, rows.sink, out.sink
 
         def backward() -> None:
-            base.add_grad(out.grad.copy())
-            g = out.grad[idx]
+            gbase.add(gout.grad.copy())
+            g = gout.grad[idx]
             g *= factor
-            rows.add_grad(g)
+            grows.add(g)
 
         self._records.append(backward)
         return out
@@ -590,9 +637,11 @@ class Tape:
     def reshape(self, x: Tensor, shape: tuple[int, ...]) -> Tensor:
         """The same values in another shape (numpy rules; one -1 allowed)."""
         out = Tensor(x.data.reshape(shape))
+        x_shape = x.data.shape
+        gx, gout = x.sink, out.sink
 
         def backward() -> None:
-            x.add_grad(out.grad.reshape(x.data.shape))
+            gx.add(gout.grad.reshape(x_shape))
 
         self._records.append(backward)
         return out
@@ -622,18 +671,20 @@ class Tape:
         out = Tensor(
             np.dot(flat_filters, columns).reshape(f, q, oh, ow).transpose(1, 0, 2, 3)
         )
+        filters_data = filters.data
+        gimages, gfilters, gout = images.sink, filters.sink, out.sink
 
         def backward() -> None:
-            g = out.grad.transpose(1, 0, 2, 3).reshape(f, q * oh * ow)
+            g = gout.grad.transpose(1, 0, 2, 3).reshape(f, q * oh * ow)
             # a C-contiguous (q*oh*ow, k*k) patch matrix: a transposed view
             # of ``columns`` would send np.dot down another summation order
             rows = patches.reshape(q * oh * ow, kh * kw)
-            filters.add_grad(np.dot(g, rows).reshape(f, kh, kw))
-            grad = images.grad
+            gfilters.add(np.dot(g, rows).reshape(f, kh, kw))
+            grad = gimages.grad
             for i in range(kh):
                 for j in range(kw):
                     grad[:, i : i + oh, j : j + ow] += np.dot(
-                        filters.data[:, i, j].reshape(1, f), g
+                        filters_data[:, i, j].reshape(1, f), g
                     ).reshape(q, oh, ow)
 
         self._records.append(backward)
@@ -663,13 +714,15 @@ class Tape:
         p = _stable_sigmoid(rows @ trunk)
         pc = np.clip(p, lo, hi)
         out = Tensor(-(labels * np.log(pc) + (1.0 - labels) * np.log1p(-pc)).sum() * factor)
+        n = table.data.shape[0]
+        gtrunks, gtable, gout = trunks.sink, table.sink, out.sink
 
         def backward() -> None:
             # clamped terms are locally constant in the loss
             active = (p > lo) & (p < hi)
-            g = np.where(active, p - labels, 0.0) * (factor * out.grad)
-            table.add_grad(_scatter_rows(idx, np.outer(g, trunk), table.data.shape[0]))
-            trunks.grad[row] += rows.T @ g
+            g = np.where(active, p - labels, 0.0) * (factor * gout.grad)
+            gtable.add(_scatter_rows(idx, np.outer(g, trunk), n))
+            gtrunks.grad[row] += rows.T @ g
 
         self._records.append(backward)
         return out
@@ -690,11 +743,13 @@ class Tape:
         m = x.max(axis=1, keepdims=True)
         lse = m + np.log(np.exp(x - m).sum(axis=1, keepdims=True))
         out = Tensor((lse[:, 0] - x[rows, labels]).sum())
+        shape = logits.data.shape
+        glogits, gout = logits.sink, out.sink
 
         def backward() -> None:
             soft = np.exp(x - lse)
             soft[rows, labels] -= 1.0
-            logits.add_grad((soft * out.grad).reshape(logits.data.shape))
+            glogits.add((soft * gout.grad).reshape(shape))
 
         self._records.append(backward)
         return out

@@ -135,8 +135,10 @@ def aggregate_report(
 def frozen_entity_matrix(
     graph: HeterogeneousGraph, params: ParameterStore, config: ModelConfig
 ) -> np.ndarray:
-    """Final-layer entity vectors as a plain (n, d) array, no gradients."""
-    return forward_model(Tape(), graph, params, config).data.copy()
+    """Final-layer entity vectors as a plain (n, d) array, no gradients.
+    The array is the forward's own: once the tape is gone nothing else
+    holds it."""
+    return forward_model(Tape(), graph, params, config).data
 
 
 def _sampled_candidates(n_entities: int, k: int, seed: int, query: KnowledgeTriple) -> np.ndarray:

@@ -439,6 +439,25 @@ class LayerTrace:
     entities_out: Tensor
 
 
+def _layer(
+    tape: Tape,
+    graph: HeterogeneousGraph,
+    params: ParameterStore,
+    config: ModelConfig,
+    vecs: Tensor,
+) -> LayerTrace:
+    """One layer's four stages over the (n, d) entity tensor ``vecs``."""
+    if config.no_events:
+        alpha = events = tilde_events = None
+        tilde_entities = vecs
+    else:
+        alpha, events = stage1_entity_to_event(tape, graph, params, vecs, config)
+        tilde_events = stage2_temporal(tape, graph, params, events, config)
+        tilde_entities = stage3_event_to_entity(tape, graph, params, vecs, tilde_events, config)
+    out = stage4_entity_message_pass(tape, graph, params, tilde_entities)
+    return LayerTrace(alpha, events, tilde_events, tilde_entities, out)
+
+
 def forward_model_traced(
     tape: Tape,
     graph: HeterogeneousGraph,
@@ -449,17 +468,8 @@ def forward_model_traced(
     vecs: Tensor = params["entity_embeddings"]
     traces: list[LayerTrace] = []
     for _ in range(config.num_layers):
-        if config.no_events:
-            alpha = events = tilde_events = None
-            tilde_entities = vecs
-        else:
-            alpha, events = stage1_entity_to_event(tape, graph, params, vecs, config)
-            tilde_events = stage2_temporal(tape, graph, params, events, config)
-            tilde_entities = stage3_event_to_entity(
-                tape, graph, params, vecs, tilde_events, config
-            )
-        vecs = stage4_entity_message_pass(tape, graph, params, tilde_entities)
-        traces.append(LayerTrace(alpha, events, tilde_events, tilde_entities, vecs))
+        traces.append(_layer(tape, graph, params, config, vecs))
+        vecs = traces[-1].entities_out
     return vecs, traces
 
 
@@ -469,4 +479,10 @@ def forward_model(
     params: ParameterStore,
     config: ModelConfig,
 ) -> Tensor:
-    return forward_model_traced(tape, graph, params, config)[0]
+    """All layers, returning the final (n, d) entity tensor.  No layer's
+    tensors outlive the layer, so the tape's records hold only what their
+    backward reads."""
+    vecs: Tensor = params["entity_embeddings"]
+    for _ in range(config.num_layers):
+        vecs = _layer(tape, graph, params, config, vecs).entities_out
+    return vecs

@@ -6,6 +6,7 @@ import math
 import pathlib
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -801,6 +802,63 @@ def test_reshape_round_trips_values_and_gradients():
     assert np.array_equal(x.grad, np.arange(6.0) + 1.0)
     with pytest.raises(ValueError):
         Tape().reshape(x, (4, 2))
+
+
+# -- a record keeps only the arrays its backward reads ------------------------
+
+
+def _unread_leaves() -> dict[str, Tensor]:
+    rng = np.random.default_rng(21)
+    shapes = {"a": (6, 4), "b": (6, 4), "rows": (2, 4), "w": (3, 4), "table": (3, 4),
+              "logits": (6,), "weights": (6,), "images": (2, 5, 5), "filters": (3, 3, 3)}
+    return {name: Tensor(rng.normal(size=shape)) for name, shape in shapes.items()}
+
+
+SEGMENTS = [0, 0, 1, 1, 1, 2]
+# op -> (the leaf it runs on, which of its arrays its backward does not
+# read, the call).  An unread input is a fresh recorded copy of the leaf.
+UNREAD = {
+    "add": ("a", "input", lambda tape, x, p: tape.add(x, p["b"])),
+    "add_n": ("a", "input", lambda tape, x, p: tape.add_n([x, p["b"], p["a"]])),
+    "relu": ("a", "input", lambda tape, x, p: tape.relu(x)),
+    "leaky_relu": ("a", "input", lambda tape, x, p: tape.leaky_relu(x, 0.2)),
+    "reshape": ("a", "input", lambda tape, x, p: tape.reshape(x, (4, 6))),
+    "gather_rows": ("a", "input", lambda tape, x, p: tape.gather_rows(x, [0, 2, 2, 5])),
+    "concat_cols": ("a", "input", lambda tape, x, p: tape.concat_cols(x, p["b"])),
+    "add_rows": ("a", "input", lambda tape, x, p: tape.add_rows(x, [1, 4], p["rows"], 0.5)),
+    "pool_mean": ("a", "input", lambda tape, x, p: tape.pool_mean(x, [5, 4, 3, 2, 1, 0], SEGMENTS, 3)),
+    "segment_softmax": ("logits", "input", lambda tape, x, p: tape.segment_softmax(x, SEGMENTS, 3)),
+    "rows_affine": ("a", "output", lambda tape, x, p: tape.rows_affine(x, p["w"])),
+    "pool_sum": ("a", "output",
+                 lambda tape, x, p: tape.pool_sum(x, [5, 4, 3, 2, 1, 0], p["weights"], SEGMENTS, 3)),
+    "circ_corr_sum": ("a", "output", lambda tape, x, p: tape.circ_corr_sum(
+        x, p["table"], [0, 3, 5, 1], [0, 0, 2, 1], [1, 0, 1, 2], 3)),
+    "conv2d": ("images", "output", lambda tape, x, p: tape.conv2d(x, p["filters"])),
+}
+
+
+@pytest.mark.parametrize("op", sorted(UNREAD))
+def test_a_record_frees_the_values_its_backward_does_not_read(op):
+    leaf, unread_part, call = UNREAD[op]
+
+    def leaf_grads(drop: bool) -> list[bytes]:
+        leaves = _unread_leaves()
+        tape = Tape()
+        x = leaves[leaf]
+        if unread_part == "input":
+            x = tape.add(x, Tensor(np.zeros(x.shape)))
+        out = call(tape, x, leaves)
+        unread = x if unread_part == "input" else out
+        out.grad = np.random.default_rng(5).normal(size=out.shape)
+        if drop:
+            values = weakref.ref(unread.data)
+            del x, out, unread
+            assert values() is None, f"a {op} record keeps values its backward does not read"
+        # out's gradient is seeded by hand: the loss is not on the tape
+        tape.backward(Tensor(0.0))
+        return [tensor.grad.tobytes() for tensor in leaves.values()]
+
+    assert leaf_grads(drop=True) == leaf_grads(drop=False)
 
 
 def test_every_tape_op_has_a_model_caller():
