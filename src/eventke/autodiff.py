@@ -94,10 +94,6 @@ class Tensor:
         if self.sink.buffer is not None:
             self.sink.buffer[...] = 0.0
 
-    def add_grad(self, value: np.ndarray) -> None:
-        """``Sink.add`` on this tensor's gradient."""
-        self.sink.add(value)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
 
@@ -241,29 +237,29 @@ def _chunk_plan(src: np.ndarray, rel: np.ndarray, dst: np.ndarray, width: int) -
     hit = _CHUNK_PLANS.get(key) if readonly else None
     if hit is not None and all(a is b for a, b in zip(hit.indices, (src, rel, dst))):
         return hit
-    bounds = np.append(np.flatnonzero(np.diff(rel, prepend=-1)), rel.size)
-    runs = list(zip(bounds[:-1].tolist(), bounds[1:].tolist(), rel[bounds[:-1]].tolist()))
-    groups: list[list[tuple[int, int, int]]] = [[]]
-    for run in runs:
-        if groups[-1] and (groups[-1][-1][1] - groups[-1][0][0]) * width >= _CHUNK_MIN_CELLS:
-            groups.append([])
-        groups[-1].append(run)
-    if len(groups) == 1:
-        chunks = [_Chunk(runs, src, dst, None, None)]
-    else:
-        chunks = []
-        for group in groups:
-            lo, hi = group[0][0], group[-1][1]
-            # persistent copies: a fresh slice would miss _scatter_rows' cache
-            chunk_src, chunk_dst = src[lo:hi].copy(), dst[lo:hi].copy()
-            chunk_src.flags.writeable = chunk_dst.flags.writeable = not readonly
-            later = bool(chunks)
-            chunks.append(_Chunk(
-                [(a - lo, b - lo, r) for a, b, r in group], chunk_src, chunk_dst,
-                _diagonals(chunk_src, np.bincount(chunk_src)) if later else None,
-                _diagonals(chunk_dst, np.bincount(chunk_dst)) if later else None,
-            ))
-    plan = _ChunkPlan((src, rel, dst), chunks, rel[bounds[:-1]])
+    bounds = np.append(np.flatnonzero(np.diff(rel, prepend=-1)), rel.size).tolist()
+    run_rel = rel[bounds[:-1]]
+    # cuts[c] is the first run of chunk c; the last cut closes the last chunk
+    cuts = [0]
+    for k in range(1, len(bounds) - 1):
+        if (bounds[k] - bounds[cuts[-1]]) * width >= _CHUNK_MIN_CELLS:
+            cuts.append(k)
+    cuts.append(len(bounds) - 1)
+    chunks: list[_Chunk] = []
+    for first, last in zip(cuts[:-1], cuts[1:]):
+        lo, hi = bounds[first], bounds[last]
+        # persistent copies, read-only only if every input is: a fresh
+        # slice would miss _scatter_rows' cache
+        chunk_src, chunk_dst = src[lo:hi].copy(), dst[lo:hi].copy()
+        chunk_src.flags.writeable = chunk_dst.flags.writeable = not readonly
+        later = bool(chunks)
+        chunks.append(_Chunk(
+            [(bounds[k] - lo, bounds[k + 1] - lo, int(run_rel[k])) for k in range(first, last)],
+            chunk_src, chunk_dst,
+            _diagonals(chunk_src, np.bincount(chunk_src)) if later else None,
+            _diagonals(chunk_dst, np.bincount(chunk_dst)) if later else None,
+        ))
+    plan = _ChunkPlan((src, rel, dst), chunks, run_rel)
     if readonly:
         if len(_CHUNK_PLANS) >= _CHUNK_PLANS_MAX:
             _CHUNK_PLANS.pop(next(iter(_CHUNK_PLANS)))
@@ -421,11 +417,10 @@ class Tape:
 
         The edges go in chunks of whole runs (see _chunk_plan), so no array
         grows with the edge count; backward gathers a chunk's rows again
-        instead of keeping them, unless there is one chunk.  The first
-        chunk sums by _scatter_rows and each later one continues every
-        cell's sum along its own diagonals, so the bits do not depend on
-        the chunking.  A run is never split: a row's product bits depend on
-        its gemm batch.
+        instead of keeping them.  The first chunk sums by _scatter_rows and
+        each later one continues every cell's sum along its own diagonals,
+        so the bits do not depend on the chunking.  A run is never split: a
+        row's product bits depend on its gemm batch.
         """
         if x.data.ndim != 2 or table.data.ndim != 2 or x.data.shape[1] != table.data.shape[1]:
             raise ValueError(f"circ_corr_sum shape mismatch: {x.shape} with table {table.shape}")
@@ -446,12 +441,6 @@ class Tape:
                 np.dot(a[lo:hi], circulants[r], out=phi[lo:hi])
             sums = _sum_chunk(sums, chunk.dst, chunk.dst_diagonals, phi, n)
         out = Tensor(sums)
-        # A single chunk keeps its rows and products until backward, as the
-        # separate gather and product records did.  Freeing them at once
-        # left a heap layout in which ranking on the memorization graph gave
-        # its block buffers back to the system and faulted them in again at
-        # every call (glibc), which cost 20% of its queries per second.
-        kept = (a, phi) if len(plan.chunks) == 1 else None
         gx, gtable, gout = x.sink, table.sink, out.sink
 
         def backward() -> None:
@@ -463,7 +452,7 @@ class Tape:
             k = 0
             for chunk in plan.chunks:
                 g = gout.grad[chunk.dst]
-                a = kept[0] if kept is not None else x_data[chunk.src]
+                a = x_data[chunk.src]
                 grad_a = np.empty(g.shape)
                 for lo, hi, r in chunk.runs:
                     np.dot(g[lo:hi], circulants[r], out=grad_a[lo:hi])
@@ -652,8 +641,15 @@ class Tape:
         images (q, H, W), filters (F, k, k) -> (q, F, H - k + 1, W - k + 1).
         Each product is the one np.tensordot forms for the whole batch,
         called directly: the same operands, none of its per-call overhead.
-        An image's outputs are bitwise those of a batch of one; the
-        filter gradient sums over every image's patches in one product.
+        The filter gradient sums over every image's patches in one product.
+
+        An image's outputs can differ in their last bits from those of a
+        batch of one, as the batch size sets the product's width and so its
+        BLAS blocking.  With one OpenBLAS thread, batches of 2, 5, 6, 32 and
+        64 images match their batches of one, but one image of a 63-image
+        batch does not (with two threads all of these match).  So a trunk
+        row's bits depend on its batch size, and ranking keeps its blocks
+        at ``evaluation.EVAL_BLOCK`` queries.
         """
         if images.data.ndim != 3 or filters.data.ndim != 3:
             raise ValueError("conv2d expects images (q, H, W) and filters (F, k, k)")

@@ -423,7 +423,7 @@ def cmd_rank_diff(args: argparse.Namespace) -> int:
                 reports.append(RankingReport.from_json(fh.read()))
         except OSError as exc:
             raise CliError(f"{path}: {exc.strerror}") from None
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise CliError(f"{path}: not a ranking report ({exc})") from None
     rows = rank_diff(reports[0], reports[1])
     print("head\trelation\ttail\trank_a\trank_b\timprovement")

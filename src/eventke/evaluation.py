@@ -30,7 +30,8 @@ logger = logging.getLogger(__name__)
 
 # queries per frozen_trunk call and per (block, n) score matrix in
 # ranking: larger blocks gained the trunk no speed and hold more conv
-# activations and scores at once
+# activations and scores at once.  The size is part of the reports' bits:
+# a trunk row's last bits depend on its batch size (see Tape.conv2d).
 EVAL_BLOCK = 64
 
 

@@ -374,22 +374,22 @@ def stage3_event_to_entity(
     entity_vecs: Tensor,
     tilde_events: Tensor,
     config: ModelConfig,
-    collect_betas: dict[int, np.ndarray] | None = None,
-) -> Tensor:
+) -> tuple[Tensor | None, Tensor]:
     """Attention over the events an entity takes part in, added residually.
 
-    Entities with no incident events pass through bitwise unchanged.
+    Returns (beta, entities): beta holds every incidence row's attention
+    weight in ``IndexPlan.incidence_slot`` order, or is None when the
+    stage is skipped; entities is the (n, d) entity matrix, in which
+    entities with no incident events pass through bitwise unchanged.
     As in stage 1, a logit is one event score plus one entity score and
     each event's message is projected once; incidence rows gather them.
-    ``collect_betas`` maps entity id to its attention weights over its
-    event set, for callers that want to inspect them.
     """
     if config.no_events or config.event_mix == 0.0 or tilde_events.data.shape[0] == 0:
-        return entity_vecs
+        return None, entity_vecs
     plan = index_plan(graph)
     inc_slot, updated = plan.incidence_slot, plan.incidence_updated
     if not updated.size:
-        return entity_vecs
+        return None, entity_vecs
 
     attn = tape.reshape(params["attn_event_to_entity"], (4, -1))
     v = tape.gather_rows(entity_vecs, updated)
@@ -405,10 +405,7 @@ def stage3_event_to_entity(
     )
     messages = tape.rows_affine(tilde_events, params["event_projection"])
     mix = tape.pool_sum(messages, plan.incidence_event, beta, inc_slot, len(updated))
-    if collect_betas is not None:
-        for slot, i in enumerate(updated.tolist()):
-            collect_betas[i] = beta.data[inc_slot == slot]
-    return tape.add_rows(entity_vecs, updated, mix, config.event_mix)
+    return beta, tape.add_rows(entity_vecs, updated, mix, config.event_mix)
 
 
 def stage4_entity_message_pass(
@@ -435,6 +432,7 @@ class LayerTrace:
     alpha: Tensor | None
     events: Tensor | None
     tilde_events: Tensor | None
+    beta: Tensor | None
     tilde_entities: Tensor
     entities_out: Tensor
 
@@ -448,14 +446,16 @@ def _layer(
 ) -> LayerTrace:
     """One layer's four stages over the (n, d) entity tensor ``vecs``."""
     if config.no_events:
-        alpha = events = tilde_events = None
+        alpha = events = tilde_events = beta = None
         tilde_entities = vecs
     else:
         alpha, events = stage1_entity_to_event(tape, graph, params, vecs, config)
         tilde_events = stage2_temporal(tape, graph, params, events, config)
-        tilde_entities = stage3_event_to_entity(tape, graph, params, vecs, tilde_events, config)
+        beta, tilde_entities = stage3_event_to_entity(
+            tape, graph, params, vecs, tilde_events, config
+        )
     out = stage4_entity_message_pass(tape, graph, params, tilde_entities)
-    return LayerTrace(alpha, events, tilde_events, tilde_entities, out)
+    return LayerTrace(alpha, events, tilde_events, beta, tilde_entities, out)
 
 
 def forward_model_traced(

@@ -14,7 +14,6 @@ blocks of queries, bitwise equal; a single pair is the one-row case.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,22 +120,22 @@ def score_against_all(
     return tape.reshape(tape.rows_affine(candidates, row), (-1,))
 
 
-# frozen_trunk's patch columns, conv activations and flattened rows, one
-# set per thread, kept between calls and grown to the largest block.  A
-# block's activations are megabytes; allocated afresh for every block, glibc
-# gave them back to the system whenever they were freed at the top of the
-# heap and faulted them in again on the next block, so a ranking call's
-# speed depended on the heap layout the rest of the process had left.
-_TRUNK_BUFFERS = threading.local()
+# frozen_trunk's patch columns, conv activations and flattened rows, kept
+# between calls and grown to the largest block.  A block's activations are
+# megabytes; allocated afresh for every block, glibc gave them back to the
+# system whenever they were freed at the top of the heap and faulted them in
+# again on the next block, so a ranking call's speed depended on the heap
+# layout the rest of the process had left.  The package starts no threads,
+# so one set serves every call.
+_TRUNK_BUFFERS: dict[str, np.ndarray] = {}
 
 
 def _trunk_buffer(name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """A C-contiguous float64 view of ``shape`` on this thread's buffer ``name``."""
+    """A C-contiguous float64 view of ``shape`` on the buffer ``name``."""
     size = int(np.prod(shape))
-    buffer = getattr(_TRUNK_BUFFERS, name, None)
+    buffer = _TRUNK_BUFFERS.get(name)
     if buffer is None or buffer.size < size:
-        buffer = np.empty(size)
-        setattr(_TRUNK_BUFFERS, name, buffer)
+        buffer = _TRUNK_BUFFERS[name] = np.empty(size)
     return buffer[:size].reshape(shape)
 
 
@@ -146,8 +145,8 @@ def frozen_trunk(
     """(q, d) trunk rows of plain (q, d) arrays, for evaluation: bitwise
     ``conv_trunk`` of the same batch, without a tape.  The products are
     the tape's (Tape.conv2d's patch product, then rows_affine's), with the
-    intermediates written into this thread's reused buffers; the result is
-    a fresh array."""
+    intermediates written into reused buffers; the result is a fresh
+    array."""
     _check_rows(config, s_rows, r_rows)
     q = s_rows.shape[0]
     k, f = config.kernel, config.filters

@@ -877,11 +877,10 @@ def test_every_tape_op_has_a_model_caller():
     assert unused == []
 
 
-def test_every_public_name_has_a_user():
-    """A public name exists because something uses it: each name in the
-    ``__all__`` of autodiff, layers and scoring is used outside its own
-    top-level definition, in eventke, in the acceptance suite or its
-    ``_synth`` helpers, or in perfbench."""
+def _user_statements() -> list[tuple[pathlib.Path, set, set]]:
+    """(file, names it defines, names it uses) of every top-level statement
+    in eventke, the acceptance suite, its ``_synth`` helpers and perfbench;
+    a use is an AST name, attribute or import."""
     root = pathlib.Path(__file__).resolve().parents[1]
     paths = [
         *sorted(pathlib.Path(eventke.__file__).parent.glob("*.py")),
@@ -889,7 +888,6 @@ def test_every_public_name_has_a_user():
         root / "tests" / "_synth.py",
         *sorted((root / "perfbench").glob("*.py")),
     ]
-    # (file, names a top-level statement defines, names it uses)
     statements = []
     for path in paths:
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -900,6 +898,15 @@ def test_every_public_name_has_a_user():
                 for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute, ast.alias))
             }
             statements.append((path.resolve(), defined, used))
+    return statements
+
+
+def test_every_public_name_has_a_user():
+    """A public name exists because something uses it: each name in the
+    ``__all__`` of autodiff, layers and scoring is used outside its own
+    top-level definition, in eventke, in the acceptance suite or its
+    ``_synth`` helpers, or in perfbench."""
+    statements = _user_statements()
     unused = []
     for module in (autodiff, layers, scoring):
         own = pathlib.Path(module.__file__).resolve()
@@ -908,4 +915,17 @@ def test_every_public_name_has_a_user():
             if not any(name in used and not (path == own and name in defined)
                        for path, defined, used in statements)
         ]
+    assert unused == []
+
+
+def test_every_public_tensor_member_has_a_user():
+    """Each public method, property and slot of ``Tensor`` is used, by
+    name, outside the ``Tensor`` class in the files the ``__all__`` guard
+    reads."""
+    own = pathlib.Path(autodiff.__file__).resolve()
+    outside = [used for path, defined, used in _user_statements()
+               if not (path == own and "Tensor" in defined)]
+    members = [name for name in vars(Tensor) if not name.startswith("_")]
+    assert {"data", "grad", "shape"} <= set(members)
+    unused = [name for name in members if not any(name in used for used in outside)]
     assert unused == []

@@ -667,14 +667,17 @@ def test_eval_bad_shuffle_state_is_one_error(bad, trained, tmp_path, capsys):
 # -- rank-diff --------------------------------------------------------------
 
 
-def _report_file(tmp_path, name, ranks):
-    doc = {
+def _report_doc(ranks):
+    return {
         "protocol": "full", "K": None, "seed": None,
         "mr": 1.0, "mrr": 1.0, "hits10": 1.0, "hits20": 1.0,
         "ranks": ranks,
     }
+
+
+def _report_file(tmp_path, name, ranks):
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(_report_doc(ranks)))
     return str(path)
 
 
@@ -699,3 +702,18 @@ def test_rank_diff_missing_file_errors(tmp_path, capsys):
     a = _report_file(tmp_path, "a.json", [[0, 0, 1, 4.0]])
     assert run_cli("rank-diff", a, str(tmp_path / "missing.json")) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "doc", [[1, 2], _report_doc(5), _report_doc([[0, 0, 1, None]])],
+    ids=["top-level-list", "ranks-not-a-list", "null-rank"],
+)
+def test_rank_diff_malformed_report_is_one_error(tmp_path, capsys, doc):
+    """Valid JSON of the wrong shape names the file in one error line."""
+    a = _report_file(tmp_path, "a.json", [[0, 0, 1, 4.0]])
+    b = tmp_path / "b.json"
+    b.write_text(json.dumps(doc))
+    assert run_cli("rank-diff", a, str(b)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {b}: not a ranking report (")
+    assert err.count("\n") == 1

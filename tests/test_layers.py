@@ -98,16 +98,21 @@ def test_attention_vectors_sum_to_one():
     vecs = params["entity_embeddings"]
     alpha, events = stage1_entity_to_event(tape, graph, params, vecs, config)
     tilde = stage2_temporal(tape, graph, params, events, config)
-    betas: dict[int, np.ndarray] = {}
-    stage3_event_to_entity(tape, graph, params, vecs, tilde, config, collect_betas=betas)
+    beta, _ = stage3_event_to_entity(tape, graph, params, vecs, tilde, config)
 
-    per_event = np.bincount(
-        index_plan(graph).arg_event, weights=alpha.data, minlength=len(graph.events)
-    )
+    plan = index_plan(graph)
+    per_event = np.bincount(plan.arg_event, weights=alpha.data, minlength=len(graph.events))
     assert np.max(np.abs(per_event - 1.0)) <= 1e-12
-    assert betas  # the fixture has entities with incident events
-    for b in betas.values():
-        assert abs(b.sum() - 1.0) <= 1e-12
+    assert beta.data.size  # the fixture has entities with incident events
+    per_entity = np.bincount(plan.incidence_slot, weights=beta.data)
+    assert np.max(np.abs(per_entity - 1.0)) <= 1e-12
+
+
+def _betas_by_entity(graph, beta: Tensor) -> dict[int, np.ndarray]:
+    """Stage 3's attention weights by entity id, split by ``incidence_slot``."""
+    plan = index_plan(graph)
+    parts = np.split(beta.data, np.cumsum(np.bincount(plan.incidence_slot))[:-1])
+    return dict(zip(plan.incidence_updated.tolist(), parts))
 
 
 def _leaky(x, slope):
@@ -163,10 +168,8 @@ def test_stage3_matches_per_row_brute_force():
     rng = np.random.default_rng(6)
     vecs = rng.normal(size=(graph.entity_count, d))
     tilde = rng.normal(size=(graph.event_count, 3 * d))
-    betas: dict[int, np.ndarray] = {}
-    out = stage3_event_to_entity(
-        Tape(), graph, params, Tensor(vecs), Tensor(tilde), config, collect_betas=betas
-    )
+    beta, out = stage3_event_to_entity(Tape(), graph, params, Tensor(vecs), Tensor(tilde), config)
+    betas = _betas_by_entity(graph, beta)
 
     attn, proj = params["attn_event_to_entity"].data[0], params["event_projection"].data
     for i, incident in enumerate(graph.entity_events):
@@ -198,7 +201,7 @@ def test_stages_1_and_3_gradient_check():
         tape = Tape()
         vecs = params["entity_embeddings"]
         _, events = stage1_entity_to_event(tape, graph, params, vecs, config)
-        out = stage3_event_to_entity(tape, graph, params, vecs, events, config)
+        _, out = stage3_event_to_entity(tape, graph, params, vecs, events, config)
         row = tape.reshape(out, (1, -1))
         return tape, tape.reshape(tape.rows_affine(row, weights), ())
 
@@ -252,8 +255,9 @@ def test_stage3_eps_zero_is_identity():
     config = ModelConfig(dim=3, event_mix=0.0, seed=2)
     params = init_parameters(graph, config)
     vecs = params["entity_embeddings"]
-    out = stage3_event_to_entity(Tape(), graph, params, vecs, Tensor(np.ones((2, 9))), config)
-    assert out is vecs
+    tilde = Tensor(np.ones((2, 9)))
+    beta, out = stage3_event_to_entity(Tape(), graph, params, vecs, tilde, config)
+    assert beta is None and out is vecs
 
 
 def test_stage3_entity_without_events_unchanged():
@@ -261,7 +265,7 @@ def test_stage3_entity_without_events_unchanged():
     config = ModelConfig(dim=3, seed=2)
     params = init_parameters(graph, config)
     vecs = params["entity_embeddings"]
-    out = stage3_event_to_entity(Tape(), graph, params, vecs, Tensor(np.ones((1, 9))), config)
+    _, out = stage3_event_to_entity(Tape(), graph, params, vecs, Tensor(np.ones((1, 9))), config)
     c = graph.entities.get("c")
     assert np.array_equal(out.data[c], vecs.data[c])
 
@@ -272,7 +276,7 @@ def test_stage3_single_event_formula():
     params = init_parameters(graph, config)
     vecs = params["entity_embeddings"]
     tilde_e = np.arange(9.0)
-    out = stage3_event_to_entity(Tape(), graph, params, vecs, Tensor(tilde_e[None, :]), config)
+    _, out = stage3_event_to_entity(Tape(), graph, params, vecs, Tensor(tilde_e[None, :]), config)
     a = graph.entities.get("a")
     expect = vecs.data[a] + 0.5 * (params["event_projection"].data @ tilde_e)
     assert np.allclose(out.data[a], expect, rtol=0, atol=1e-14)
@@ -378,7 +382,7 @@ def test_forward_matches_manual_composition():
     vecs = params["entity_embeddings"]
     _, events = stage1_entity_to_event(tape2, graph, params, vecs, config)
     tilde_e = stage2_temporal(tape2, graph, params, events, config)
-    tilde_v = stage3_event_to_entity(tape2, graph, params, vecs, tilde_e, config)
+    _, tilde_v = stage3_event_to_entity(tape2, graph, params, vecs, tilde_e, config)
     manual = stage4_entity_message_pass(tape2, graph, params, tilde_v)
 
     assert np.array_equal(v_forward.data, manual.data)
@@ -506,12 +510,10 @@ def test_multi_role_entity_sees_event_once():
     params = init_parameters(graph, config)
     a = graph.entities.get("a")
     assert len(graph.entity_events[a]) == 2  # both argument positions indexed
-    betas: dict[int, np.ndarray] = {}
-    stage3_event_to_entity(
-        Tape(), graph, params, params["entity_embeddings"], Tensor(np.ones((1, 9))),
-        config, collect_betas=betas,
+    beta, _ = stage3_event_to_entity(
+        Tape(), graph, params, params["entity_embeddings"], Tensor(np.ones((1, 9))), config
     )
-    assert np.array_equal(betas[a], [1.0])
+    assert np.array_equal(_betas_by_entity(graph, beta)[a], [1.0])
 
 
 def test_full_model_gradient_check_tiny():
@@ -554,10 +556,13 @@ def test_recording_forward_keeps_no_per_row_matrices():
     config = ModelConfig(dim=8, seed=1)
     params = init_parameters(graph, config)
     plan = index_plan(graph)
-    per_row = {plan.arg_event.size, plan.incidence_event.size, plan.temporal_src.size}
+    per_row = {
+        plan.arg_event.size, plan.incidence_event.size, plan.temporal_src.size,
+        plan.edge_src.size,
+    }
     other_rows = {
         graph.entity_count, graph.event_count, plan.incidence_updated.size,
-        plan.temporal_updated.size, plan.edge_src.size,
+        plan.temporal_updated.size,
         *(tensor.data.shape[0] for tensor in params.tensors()),
     }
     assert not per_row & other_rows

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -118,8 +117,7 @@ def test_frozen_trunk_matches_taped():
 
 def test_frozen_trunk_keeps_its_buffers_between_calls(monkeypatch):
     # fresh buffers, so only the calls below can have made them
-    monkeypatch.setattr(scoring, "_TRUNK_BUFFERS", threading.local())
-    monkeypatch.delenv("EVENTKE_THREADS", raising=False)
+    monkeypatch.setattr(scoring, "_TRUNK_BUFFERS", {})
     config = ConvScorerConfig(rows=2, cols=4, filters=3, kernel=2)
     model = ModelConfig(dim=config.dim, num_layers=1, seed=1)
     lines = dataset_lines(
@@ -129,9 +127,8 @@ def test_frozen_trunk_keeps_its_buffers_between_calls(monkeypatch):
     graph, store = build_model(build_from_lines(*lines), model, config)
 
     def buffers():
-        return [getattr(scoring._TRUNK_BUFFERS, name) for name in ("columns", "conv", "flat")]
+        return [scoring._TRUNK_BUFFERS[name] for name in ("columns", "conv", "flat")]
 
-    # ranking's blocks run on the calling thread, so they use its buffers
     kg_completion_eval(graph, store, model, config, graph.triples, EvalProtocol())
     held = buffers()
     rng = np.random.default_rng(5)
