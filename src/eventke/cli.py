@@ -32,6 +32,7 @@ from .kgdata import (
     ParseError,
     build_graph,
     check_split_ratios,
+    int_rows,
     load_pretrained_vectors,
     parse_events,
     parse_temporal_links,
@@ -402,11 +403,12 @@ def cmd_graph_inspect(args: argparse.Namespace) -> int:
     config = parse_run_config(args.config, args.seed)
     graph = _load_graph(config)
     print(f"{'Entities':<10}{graph.entity_count}")
-    print(f"{'Rels':<10}{len(graph.triples)}")
+    print(f"{'Triples':<10}{len(graph.triples)}")
     print(f"{'Events':<10}{graph.event_count}")
     print(f"{'Args':<10}{graph.argument_link_count}")
-    # stage 4: one product per relation type, one row per edge and self loop
-    degree = np.array([len(neighbors) for neighbors in graph.entity_neighbors])
+    # stage 4: one product per relation type, one row per triple end and self loop
+    ends = int_rows(graph.triples, len(graph.triples), 3)[:, ::2]
+    degree = np.bincount(ends.ravel(), minlength=graph.entity_count)
     print(f"{'RelTypes':<10}{graph.augmented_relation_count}")
     print(f"{'EdgeRows':<10}{degree.sum() + graph.entity_count}")
     print(f"{'MaxInDeg':<10}{degree.max()}")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -98,7 +99,17 @@ class RankingReport:
 
     @classmethod
     def from_json(cls, text: str) -> "RankingReport":
+        """Parse a report: integer ids >= 0, finite ranks >= 1, one rank per query
+        (``eval`` lists a query once per copy of its triple in the split)."""
         doc = json.loads(text)
+        ranks = {}
+        for h, r, t, rank in doc["ranks"]:
+            if not all(type(i) is int and i >= 0 for i in (h, r, t)):
+                raise ValueError(f"query ids must be integers >= 0, got {[h, r, t]}")
+            if type(rank) not in (int, float) or not 1 <= rank <= sys.float_info.max:
+                raise ValueError(f"rank of query {[h, r, t]} must be a finite number >= 1")
+            if ranks.setdefault((h, r, t), float(rank)) != rank:
+                raise ValueError(f"query {[h, r, t]} is listed with two ranks")
         return cls(
             protocol=doc["protocol"],
             k=doc["K"],
@@ -107,7 +118,7 @@ class RankingReport:
             mrr=doc["mrr"],
             hits10=doc["hits10"],
             hits20=doc["hits20"],
-            ranks=[(int(h), int(r), int(t), float(x)) for h, r, t, x in doc["ranks"]],
+            ranks=[(*query, rank) for query, rank in ranks.items()],
         )
 
 

@@ -3,8 +3,8 @@
 File formats are line-oriented: triples and temporal links are TSV,
 events are one JSON object per line, pretrained vectors are whitespace
 separated.  All string identifiers are mapped to dense indices in
-first-appearance order; the built graph is immutable and safe to share
-across threads.
+first-appearance order.  The built graph keeps only the parsed records;
+its adjacency lists are derived from them on each read.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, NamedTuple, TextIO
 
 import numpy as np
@@ -216,12 +217,14 @@ def parse_temporal_links(
 
 @dataclass
 class HeterogeneousGraph:
-    """Indexed entity/event graph with all adjacency needed by the layers.
+    """The parsed vocabularies, triples, events and temporal links.
 
-    ``entity_neighbors[i]`` holds (neighbor, relation) pairs in the
-    augmented relation space: a triple (h, r, t) contributes (t, r) at h
-    and (h, r + |R|) at t.  The global self-loop relation has index 2|R|
-    and is applied implicitly, never stored.
+    The graph stores nothing else: the layers build their index arrays
+    from these records once (``layers.index_plan``), and the adjacency
+    lists below are derived from them on each read, for inspection.
+    Relations are augmented: a triple (h, r, t) gives h the neighbor t
+    under r and t the neighbor h under r + |R|; the global self-loop
+    relation has index 2|R| and is applied implicitly, never stored.
     """
 
     entities: Vocab
@@ -233,9 +236,6 @@ class HeterogeneousGraph:
     triples: list[KnowledgeTriple]
     events: list[EventRecord]
     temporal_links: list[TemporalLink]
-    entity_neighbors: list[list[tuple[int, int]]]
-    event_temporal_neighbors: list[list[int]]
-    entity_events: list[list[tuple[int, int]]]  # (event, position in its arguments)
     # the layers' index plan (layers.index_plan), built from the fields
     # above on first use; the graph is never mutated, so it never goes stale
     plan_cache: object = field(default=None, repr=False, compare=False)
@@ -267,6 +267,38 @@ class HeterogeneousGraph:
     def inverse_relation(self, relation: int) -> int:
         return relation + len(self.relations)
 
+    @property
+    def entity_neighbors(self) -> list[list[tuple[int, int]]]:
+        """Per entity, its (neighbor, augmented relation) pairs in triple order."""
+        out: list[list[tuple[int, int]]] = [[] for _ in range(self.entity_count)]
+        for h, r, t in self.triples:
+            out[h].append((t, r))
+            out[t].append((h, self.inverse_relation(r)))
+        return out
+
+    @property
+    def event_temporal_neighbors(self) -> list[list[int]]:
+        """Per event, its temporally linked events in link order."""
+        out: list[list[int]] = [[] for _ in range(self.event_count)]
+        for a, b in self.temporal_links:
+            out[a].append(b)
+            out[b].append(a)
+        return out
+
+    @property
+    def entity_events(self) -> list[list[tuple[int, int]]]:
+        """Per entity, its (event, position in the event's arguments) pairs."""
+        out: list[list[tuple[int, int]]] = [[] for _ in range(self.entity_count)]
+        for ev in self.events:
+            for k, (entity, _role) in enumerate(ev.arguments):
+                out[entity].append((ev.id, k))
+        return out
+
+
+def int_rows(records: Iterable[tuple[int, ...]], n: int, width: int) -> np.ndarray:
+    """``n`` integer records of ``width`` fields as an (n, width) intp array."""
+    return np.fromiter(chain.from_iterable(records), np.intp, n * width).reshape(n, width)
+
 
 def build_graph(
     triples: list[KnowledgeTriple],
@@ -277,27 +309,6 @@ def build_graph(
 ) -> HeterogeneousGraph:
     if parsed_events is None:
         parsed_events = ParsedEvents([], Vocab(), Vocab(), Vocab(), Vocab())
-    temporal_links = list(temporal_links or [])
-
-    n_entities = len(entities)
-    n_events = len(parsed_events.events)
-    n_relations = len(relations)
-
-    entity_neighbors: list[list[tuple[int, int]]] = [[] for _ in range(n_entities)]
-    for h, r, t in triples:
-        entity_neighbors[h].append((t, r))
-        entity_neighbors[t].append((h, r + n_relations))
-
-    event_temporal_neighbors: list[list[int]] = [[] for _ in range(n_events)]
-    for a, b in temporal_links:
-        event_temporal_neighbors[a].append(b)
-        event_temporal_neighbors[b].append(a)
-
-    entity_events: list[list[tuple[int, int]]] = [[] for _ in range(n_entities)]
-    for ev in parsed_events.events:
-        for k, (entity, _role) in enumerate(ev.arguments):
-            entity_events[entity].append((ev.id, k))
-
     return HeterogeneousGraph(
         entities=entities,
         relations=relations,
@@ -307,10 +318,7 @@ def build_graph(
         roles=parsed_events.roles,
         triples=list(triples),
         events=parsed_events.events,
-        temporal_links=temporal_links,
-        entity_neighbors=entity_neighbors,
-        event_temporal_neighbors=event_temporal_neighbors,
-        entity_events=entity_events,
+        temporal_links=list(temporal_links or []),
     )
 
 

@@ -10,11 +10,14 @@ shared by all layers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .autodiff import ParameterStore, Tape, Tensor
-from .kgdata import EventRecord, HeterogeneousGraph, ParsedEvents, TemporalLink, build_graph
+from .kgdata import (
+    EventRecord, HeterogeneousGraph, ParsedEvents, TemporalLink, build_graph, int_rows,
+)
 
 __all__ = [
     "ModelConfig",
@@ -162,13 +165,7 @@ def randomize_event_structure(graph: HeterogeneousGraph, seed: int) -> Heterogen
     a, b = pairs_at(n_events, rng.choice(n_pairs, size=n_links, replace=False))
     links = [TemporalLink(*pair) for pair in zip(a.tolist(), b.tolist())]
 
-    parsed = ParsedEvents(
-        events=events,
-        event_ids=graph.event_ids,
-        triggers=graph.triggers,
-        event_types=graph.event_types,
-        roles=graph.roles,
-    )
+    parsed = ParsedEvents(events, graph.event_ids, graph.triggers, graph.event_types, graph.roles)
     return build_graph(graph.triples, graph.entities, graph.relations, parsed, links)
 
 
@@ -224,69 +221,50 @@ def _ids(values) -> np.ndarray:
 
 
 def _build_index_plan(graph: HeterogeneousGraph) -> IndexPlan:
-    arg_event, arg_entity, arg_role = [], [], []
-    for j, event in enumerate(graph.events):
-        for entity, role in event.arguments:
-            arg_event.append(j)
-            arg_entity.append(entity)
-            arg_role.append(role)
+    events, n_events, n = graph.events, graph.event_count, graph.entity_count
+    trigger_ids, type_ids, arg_counts = int_rows(
+        ((ev.trigger, ev.event_type, len(ev.arguments)) for ev in events), n_events, 3).T
+    arg_event = np.repeat(np.arange(n_events), arg_counts)
+    args = int_rows(chain.from_iterable(ev.arguments for ev in events), len(arg_event), 2)
+    arg_entity = args[:, 0]
 
-    temporal_src, temporal_slot, temporal_updated = [], [], []
-    for j, neigh in enumerate(graph.event_temporal_neighbors):
-        if not neigh:
-            continue
-        slot = len(temporal_updated)
-        temporal_updated.append(j)
-        for k in neigh:
-            temporal_src.append(k)
-            temporal_slot.append(slot)
+    # a link reaches both its ends; a stable sort by receiver keeps link order
+    links = int_rows(graph.temporal_links, len(graph.temporal_links), 2)
+    by_receiver = np.argsort(links.ravel(), kind="stable")
+    temporal_updated, temporal_slot = np.unique(links.ravel()[by_receiver], return_inverse=True)
 
-    incidence_event, incidence_slot, incidence_updated = [], [], []
-    for i, incident in enumerate(graph.entity_events):
-        if not incident:
-            continue
-        # an entity filling several roles still sees the event once
-        event_set = dict.fromkeys(event_id for event_id, _pos in incident)
-        slot = len(incidence_updated)
-        incidence_updated.append(i)
-        for event_id in event_set:
-            incidence_slot.append(slot)
-            incidence_event.append(event_id)
+    # an entity filling several roles still sees the event once
+    incidence = np.unique(np.column_stack((arg_entity, arg_event)), axis=0)
+    incidence_updated, incidence_slot = np.unique(incidence[:, 0], return_inverse=True)
 
-    edge_src, edge_rel, edge_dst = [], [], []
-    self_rel = graph.self_loop_relation
-    for i, neighbors in enumerate(graph.entity_neighbors):
-        for j, r in neighbors:
-            edge_src.append(j)
-            edge_rel.append(r)
-            edge_dst.append(i)
-        edge_src.append(i)
-        edge_rel.append(self_rel)
-        edge_dst.append(i)
-
-    edge_order = np.lexsort((edge_src, edge_rel))
-
-    trigger_ids = [ev.trigger for ev in graph.events]
-    type_ids = [ev.event_type for ev in graph.events]
+    # rows (src, rel, dst): (t, r, h) and (h, r + |R|, t) per triple, then the
+    # self loops; sorted by (relation, source), ties by destination, row order
+    triples = int_rows(graph.triples, len(graph.triples), 3)
+    nodes = np.arange(n)
+    edges = np.concatenate([
+        np.stack((triples[:, ::-1], triples + [0, graph.relation_count, 0]), axis=1).reshape(-1, 3),
+        np.column_stack((nodes, np.full(n, graph.self_loop_relation), nodes)),
+    ])
+    edge_src, edge_rel, edge_dst = edges[np.lexsort(edges[:, [2, 0, 1]].T)].T
 
     return IndexPlan(
         arg_event=_ids(arg_event),
         arg_entity=_ids(arg_entity),
-        arg_role=_ids(arg_role),
-        arg_trigger=_ids([trigger_ids[j] for j in arg_event]),
-        arg_type=_ids([type_ids[j] for j in arg_event]),
+        arg_role=_ids(args[:, 1]),
+        arg_trigger=_ids(trigger_ids[arg_event]),
+        arg_type=_ids(type_ids[arg_event]),
         arg_slot=_ids(np.searchsorted(incidence_updated, arg_entity)),
         trigger_ids=_ids(trigger_ids),
         type_ids=_ids(type_ids),
-        temporal_src=_ids(temporal_src),
+        temporal_src=_ids(links[:, ::-1].ravel()[by_receiver]),
         temporal_slot=_ids(temporal_slot),
         temporal_updated=_ids(temporal_updated),
-        incidence_event=_ids(incidence_event),
+        incidence_event=_ids(incidence[:, 1]),
         incidence_slot=_ids(incidence_slot),
         incidence_updated=_ids(incidence_updated),
-        edge_src=_ids(np.take(edge_src, edge_order)),
-        edge_rel=_ids(np.take(edge_rel, edge_order)),
-        edge_dst=_ids(np.take(edge_dst, edge_order)),
+        edge_src=_ids(edge_src),
+        edge_rel=_ids(edge_rel),
+        edge_dst=_ids(edge_dst),
     )
 
 

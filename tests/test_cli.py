@@ -24,7 +24,7 @@ def test_graph_inspect_prints_fixture_counts(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out == [
         "Entities  10",
-        "Rels      12",
+        "Triples   12",
         "Events    4",
         "Args      9",
         "RelTypes  7",
@@ -717,3 +717,37 @@ def test_rank_diff_malformed_report_is_one_error(tmp_path, capsys, doc):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {b}: not a ranking report (")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "ranks, reason",
+    [
+        ([[0.7, 0, 1, 2.0]], "query ids must be integers >= 0, got [0.7, 0, 1]"),
+        ([[0, True, 1, 2.0]], "query ids must be integers >= 0, got [0, True, 1]"),
+        ([[0, 0, -1, 2.0]], "query ids must be integers >= 0, got [0, 0, -1]"),
+        ([[0, 0, 1, "nan"]], "rank of query [0, 0, 1] must be a finite number >= 1"),
+        ([[0, 0, 1, float("nan")]], "rank of query [0, 0, 1] must be a finite number >= 1"),
+        ([[0, 0, 1, float("inf")]], "rank of query [0, 0, 1] must be a finite number >= 1"),
+        ([[0, 0, 1, 0.5]], "rank of query [0, 0, 1] must be a finite number >= 1"),
+        ([[0, 0, 1, 10**400]], "rank of query [0, 0, 1] must be a finite number >= 1"),
+        ([[0, 0, 1, 2.0], [0, 0, 1, 3.0]], "query [0, 0, 1] is listed with two ranks"),
+    ],
+    ids=["fractional-id", "boolean-id", "negative-id", "string-rank", "nan-rank",
+         "infinite-rank", "rank-below-1", "rank-beyond-float", "query-with-two-ranks"],
+)
+def test_rank_diff_rejects_bad_rank_entries(tmp_path, capsys, ranks, reason):
+    """Entries that would otherwise be truncated, printed as nan or
+    silently overwritten name the file in one error line."""
+    a = _report_file(tmp_path, "a.json", [[0, 0, 1, 4.0]])
+    b = _report_file(tmp_path, "b.json", ranks)
+    assert run_cli("rank-diff", a, b) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {b}: not a ranking report ({reason})\n"
+
+
+def test_rank_diff_accepts_a_query_repeated_with_its_rank(tmp_path, capsys):
+    """``eval`` lists a repeated triple of the ranked split once per copy."""
+    a = _report_file(tmp_path, "a.json", [[0, 0, 1, 4.0]])
+    b = _report_file(tmp_path, "b.json", [[0, 0, 1, 2.0], [0, 0, 1, 2]])
+    assert run_cli("rank-diff", a, b) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["0\t0\t1\t4.0\t2.0\t2.0"]

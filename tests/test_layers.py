@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import json
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from _synth import build_from_lines, dataset_lines, grad_fixture_graph
+from _synth import build_from_lines, dataset_lines, grad_fixture_graph, memorization_lines
 from eventke.autodiff import Sink, Tape, Tensor, grad_check
 from eventke.layers import (
     ModelConfig,
@@ -620,3 +623,94 @@ def test_recording_forward_holds_only_what_backward_reads():
     cells = [cell.cell_contents for record in tape._records for cell in record.__closure__ or ()]
     assert not [value for value in cells if isinstance(value, Tensor)]
     assert out.data.shape == (graph.entity_count, 32)
+
+
+# -- the index plan against a per-slot, per-edge construction ------------------
+
+
+def _loop_index_plan(graph) -> dict[str, list[int]]:
+    """The 17 index arrays built one argument slot, link end and edge at a
+    time from the graph's adjacency lists."""
+    plan = {name: [] for name in (
+        "arg_event", "arg_entity", "arg_role", "temporal_src", "temporal_slot",
+        "temporal_updated", "incidence_event", "incidence_slot", "incidence_updated")}
+    for j, event in enumerate(graph.events):
+        for entity, role in event.arguments:
+            plan["arg_event"].append(j)
+            plan["arg_entity"].append(entity)
+            plan["arg_role"].append(role)
+    for j, neigh in enumerate(graph.event_temporal_neighbors):
+        if neigh:
+            plan["temporal_src"] += neigh
+            plan["temporal_slot"] += [len(plan["temporal_updated"])] * len(neigh)
+            plan["temporal_updated"].append(j)
+    for i, incident in enumerate(graph.entity_events):
+        if incident:
+            event_set = list(dict.fromkeys(event_id for event_id, _pos in incident))
+            plan["incidence_event"] += event_set
+            plan["incidence_slot"] += [len(plan["incidence_updated"])] * len(event_set)
+            plan["incidence_updated"].append(i)
+    edges = []
+    for i, neighbors in enumerate(graph.entity_neighbors):
+        edges += [(j, r, i) for j, r in neighbors] + [(i, graph.self_loop_relation, i)]
+    edges.sort(key=lambda edge: edge[1::-1])  # stable: (relation, source), then edge order
+    plan["edge_src"], plan["edge_rel"], plan["edge_dst"] = (list(col) for col in zip(*edges))
+    plan["trigger_ids"] = [ev.trigger for ev in graph.events]
+    plan["type_ids"] = [ev.event_type for ev in graph.events]
+    plan["arg_trigger"] = [plan["trigger_ids"][j] for j in plan["arg_event"]]
+    plan["arg_type"] = [plan["type_ids"][j] for j in plan["arg_event"]]
+    plan["arg_slot"] = [plan["incidence_updated"].index(i) for i in plan["arg_entity"]]
+    return plan
+
+
+def _assert_plan_matches_loops(graph) -> None:
+    plan, expected = index_plan(graph), _loop_index_plan(graph)
+    names = [f.name for f in dataclasses.fields(plan)]
+    assert sorted(names) == sorted(expected)
+    for name in names:
+        ids = getattr(plan, name)
+        assert ids.dtype == np.intp and ids.ndim == 1, name
+        assert not ids.flags.writeable, name
+        assert ids.tolist() == expected[name], name
+
+
+def _toy_lines() -> list[list[str]]:
+    toy = os.path.join(os.path.dirname(__file__), "fixtures", "toy")
+    lines = []
+    for name in ("triples.tsv", "events.jsonl", "temporal.tsv"):
+        with open(os.path.join(toy, name), encoding="utf-8") as fh:
+            lines.append(fh.read().splitlines())
+    return lines
+
+
+@pytest.mark.parametrize("graph_of", [
+    lambda: build_from_lines(*_toy_lines()),
+    lambda: build_from_lines(*memorization_lines(seed=7)),
+    lambda: build_from_lines(*dataset_lines(300, 8, 3000, 240, 2, 5, 240, seed=4)),
+    lambda: randomize_event_structure(build_from_lines(*dataset_lines(60, 4, 150, 30, 2, 5, 40, seed=8)), 3),
+], ids=["toy", "memorization", "dataset_lines", "random_events"])
+def test_index_plan_matches_per_slot_loops(graph_of):
+    _assert_plan_matches_loops(graph_of())
+
+
+@st.composite
+def _small_graph_lines(draw):
+    """Self loops, repeated triples, entities only in events (x*), one
+    entity in two roles of one event, unlinked events, or no events."""
+    entity = st.integers(0, draw(st.integers(1, 5))).map(lambda i: f"e{i}")
+    triples = draw(st.lists(st.tuples(entity, st.sampled_from("rs"), entity), min_size=1, max_size=12))
+    slot = st.tuples(st.one_of(entity, st.sampled_from(["x0", "x1"])), st.sampled_from("ab"))
+    events = draw(st.lists(st.lists(slot, min_size=1, max_size=4), max_size=5))
+    event_no = st.integers(0, max(len(events) - 1, 0))
+    links = draw(st.lists(st.tuples(event_no, event_no), max_size=6))
+    return (
+        [f"{h}\t{r}\t{t}" for h, r, t in triples],
+        [_event(f"v{j}", args, trigger=f"t{j % 2}", etype=f"T{j % 3}") for j, args in enumerate(events)],
+        [f"v{a}\tv{b}" for a, b in links if a != b],
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_small_graph_lines())
+def test_index_plan_matches_per_slot_loops_on_small_graphs(lines):
+    _assert_plan_matches_loops(build_from_lines(*lines))
