@@ -22,6 +22,7 @@ __all__ = [
     "Tensor",
     "Tape",
     "ParameterStore",
+    "conv_trunk_rows",
     "grad_check",
 ]
 
@@ -312,6 +313,57 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+# The trunk's patch columns, conv pre-activations and (ranking's) flat
+# rows, kept between calls of up to 64 rows and grown to the largest:
+# allocated afresh for every ranking block, glibc gave these megabytes back
+# to the system and faulted them in again on the next block.  A larger
+# batch (evaluate_loss runs every validation group at once) computes in
+# fresh arrays.  The package starts no threads, so one set serves all.
+_TRUNK_BUFFERS: dict[str, np.ndarray] = {}
+_TRUNK_BUFFER_ROWS = 64
+
+
+def _trunk_buffer(name: str, shape: tuple[int, ...], fresh: bool) -> np.ndarray:
+    """A fresh C-contiguous float64 array of ``shape``, or a view on the kept buffer ``name``."""
+    if fresh:
+        return np.empty(shape)
+    size = int(np.prod(shape))
+    buffer = _TRUNK_BUFFERS.get(name)
+    if buffer is None or buffer.size < size:
+        buffer = _TRUNK_BUFFERS[name] = np.empty(size)
+    return buffer[:size].reshape(shape)
+
+
+def conv_trunk_rows(s: np.ndarray, r: np.ndarray, filters: np.ndarray, projection: np.ndarray,
+                    rows: int, keep: bool = False) -> tuple[np.ndarray, tuple | None]:
+    """Tape.conv_trunk's (q, p) values, a fresh array, and with ``keep`` what
+    its backward reads: the images, the conv ReLU mask (F, q, oh * ow), the
+    flattened rows (in no kept buffer) and the projection's ReLU mask."""
+    if s.ndim != 2 or s.shape != r.shape:
+        raise ValueError(f"conv_trunk expects matching (q, d) rows, got {s.shape} and {r.shape}")
+    (q, d), (f, k, kw) = s.shape, filters.shape
+    h, w = 2 * rows, d // rows
+    oh, ow = h - k + 1, w - k + 1
+    if d % rows:
+        raise ValueError(f"conv_trunk cannot fold rows of {d} into {rows} rows")
+    if k != kw or oh < 1 or ow < 1:
+        raise ValueError(f"conv_trunk needs a square kernel that fits the {h}x{w} image, got {k}x{kw}")
+    fresh = q > _TRUNK_BUFFER_ROWS
+    images = np.concatenate((s, r), axis=1).reshape(q, h, w)
+    # patches[n, y, x] is the k x k window at (y, x) of image n
+    patches = np.lib.stride_tricks.sliding_window_view(images, (k, k), axis=(1, 2))
+    columns = _trunk_buffer("columns", (k, k, q, oh, ow), fresh)
+    columns[...] = patches.transpose(3, 4, 0, 1, 2)
+    conv = _trunk_buffer("conv", (f, q * oh * ow), fresh)
+    np.dot(filters.reshape(f, k * k), columns.reshape(k * k, q * oh * ow), out=conv)
+    flat = _trunk_buffer("flat", (q, f, oh, ow), fresh or keep)
+    np.maximum(conv.reshape(f, q, oh, ow), 0.0, out=flat.transpose(1, 0, 2, 3))
+    flat = flat.reshape(q, f * oh * ow)
+    trunk = flat @ projection.T
+    kept = (images, conv.reshape(f, q, oh * ow) >= 0.0, flat, trunk >= 0.0) if keep else None
+    return np.maximum(trunk, 0.0, out=trunk), kept
 
 
 class Tape:
@@ -621,7 +673,7 @@ class Tape:
         self._records.append(backward)
         return out
 
-    # -- reshaping and convolution --------------------------------------
+    # -- reshaping and the convolutional trunk --------------------------
 
     def reshape(self, x: Tensor, shape: tuple[int, ...]) -> Tensor:
         """The same values in another shape (numpy rules; one -1 allowed)."""
@@ -635,53 +687,44 @@ class Tape:
         self._records.append(backward)
         return out
 
-    def conv2d(self, images: Tensor, filters: Tensor) -> Tensor:
-        """Valid cross-correlation, stride 1, of each image in a batch.
+    def conv_trunk(self, s: Tensor, r: Tensor, filters: Tensor, projection: Tensor,
+                   rows: int) -> Tensor:
+        """ConvE's trunk in one record: ReLU(flat @ projection.T), (q, p), where
+        flat[i] flattens ReLU(conv) of image i, row i of ``s`` (q, d) folded
+        into ``rows`` rows above row i of ``r`` folded alike, and ``filters``
+        (F, k, k) cross-correlate, valid, stride 1 (see conv_trunk_rows).
 
-        images (q, H, W), filters (F, k, k) -> (q, F, H - k + 1, W - k + 1).
-        Each product is the one np.tensordot forms for the whole batch,
-        called directly: the same operands, none of its per-call overhead.
-        The filter gradient sums over every image's patches in one product.
-
-        An image's outputs can differ in their last bits from those of a
-        batch of one, as the batch size sets the product's width and so its
-        BLAS blocking.  With one OpenBLAS thread, batches of 2, 5, 6, 32 and
-        64 images match their batches of one, but one image of a 63-image
-        batch does not (with two threads all of these match).  So a trunk
-        row's bits depend on its batch size, and ranking keeps its blocks
-        at ``evaluation.EVAL_BLOCK`` queries.
+        A row's last bits depend on its batch size, so ranking keeps its
+        blocks at ``evaluation.EVAL_BLOCK`` queries.  The batch sets the patch
+        product's width and so its BLAS blocking: with one OpenBLAS thread,
+        batches of 2, 5, 6, 32 and 64 images match their batches of one, but
+        one image of a 63-image batch does not (with two threads all match).
+        A one-row projection matched no row of a larger batch (d = 64).
         """
-        if images.data.ndim != 3 or filters.data.ndim != 3:
-            raise ValueError("conv2d expects images (q, H, W) and filters (F, k, k)")
-        q, h, w = images.data.shape
-        f, kh, kw = filters.data.shape
-        if kh != kw:
-            raise ValueError("conv2d kernels must be square")
-        if kh > h or kw > w:
-            raise ValueError(f"kernel {kh}x{kw} does not fit image {h}x{w}")
-        oh, ow = h - kh + 1, w - kw + 1
-        # patches[n, y, x] is the k x k window at (y, x) of image n
-        patches = np.lib.stride_tricks.sliding_window_view(images.data, (kh, kw), axis=(1, 2))
-        flat_filters = filters.data.reshape(f, kh * kw)
-        columns = patches.transpose(3, 4, 0, 1, 2).reshape(kh * kw, q * oh * ow)
-        out = Tensor(
-            np.dot(flat_filters, columns).reshape(f, q, oh, ow).transpose(1, 0, 2, 3)
-        )
-        filters_data = filters.data
-        gimages, gfilters, gout = images.sink, filters.sink, out.sink
+        data, (images, conv_mask, flat, projected_mask) = conv_trunk_rows(
+            s.data, r.data, filters.data, projection.data, rows, keep=True)
+        out = Tensor(data)
+        filters_data, projection_data = filters.data, projection.data
+        gs, gr, gfilters, gprojection, gout = s.sink, r.sink, filters.sink, projection.sink, out.sink
 
         def backward() -> None:
-            g = gout.grad.transpose(1, 0, 2, 3).reshape(f, q * oh * ow)
-            # a C-contiguous (q*oh*ow, k*k) patch matrix: a transposed view
-            # of ``columns`` would send np.dot down another summation order
-            rows = patches.reshape(q * oh * ow, kh * kw)
-            gfilters.add(np.dot(g, rows).reshape(f, kh, kw))
-            grad = gimages.grad
-            for i in range(kh):
-                for j in range(kw):
-                    grad[:, i : i + oh, j : j + ow] += np.dot(
-                        filters_data[:, i, j].reshape(1, f), g
-                    ).reshape(q, oh, ow)
+            (q, h, w), (f, k, _) = images.shape, filters_data.shape
+            oh, ow = h - k + 1, w - k + 1
+            g = np.where(projected_mask, gout.grad, 0.0)
+            gprojection.add(g.T @ flat)
+            g = (g @ projection_data).reshape(q, f, oh * ow).transpose(1, 0, 2)
+            g = np.where(conv_mask, g, 0.0).reshape(f, q * oh * ow)  # C-contiguous
+            # a C-contiguous (q*oh*ow, k*k) patch matrix: a transposed view of
+            # the columns would send np.dot down another summation order
+            patches = np.lib.stride_tricks.sliding_window_view(images, (k, k), axis=(1, 2))
+            gfilters.add(np.dot(g, patches.reshape(q * oh * ow, k * k)).reshape(f, k, k))
+            grad = np.zeros((q, h, w))
+            for i, j in np.ndindex(k, k):
+                grad[:, i : i + oh, j : j + ow] += np.dot(
+                    filters_data[:, i, j].reshape(1, f), g).reshape(q, oh, ow)
+            grad = grad.reshape(q, 2, -1)  # the s half of each image above its r half
+            gs.grad += grad[:, 0]
+            gr.grad += grad[:, 1]
 
         self._records.append(backward)
         return out

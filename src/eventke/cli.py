@@ -34,6 +34,7 @@ from .kgdata import (
     check_split_ratios,
     int_rows,
     load_pretrained_vectors,
+    parse_entity_labels,
     parse_events,
     parse_temporal_links,
     parse_triples,
@@ -314,21 +315,8 @@ def _entity_label_splits(
 ) -> tuple[dict[str, list], int] | None:
     if config.entity_labels is None:
         return None
-    lines = _parse_file(config.entity_labels, list)
-    classes: dict[str, int] = {}
-    examples = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise CliError(f"{config.entity_labels}: line {lineno}: expected entity and label")
-        name, label = parts
-        if name not in graph.entities:
-            raise CliError(f"{config.entity_labels}: line {lineno}: unknown entity {name!r}")
-        label_id = classes.setdefault(label, len(classes))
-        examples.append(((graph.entities.get(name),), label_id))
+    labelled, classes = _parse_file(config.entity_labels, parse_entity_labels, graph.entities)
+    examples = [((entity,), label) for entity, label in labelled]
     if len(examples) < 3:
         raise CliError(f"{config.entity_labels}: need at least 3 labeled entities")
     order = np.random.default_rng(config.protocol.seed).permutation(len(examples))
@@ -362,6 +350,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     }[config.eval_split]
     if not target:
         raise CliError(f"eval split {config.eval_split!r} contains no triples")
+    # read before the ranking, so a bad labels file costs no work
+    entity_task = _entity_label_splits(graph, config) if config.classify else None
 
     used, store = build_model(graph, checkpoint.model_config, checkpoint.scorer_config)
     checkpoint.restore_into(store)
@@ -382,7 +372,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     print(f"{report.mrr:<9.4f}{report.mr:<9.4f}{report.hits10:<9.4f}{report.hits20:<9.4f}")
     if config.classify:
         head_config = HeadConfig(fine_tune=config.fine_tune, seed=config.protocol.seed)
-        entity_task = _entity_label_splits(graph, config)
         if entity_task is not None:
             splits, n_classes = entity_task
             ents = train_head_on_model(

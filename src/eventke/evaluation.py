@@ -29,10 +29,10 @@ from .trainer import EarlyStopper, TrainConfig, adam_step
 
 logger = logging.getLogger(__name__)
 
-# queries per frozen_trunk call and per (block, n) score matrix in
-# ranking: larger blocks gained the trunk no speed and hold more conv
+# queries per frozen_trunk call and per (block, n) score matrix: larger
+# blocks gained the trunk no speed, outgrow its kept buffers and hold more
 # activations and scores at once.  The size is part of the reports' bits:
-# a trunk row's last bits depend on its batch size (see Tape.conv2d).
+# a trunk row's last bits depend on its batch size (see Tape.conv_trunk).
 EVAL_BLOCK = 64
 
 

@@ -13,7 +13,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, NamedTuple, TextIO
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -94,14 +94,19 @@ class Splits:
     test: list[int]
 
 
-def _tsv_fields(line: str, n: int, lineno: int) -> list[str]:
-    """The n tab-separated fields of a line, none of them empty."""
-    fields = line.split("\t")
-    if len(fields) != n:
-        raise ParseError(f"line {lineno}: expected {n} tab-separated fields, got {len(fields)}")
-    if "" in fields:
-        raise ParseError(f"line {lineno}: empty field {fields.index('') + 1}")
-    return fields
+def _tsv_fields(source: Iterable[str], n: int) -> Iterator[tuple[int, list[str]]]:
+    """(line number, its n tab-separated fields, none of them empty) of
+    each non-empty line."""
+    for lineno, raw in enumerate(source, start=1):
+        line = raw.rstrip("\n")
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != n:
+            raise ParseError(f"line {lineno}: expected {n} tab-separated fields, got {len(fields)}")
+        if "" in fields:
+            raise ParseError(f"line {lineno}: empty field {fields.index('') + 1}")
+        yield lineno, fields
 
 
 def parse_triples(source: TextIO | Iterable[str]) -> tuple[list[KnowledgeTriple], Vocab, Vocab]:
@@ -109,11 +114,7 @@ def parse_triples(source: TextIO | Iterable[str]) -> tuple[list[KnowledgeTriple]
     entities = Vocab()
     relations = Vocab()
     triples: list[KnowledgeTriple] = []
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        head, rel, tail = _tsv_fields(line, 3, lineno)
+    for _, (head, rel, tail) in _tsv_fields(source, 3):
         triples.append(
             KnowledgeTriple(entities.add(head), relations.add(rel), entities.add(tail))
         )
@@ -195,11 +196,7 @@ def parse_temporal_links(
     """Read 2-column TSV lines; undirected dedup, first-seen direction kept."""
     links: list[TemporalLink] = []
     seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        fields = _tsv_fields(line, 2, lineno)
+    for lineno, fields in _tsv_fields(source, 2):
         for name in fields:
             if name not in event_ids:
                 raise ParseError(f"line {lineno}: unknown event id {name!r}")
@@ -213,6 +210,20 @@ def parse_temporal_links(
         seen.add(key)
         links.append(TemporalLink(a, b))
     return links
+
+
+def parse_entity_labels(source: TextIO | Iterable[str], entities: Vocab) -> tuple[list, Vocab]:
+    """Read 2-column TSV (entity, label) lines into (entity id, class id)
+    pairs in file order, and the label vocabulary; an entity is labelled once."""
+    labels = Vocab()
+    pairs: dict[int, int] = {}
+    for lineno, (name, label) in _tsv_fields(source, 2):
+        if name not in entities:
+            raise ParseError(f"line {lineno}: unknown entity {name!r}")
+        if entities.get(name) in pairs:
+            raise ParseError(f"line {lineno}: entity {name!r} is labelled twice")
+        pairs[entities.get(name)] = labels.add(label)
+    return list(pairs.items()), labels
 
 
 @dataclass

@@ -5,11 +5,10 @@ to 2-D, stacking them, convolving, projecting back to d, and taking a
 dot product with the tail embedding.  The trunk (everything before the
 dot) depends only on (head, relation) and is shared across candidates.
 
-``conv_trunk`` is the one implementation of the trunk, over a batch of
-(head, relation) rows, as ConvE scores its queries.  Training runs it once
-per step over the step's query groups and hands each group its row;
-ranking runs the same arithmetic without a tape (``frozen_trunk``) over
-blocks of queries, bitwise equal; a single pair is the one-row case.
+``conv_trunk`` computes the trunks of a batch of (head, relation) rows in
+one ``Tape.conv_trunk`` record.  Training runs it once per step over the
+step's query groups; ranking runs ``frozen_trunk``, the same arithmetic
+with no record, over blocks of queries; a single pair is a batch of one.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ParameterStore, Tape, Tensor
+from .autodiff import ParameterStore, Tape, Tensor, conv_trunk_rows
 from .kgdata import KnowledgeTriple
 
 __all__ = [
@@ -45,12 +44,6 @@ class ConvScorerConfig:
     def dim(self) -> int:
         return self.rows * self.cols
 
-    @property
-    def flat_width(self) -> int:
-        oh = 2 * self.rows - self.kernel + 1
-        ow = self.cols - self.kernel + 1
-        return self.filters * oh * ow
-
     def __post_init__(self) -> None:
         for name in ("rows", "cols", "filters", "kernel"):
             if getattr(self, name) < 1:
@@ -67,7 +60,7 @@ def add_scorer_parameters(store: ParameterStore, config: ConvScorerConfig, seed:
     k, f = config.kernel, config.filters
     limit = np.sqrt(6.0 / (k * k + f))
     store.add("conv_filters", rng.uniform(-limit, limit, size=(f, k, k)))
-    fan_in = config.flat_width
+    fan_in = f * (2 * config.rows - k + 1) * (config.cols - k + 1)  # the flattened conv maps
     limit = np.sqrt(6.0 / (fan_in + config.dim))
     store.add("conv_projection", rng.uniform(-limit, limit, size=(config.dim, fan_in)))
 
@@ -85,11 +78,7 @@ def conv_trunk(
     """(q, d) trunk rows ReLU(project(flatten(ReLU(conv(stack(reshape s, reshape r))))))
     of (q, d) head rows ``s`` and relation rows ``r``."""
     _check_rows(config, s.data, r.data)
-    q = s.data.shape[0]
-    images = tape.reshape(tape.concat_cols(s, r), (q, 2 * config.rows, config.cols))
-    conv = tape.relu(tape.conv2d(images, params["conv_filters"]))
-    flat = tape.reshape(conv, (q, config.flat_width))
-    return tape.relu(tape.rows_affine(flat, params["conv_projection"]))
+    return tape.conv_trunk(s, r, params["conv_filters"], params["conv_projection"], config.rows)
 
 
 def query_trunks(
@@ -120,48 +109,14 @@ def score_against_all(
     return tape.reshape(tape.rows_affine(candidates, row), (-1,))
 
 
-# frozen_trunk's patch columns, conv activations and flattened rows, kept
-# between calls and grown to the largest block.  A block's activations are
-# megabytes; allocated afresh for every block, glibc gave them back to the
-# system whenever they were freed at the top of the heap and faulted them in
-# again on the next block, so a ranking call's speed depended on the heap
-# layout the rest of the process had left.  The package starts no threads,
-# so one set serves every call.
-_TRUNK_BUFFERS: dict[str, np.ndarray] = {}
-
-
-def _trunk_buffer(name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """A C-contiguous float64 view of ``shape`` on the buffer ``name``."""
-    size = int(np.prod(shape))
-    buffer = _TRUNK_BUFFERS.get(name)
-    if buffer is None or buffer.size < size:
-        buffer = _TRUNK_BUFFERS[name] = np.empty(size)
-    return buffer[:size].reshape(shape)
-
-
 def frozen_trunk(
     params: ParameterStore, config: ConvScorerConfig, s_rows: np.ndarray, r_rows: np.ndarray
 ) -> np.ndarray:
-    """(q, d) trunk rows of plain (q, d) arrays, for evaluation: bitwise
-    ``conv_trunk`` of the same batch, without a tape.  The products are
-    the tape's (Tape.conv2d's patch product, then rows_affine's), with the
-    intermediates written into reused buffers; the result is a fresh
-    array."""
+    """``conv_trunk``'s (q, d) rows of plain (q, d) arrays, for evaluation:
+    the same arithmetic without a tape, in a fresh array."""
     _check_rows(config, s_rows, r_rows)
-    q = s_rows.shape[0]
-    k, f = config.kernel, config.filters
-    oh, ow = 2 * config.rows - k + 1, config.cols - k + 1
-    images = np.concatenate((s_rows, r_rows), axis=1).reshape(q, 2 * config.rows, config.cols)
-    patches = np.lib.stride_tricks.sliding_window_view(images, (k, k), axis=(1, 2))
-    columns = _trunk_buffer("columns", (k, k, q, oh, ow))
-    columns[...] = patches.transpose(3, 4, 0, 1, 2)
-    conv = _trunk_buffer("conv", (f, q * oh * ow))
-    np.dot(params["conv_filters"].data.reshape(f, k * k), columns.reshape(k * k, q * oh * ow), out=conv)
-    np.maximum(conv, 0.0, out=conv)
-    flat = _trunk_buffer("flat", (q, f, oh, ow))
-    flat[...] = conv.reshape(f, q, oh, ow).transpose(1, 0, 2, 3)
-    trunk = flat.reshape(q, config.flat_width) @ params["conv_projection"].data.T
-    return np.maximum(trunk, 0.0, out=trunk)
+    filters, projection = params["conv_filters"].data, params["conv_projection"].data
+    return conv_trunk_rows(s_rows, r_rows, filters, projection, config.rows)[0]
 
 
 def known_tails_from_triples(triples: list[KnowledgeTriple]) -> dict[tuple[int, int], set[int]]:

@@ -78,29 +78,44 @@ def test_circ_corr_matches_double_loop():
         assert np.max(np.abs(out.data - expect)) <= 1e-12
 
 
-def test_conv2d_worked_example():
-    # 2x2 image, single 2x2 kernel picking the main diagonal -> [[5]]
-    img = Tensor([[[1.0, 2.0], [3.0, 4.0]]])
-    filt = Tensor([[[1.0, 0.0], [0.0, 1.0]]])
-    out = Tape().conv2d(img, filt)
-    assert out.data.shape == (1, 1, 1, 1)
-    assert out.data[0, 0, 0, 0] == 5.0
+def test_conv_trunk_worked_example():
+    # s and r stack into the 2x2 image [[1, 2], [3, 4]]; one 2x2 kernel
+    # picking the main diagonal gives 5, a 1x1 projection keeps it
+    out = Tape().conv_trunk(
+        Tensor([[1.0, 2.0]]), Tensor([[3.0, 4.0]]), Tensor([[[1.0, 0.0], [0.0, 1.0]]]),
+        Tensor([[1.0]]), 1,
+    )
+    assert out.data.shape == (1, 1)
+    assert out.data[0, 0] == 5.0
 
 
-def test_conv2d_is_cross_correlation_not_flipped():
-    img = Tensor([[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
-    filt = Tensor([[[1.0, 2.0], [3.0, 4.0]]])
-    out = Tape().conv2d(img, filt)
+def test_conv_trunk_is_cross_correlation_not_flipped():
+    # a 4x3 image with a single 1 at its top-left corner; an identity
+    # projection reads back the 3x2 conv map
+    s = Tensor([[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+    out = Tape().conv_trunk(
+        s, Tensor(np.zeros((1, 6))), Tensor([[[1.0, 2.0], [3.0, 4.0]]]), Tensor(np.eye(6)), 2)
     # top-left output aligns kernel[0,0] with image[0,0]
-    assert out.data[0, 0, 0, 0] == 1.0
-    assert out.data[0, 0, 0, 1] == 0.0
+    assert out.data[0, 0] == 1.0
+    assert out.data[0, 1] == 0.0
 
 
-def test_conv2d_kernel_must_fit():
-    with pytest.raises(ValueError):
-        Tape().conv2d(Tensor(np.zeros((1, 2, 2))), Tensor(np.zeros((1, 3, 3))))
-    with pytest.raises(ValueError):
-        Tape().conv2d(Tensor(np.zeros((3, 3))), Tensor(np.zeros((1, 2, 2))))
+def test_conv_trunk_rejects_bad_shapes():
+    def trunk(s_shape, r_shape, filters_shape, rows, width=1):
+        Tape().conv_trunk(Tensor(np.zeros(s_shape)), Tensor(np.zeros(r_shape)),
+                          Tensor(np.zeros(filters_shape)), Tensor(np.zeros((2, width))), rows)
+
+    trunk((1, 4), (1, 4), (1, 2, 2), 2, width=3)  # a 4x2 image, a 3x1 conv map
+    with pytest.raises(ValueError, match="square kernel that fits the 4x2 image, got 3x3"):
+        trunk((1, 4), (1, 4), (1, 3, 3), 2)
+    with pytest.raises(ValueError, match="square kernel that fits the 4x2 image, got 2x1"):
+        trunk((1, 4), (1, 4), (1, 2, 1), 2)
+    with pytest.raises(ValueError, match="matching"):
+        trunk((2, 4), (3, 4), (1, 2, 2), 2)
+    with pytest.raises(ValueError, match="fold"):
+        trunk((1, 5), (1, 5), (1, 2, 2), 2)
+    with pytest.raises(ValueError):  # the projection takes 3 columns
+        trunk((1, 4), (1, 4), (1, 2, 2), 2, width=4)
 
 
 def test_relu_subgradient_at_zero_is_one():
@@ -191,7 +206,7 @@ def _concat(tape: Tape, *xs: Tensor) -> Tensor:
 
 
 def _loss_through_all_ops(params: dict[str, Tensor]) -> tuple[Tape, Tensor]:
-    """One scalar loss through every per-vector op, a batched conv and a
+    """One scalar loss through every per-vector op, the conv trunk and a
     query loss, at a non-kink point."""
     tape = Tape()
     table, w, filt, proj = params["table"], params["w"], params["filt"], params["proj"]
@@ -203,8 +218,9 @@ def _loss_through_all_ops(params: dict[str, Tensor]) -> tuple[Tape, Tensor]:
     half_a = tape.reshape(tape.add_rows(a_row, [0], a_row, -0.5), (-1,))
     mixed = tape.add_n([hid, tape.relu(c), half_a])
     phi = tape.circ_corr(mixed, tape.add(b, c))
-    images = tape.reshape(_concat(tape, phi, mixed), (2, 2, 3))
-    feat = tape.reshape(tape.conv2d(images, filt), (1, -1))
+    # a 4x3 image: phi folded into two rows above mixed folded alike
+    feat = tape.conv_trunk(
+        tape.reshape(phi, (1, -1)), tape.reshape(mixed, (1, -1)), filt, params["trunk"], 2)
     # proj's rows scored against feat: rows 0 and 2 gold, row 1 twice a negative
     bce = tape.candidate_bce(feat, 0, proj, [0, 2, 1, 1], 2, 0.25)
     ce = tape.cross_entropy(tape.rows_affine(feat, proj), [1])
@@ -218,6 +234,7 @@ def _all_op_params() -> dict[str, Tensor]:
         "table": Tensor(rng.normal(size=(3, 6)) + 0.3),
         "w": Tensor(rng.normal(size=(6, 12)) * 0.4),
         "filt": Tensor(rng.normal(size=(2, 2, 2)) * 0.5),
+        "trunk": Tensor(rng.normal(size=(8, 12)) * 0.5),
         "proj": Tensor(rng.normal(size=(3, 8)) * 0.5),
     }
 
@@ -769,28 +786,65 @@ def test_circ_corr_sum_equals_numpy_reference_bitwise(monkeypatch, chunk_rows):
         assert [a.tobytes() for a in got] == expected
 
 
-def test_conv2d_equals_tensordot_form_bitwise():
+def _trunk_chain_reference(s, r, filters, projection, rows, g):
+    """The trunk as seven generic records made it (concat_cols, reshape,
+    conv2d, relu, reshape, rows_affine, relu), in plain numpy: its values,
+    and the s, r, filter and projection gradients of sum(out * g)."""
+    q, d = s.shape
+    f, k, _ = filters.shape
+    h, w = 2 * rows, d // rows
+    oh, ow = h - k + 1, w - k + 1
+    images = np.concatenate([s, r], axis=1).reshape(q, h, w)
+    patches = np.lib.stride_tricks.sliding_window_view(images, (k, k), axis=(1, 2))
+    columns = patches.transpose(3, 4, 0, 1, 2).reshape(k * k, q * oh * ow)
+    conv = np.dot(filters.reshape(f, k * k), columns).reshape(f, q, oh, ow).transpose(1, 0, 2, 3)
+    conv = np.ascontiguousarray(conv)
+    flat = np.maximum(conv, 0.0).reshape(q, f * oh * ow)
+    projected = flat @ projection.T
+    out = np.maximum(projected, 0.0)
+    # the records' backwards, last first
+    g = np.where(projected >= 0.0, g, 0.0)
+    projection_grad = g.T @ flat
+    g = np.where(conv >= 0.0, (g @ projection).reshape(q, f, oh, ow), 0.0)
+    g = g.transpose(1, 0, 2, 3).reshape(f, q * oh * ow)
+    filters_grad = np.dot(g, patches.reshape(q * oh * ow, k * k)).reshape(f, k, k)
+    images_grad = np.zeros((q, h, w))
+    for i in range(k):
+        for j in range(k):
+            images_grad[:, i : i + oh, j : j + ow] += np.dot(
+                filters[:, i, j].reshape(1, f), g).reshape(q, oh, ow)
+    images_grad = images_grad.reshape(q, 2 * d)
+    s_grad, r_grad = np.zeros((q, d)), np.zeros((q, d))
+    s_grad += images_grad[:, :d]
+    r_grad += images_grad[:, d:]
+    return out, s_grad, r_grad, filters_grad, projection_grad
+
+
+@pytest.mark.parametrize("q", [1, 6, 64, 65])
+def test_conv_trunk_equals_the_seven_record_chain_bitwise(q):
+    """One record, with the values and gradients of the seven-record
+    chain, in the kept buffers (q <= 64) and in fresh arrays (q = 65).
+    Both calls run before either backward, so a record's kept arrays
+    must outlive the next call's use of the buffers."""
     rng = np.random.default_rng(53)
-    images = Tensor(rng.normal(size=(3, 8, 6)))
-    filters = Tensor(rng.normal(size=(4, 3, 3)))
-    tape = Tape()
-    out = tape.conv2d(images, filters)
-    patches = np.lib.stride_tricks.sliding_window_view(images.data, (3, 3), axis=(1, 2))
-    expected = np.tensordot(filters.data, patches, axes=([1, 2], [3, 4])).transpose(1, 0, 2, 3)
-    assert out.data.tobytes() == np.ascontiguousarray(expected).tobytes()
-    for n in range(3):
-        alone = Tape().conv2d(Tensor(images.data[n : n + 1]), filters)
-        assert alone.data[0].tobytes() == out.data[n].tobytes()
-    g = rng.normal(size=out.shape)
-    _backward_with(tape, out, g)
-    images_grad = np.zeros((3, 8, 6))
-    for i in range(3):
-        for j in range(3):
-            images_grad[:, i : i + 6, j : j + 4] += np.tensordot(
-                filters.data[:, i, j], g, axes=(0, 1))
-    filters_grad = np.tensordot(g, patches, axes=([0, 2, 3], [0, 1, 2]))
-    assert images.grad.tobytes() == images_grad.tobytes()
-    assert filters.grad.tobytes() == filters_grad.tobytes()
+    rows, d, f, k, p = 4, 24, 5, 3, 12
+    filters = rng.normal(size=(f, k, k))
+    projection = rng.normal(size=(p, f * (2 * rows - k + 1) * (d // rows - k + 1)))
+    projection[0] = 0.0  # an exactly zero pre-activation takes the ReLU's >= 0 side
+    calls = []
+    for _ in range(2):
+        s, r = rng.normal(size=(q, d)), rng.normal(size=(q, d))
+        s[0] = r[0] = 0.0  # so does a zero image's conv map
+        leaves = [Tensor(s), Tensor(r), Tensor(filters), Tensor(projection)]
+        tape = Tape()
+        out = tape.conv_trunk(*leaves, rows)
+        assert len(tape) == 1
+        calls.append((tape, out, leaves, rng.normal(size=(q, p))))
+    for tape, out, leaves, g in calls:
+        _backward_with(tape, out, g)
+        got = [out.data] + [leaf.grad for leaf in leaves]
+        expected = _trunk_chain_reference(*(leaf.data for leaf in leaves), rows, g)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
 
 
 def test_reshape_round_trips_values_and_gradients():
@@ -810,7 +864,7 @@ def test_reshape_round_trips_values_and_gradients():
 def _unread_leaves() -> dict[str, Tensor]:
     rng = np.random.default_rng(21)
     shapes = {"a": (6, 4), "b": (6, 4), "rows": (2, 4), "w": (3, 4), "table": (3, 4),
-              "logits": (6,), "weights": (6,), "images": (2, 5, 5), "filters": (3, 3, 3)}
+              "logits": (6,), "weights": (6,), "filters": (3, 2, 2), "projection": (5, 9)}
     return {name: Tensor(rng.normal(size=shape)) for name, shape in shapes.items()}
 
 
@@ -833,7 +887,8 @@ UNREAD = {
                  lambda tape, x, p: tape.pool_sum(x, [5, 4, 3, 2, 1, 0], p["weights"], SEGMENTS, 3)),
     "circ_corr_sum": ("a", "output", lambda tape, x, p: tape.circ_corr_sum(
         x, p["table"], [0, 3, 5, 1], [0, 0, 2, 1], [1, 0, 1, 2], 3)),
-    "conv2d": ("images", "output", lambda tape, x, p: tape.conv2d(x, p["filters"])),
+    "conv_trunk": ("a", "output", lambda tape, x, p: tape.conv_trunk(
+        x, p["b"], p["filters"], p["projection"], 2)),
 }
 
 

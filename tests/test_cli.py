@@ -605,6 +605,39 @@ def test_eval_classification_accuracies(trained, tmp_path, capsys):
     assert "Rels" in stdout
 
 
+@pytest.mark.parametrize("case, lineno, message", [
+    ("empty", 1, "empty field 2"),
+    ("unknown", 11, "unknown entity 'zoe'"),
+    ("repeated", 11, "entity 'alice' is labelled twice"),
+])
+def test_eval_rejects_a_bad_labels_line_before_ranking(
+        case, lineno, message, trained, tmp_path, capsys):
+    with open(os.path.join(FIXTURES, "labels.tsv")) as fh:
+        lines = fh.read().splitlines()
+    if case == "empty":
+        lines[0] = "alice\t"
+    else:
+        lines.append("zoe\tmanager" if case == "unknown" else "alice\tmanager")
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("\n".join(lines) + "\n")
+    cp = configparser.ConfigParser()
+    cp.read(TOY_CONFIG)
+    cp["eval"]["classify"] = "true"
+    for key in ("triples", "events", "temporal"):
+        cp["data"][key] = os.path.join(FIXTURES, cp["data"][key])
+    cp["data"]["entity_labels"] = str(labels)
+    config = tmp_path / "classify.ini"
+    with open(config, "w") as fh:
+        cp.write(fh)
+    code = run_cli("eval", "--config", str(config),
+                   "--checkpoint", str(trained / "model.ckpt"), "--out", str(tmp_path / "out"))
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {labels}: line {lineno}: {message}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_eval_warns_when_config_and_checkpoint_disagree(trained, tmp_path, capsys):
     args = ["--checkpoint", str(trained / "model.ckpt")]
     assert run_cli("eval", "--config", TOY_CONFIG, *args, "--out", str(tmp_path / "a")) == 0

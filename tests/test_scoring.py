@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from eventke import scoring
+from eventke import autodiff
 from eventke.autodiff import ParameterStore, Tape, Tensor, grad_check
 from eventke.evaluation import EvalProtocol, kg_completion_eval
 from eventke.layers import ModelConfig
@@ -19,7 +19,7 @@ from eventke.scoring import (
     score_against_all,
     triple_loss,
 )
-from eventke.trainer import build_model
+from eventke.trainer import TrainConfig, build_model, evaluate_loss, group_queries
 
 from _synth import build_from_lines, dataset_lines
 
@@ -117,7 +117,7 @@ def test_frozen_trunk_matches_taped():
 
 def test_frozen_trunk_keeps_its_buffers_between_calls(monkeypatch):
     # fresh buffers, so only the calls below can have made them
-    monkeypatch.setattr(scoring, "_TRUNK_BUFFERS", {})
+    monkeypatch.setattr(autodiff, "_TRUNK_BUFFERS", {})
     config = ConvScorerConfig(rows=2, cols=4, filters=3, kernel=2)
     model = ModelConfig(dim=config.dim, num_layers=1, seed=1)
     lines = dataset_lines(
@@ -127,7 +127,7 @@ def test_frozen_trunk_keeps_its_buffers_between_calls(monkeypatch):
     graph, store = build_model(build_from_lines(*lines), model, config)
 
     def buffers():
-        return [scoring._TRUNK_BUFFERS[name] for name in ("columns", "conv", "flat")]
+        return [autodiff._TRUNK_BUFFERS[name] for name in ("columns", "conv", "flat")]
 
     kg_completion_eval(graph, store, model, config, graph.triples, EvalProtocol())
     held = buffers()
@@ -135,6 +135,29 @@ def test_frozen_trunk_keeps_its_buffers_between_calls(monkeypatch):
     frozen_trunk(store, config, rng.normal(size=(4, 8)), rng.normal(size=(4, 8)))
     kg_completion_eval(graph, store, model, config, graph.triples, EvalProtocol())
     assert all(now is before for now, before in zip(buffers(), held))
+
+
+def test_evaluate_loss_leaves_the_trunk_buffers_at_their_64_row_size(monkeypatch):
+    """A trunk batch of more than 64 rows computes in fresh arrays."""
+    monkeypatch.setattr(autodiff, "_TRUNK_BUFFERS", {})
+    config = ConvScorerConfig(rows=2, cols=4, filters=3, kernel=2)
+    model = ModelConfig(dim=config.dim, num_layers=1, seed=1)
+    lines = dataset_lines(
+        n_entities=40, n_relations=3, n_triples=200, n_events=3,
+        min_args=2, max_args=3, n_temporal=2, seed=5,
+    )
+    graph, store = build_model(build_from_lines(*lines), model, config)
+    groups = group_queries(graph.triples)
+    assert len(groups) >= 65
+    rng = np.random.default_rng(6)
+    frozen_trunk(store, config, rng.normal(size=(64, 8)), rng.normal(size=(64, 8)))
+    sizes = {name: buffer.size for name, buffer in autodiff._TRUNK_BUFFERS.items()}
+    # columns k*k*q*oh*ow, conv and flat F*q*oh*ow, for q = 64 and a 4x4 image
+    assert sizes == {"columns": 4 * 64 * 9, "conv": 3 * 64 * 9, "flat": 3 * 64 * 9}
+    sampler = NegativeSampler(graph.entity_count, 4, seed=2)
+    loss = evaluate_loss(graph, store, model, config, groups, sampler, TrainConfig())
+    assert math.isfinite(loss)
+    assert {name: buffer.size for name, buffer in autodiff._TRUNK_BUFFERS.items()} == sizes
 
 
 def test_conv_trunk_rejects_mismatched_rows():
