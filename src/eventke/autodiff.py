@@ -9,7 +9,9 @@ and drops each record as it goes.
 A record keeps only the arrays its backward reads.  A tensor's gradient
 lives in a ``Sink`` apart from its values, and backward closures hold
 sinks, never tensors, so an intermediate's values are freed as soon as
-the forward code drops it unless a backward reads them.
+the forward code drops it unless a backward reads them.  A tape built
+with ``record=False`` computes the same values and keeps no record at
+all: ranking, validation and the probes' evaluation run on one.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ __all__ = [
     "Tensor",
     "Tape",
     "ParameterStore",
-    "conv_trunk_rows",
     "grad_check",
 ]
 
@@ -30,7 +31,7 @@ __all__ = [
 class Sink:
     """A tensor's gradient buffer, apart from its values.
 
-    The buffer is allocated, zero-filled, on first read, so forward-only
+    The buffer is allocated, zero-filled, on first read, so non-recording
     tapes and intermediates that no gradient reaches cost no array.
     """
 
@@ -315,8 +316,8 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-# The trunk's patch columns, conv pre-activations and (ranking's) flat
-# rows, kept between calls of up to 64 rows and grown to the largest:
+# Tape.conv_trunk's patch columns and conv pre-activations, and a
+# non-recording tape's flat rows, kept between calls of up to 64 rows:
 # allocated afresh for every ranking block, glibc gave these megabytes back
 # to the system and faulted them in again on the next block.  A larger
 # batch (evaluate_loss runs every validation group at once) computes in
@@ -336,36 +337,6 @@ def _trunk_buffer(name: str, shape: tuple[int, ...], fresh: bool) -> np.ndarray:
     return buffer[:size].reshape(shape)
 
 
-def conv_trunk_rows(s: np.ndarray, r: np.ndarray, filters: np.ndarray, projection: np.ndarray,
-                    rows: int, keep: bool = False) -> tuple[np.ndarray, tuple | None]:
-    """Tape.conv_trunk's (q, p) values, a fresh array, and with ``keep`` what
-    its backward reads: the images, the conv ReLU mask (F, q, oh * ow), the
-    flattened rows (in no kept buffer) and the projection's ReLU mask."""
-    if s.ndim != 2 or s.shape != r.shape:
-        raise ValueError(f"conv_trunk expects matching (q, d) rows, got {s.shape} and {r.shape}")
-    (q, d), (f, k, kw) = s.shape, filters.shape
-    h, w = 2 * rows, d // rows
-    oh, ow = h - k + 1, w - k + 1
-    if d % rows:
-        raise ValueError(f"conv_trunk cannot fold rows of {d} into {rows} rows")
-    if k != kw or oh < 1 or ow < 1:
-        raise ValueError(f"conv_trunk needs a square kernel that fits the {h}x{w} image, got {k}x{kw}")
-    fresh = q > _TRUNK_BUFFER_ROWS
-    images = np.concatenate((s, r), axis=1).reshape(q, h, w)
-    # patches[n, y, x] is the k x k window at (y, x) of image n
-    patches = np.lib.stride_tricks.sliding_window_view(images, (k, k), axis=(1, 2))
-    columns = _trunk_buffer("columns", (k, k, q, oh, ow), fresh)
-    columns[...] = patches.transpose(3, 4, 0, 1, 2)
-    conv = _trunk_buffer("conv", (f, q * oh * ow), fresh)
-    np.dot(filters.reshape(f, k * k), columns.reshape(k * k, q * oh * ow), out=conv)
-    flat = _trunk_buffer("flat", (q, f, oh, ow), fresh or keep)
-    np.maximum(conv.reshape(f, q, oh, ow), 0.0, out=flat.transpose(1, 0, 2, 3))
-    flat = flat.reshape(q, f * oh * ow)
-    trunk = flat @ projection.T
-    kept = (images, conv.reshape(f, q, oh * ow) >= 0.0, flat, trunk >= 0.0) if keep else None
-    return np.maximum(trunk, 0.0, out=trunk), kept
-
-
 class Tape:
     """Append-only record of forward ops, replayed in reverse for gradients.
 
@@ -373,13 +344,22 @@ class Tape:
     result is recorded.  A backward closure reads the output's sink and
     adds into the inputs' sinks; besides sinks it holds only the arrays,
     indices and shapes it reads.
+
+    With ``record=False`` every op computes the same values but keeps no
+    closure, so forward-only work holds no array for a backward; its
+    ``_records`` stay empty and ``backward`` raises.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, record: bool = True) -> None:
         self._records: list[Callable[[], None]] = []
+        self._recording = record
 
     def __len__(self) -> int:
         return len(self._records)
+
+    def _record(self, backward: Callable[[], None]) -> None:  # every op's one recording point
+        if self._recording:
+            self._records.append(backward)
 
     # -- linear algebra --------------------------------------------------
 
@@ -393,7 +373,7 @@ class Tape:
             ga.grad += gout.grad
             gb.grad += gout.grad
 
-        self._records.append(backward)
+        self._record(backward)
         return out
 
     def add_n(self, xs: list[Tensor]) -> Tensor:
@@ -412,7 +392,7 @@ class Tape:
             for g in sinks:
                 g.grad += gout.grad
 
-        self._records.append(backward)
+        self._record(backward)
         return out
 
     # -- nonlinearities -------------------------------------------------
@@ -426,7 +406,7 @@ class Tape:
         def backward() -> None:
             gx.add(np.where(mask, gout.grad, 0.0))
 
-        self._records.append(backward)
+        self._record(backward)
         return out
 
     def leaky_relu(self, x: Tensor, slope: float) -> Tensor:
@@ -437,7 +417,7 @@ class Tape:
         def backward() -> None:
             gx.add(np.where(mask, 1.0, slope) * gout.grad)
 
-        self._records.append(backward)
+        self._record(backward)
         return out
 
     # -- circular correlation -------------------------------------------
@@ -518,7 +498,7 @@ class Tape:
                 np.bincount(cells, weights=blocks.ravel(), minlength=n_rel * d).reshape(n_rel, d)
             )
 
-        self._records.append(backward)
+        self._record(backward)
         return out
 
     # -- batched row ops -------------------------------------------------
@@ -541,7 +521,7 @@ class Tape:
         def backward() -> None:
             gtable.add(_scatter_rows(idx, gout.grad, n))
 
-        self._records.append(backward)
+        self._record(backward)
         return out
 
     def rows_affine(self, x: Tensor, w: Tensor) -> Tensor:
@@ -556,7 +536,7 @@ class Tape:
             gx.add(gout.grad @ w_data)
             gw.add(gout.grad.T @ x_data)
 
-        self._records.append(backward)
+        self._record(backward)
         return out
 
     def concat_cols(self, *xs: Tensor) -> Tensor:
@@ -572,7 +552,7 @@ class Tape:
             for g, lo, hi in zip(sinks, offsets[:-1], offsets[1:]):
                 g.grad += gout.grad[:, lo:hi]
 
-        self._records.append(backward)
+        self._record(backward)
         return out
 
     def pool_sum(self, x: Tensor, indices, weights: Tensor, segments, n: int) -> Tensor:
@@ -596,7 +576,7 @@ class Tape:
             g *= w_data[:, None]
             gx.add(_scatter_rows(idx, g, x_data.shape[0]))
 
-        self._records.append(backward)
+        self._record(backward)
         return out
 
     def pool_mean(self, x: Tensor, indices, segments, n: int) -> Tensor:
@@ -616,7 +596,7 @@ class Tape:
             g /= counts[seg, None]
             gx.add(_scatter_rows(idx, g, rows_x))
 
-        self._records.append(backward)
+        self._record(backward)
         return out
 
     def segment_softmax(self, logits: Tensor, segments, n: int) -> Tensor:
@@ -640,7 +620,7 @@ class Tape:
             dots = np.bincount(seg, weights=gout.grad * s, minlength=n)
             glogits.add(s * (gout.grad - dots[seg]))
 
-        self._records.append(backward)
+        self._record(backward)
         return out
 
     def add_rows(self, base: Tensor, indices, rows: Tensor, factor: float) -> Tensor:
@@ -670,7 +650,7 @@ class Tape:
             g *= factor
             grows.add(g)
 
-        self._records.append(backward)
+        self._record(backward)
         return out
 
     # -- reshaping and the convolutional trunk --------------------------
@@ -684,7 +664,7 @@ class Tape:
         def backward() -> None:
             gx.add(gout.grad.reshape(x_shape))
 
-        self._records.append(backward)
+        self._record(backward)
         return out
 
     def conv_trunk(self, s: Tensor, r: Tensor, filters: Tensor, projection: Tensor,
@@ -692,7 +672,8 @@ class Tape:
         """ConvE's trunk in one record: ReLU(flat @ projection.T), (q, p), where
         flat[i] flattens ReLU(conv) of image i, row i of ``s`` (q, d) folded
         into ``rows`` rows above row i of ``r`` folded alike, and ``filters``
-        (F, k, k) cross-correlate, valid, stride 1 (see conv_trunk_rows).
+        (F, k, k) cross-correlate, valid, stride 1.  A record keeps the
+        images, the two ReLU masks and flat rows of its own, not a buffer's.
 
         A row's last bits depend on its batch size, so ranking keeps its
         blocks at ``evaluation.EVAL_BLOCK`` queries.  The batch sets the patch
@@ -701,15 +682,35 @@ class Tape:
         one image of a 63-image batch does not (with two threads all match).
         A one-row projection matched no row of a larger batch (d = 64).
         """
-        data, (images, conv_mask, flat, projected_mask) = conv_trunk_rows(
-            s.data, r.data, filters.data, projection.data, rows, keep=True)
-        out = Tensor(data)
         filters_data, projection_data = filters.data, projection.data
+        if s.data.ndim != 2 or s.data.shape != r.data.shape:
+            raise ValueError(f"conv_trunk expects matching (q, d) rows, got {s.shape} and {r.shape}")
+        (q, d), (f, k, kw) = s.data.shape, filters_data.shape
+        h, w = 2 * rows, d // rows
+        oh, ow = h - k + 1, w - k + 1
+        if d % rows:
+            raise ValueError(f"conv_trunk cannot fold rows of {d} into {rows} rows")
+        if k != kw or oh < 1 or ow < 1:
+            raise ValueError(f"conv_trunk needs a square kernel that fits the {h}x{w} image, got {k}x{kw}")
+        fresh = q > _TRUNK_BUFFER_ROWS
+        images = np.concatenate((s.data, r.data), axis=1).reshape(q, h, w)
+        # patches[n, y, x] is the k x k window at (y, x) of image n
+        patches = np.lib.stride_tricks.sliding_window_view(images, (k, k), axis=(1, 2))
+        columns = _trunk_buffer("columns", (k, k, q, oh, ow), fresh)
+        columns[...] = patches.transpose(3, 4, 0, 1, 2)
+        conv = _trunk_buffer("conv", (f, q * oh * ow), fresh)
+        np.dot(filters_data.reshape(f, k * k), columns.reshape(k * k, q * oh * ow), out=conv)
+        flat = _trunk_buffer("flat", (q, f, oh, ow), fresh or self._recording)
+        np.maximum(conv.reshape(f, q, oh, ow), 0.0, out=flat.transpose(1, 0, 2, 3))
+        flat = flat.reshape(q, f * oh * ow)
+        trunk = flat @ projection_data.T
+        if not self._recording:
+            return Tensor(np.maximum(trunk, 0.0, out=trunk))
+        conv_mask, projected_mask = conv.reshape(f, q, oh * ow) >= 0.0, trunk >= 0.0
+        out = Tensor(np.maximum(trunk, 0.0, out=trunk))
         gs, gr, gfilters, gprojection, gout = s.sink, r.sink, filters.sink, projection.sink, out.sink
 
         def backward() -> None:
-            (q, h, w), (f, k, _) = images.shape, filters_data.shape
-            oh, ow = h - k + 1, w - k + 1
             g = np.where(projected_mask, gout.grad, 0.0)
             gprojection.add(g.T @ flat)
             g = (g @ projection_data).reshape(q, f, oh * ow).transpose(1, 0, 2)
@@ -726,7 +727,7 @@ class Tape:
             gs.grad += grad[:, 0]
             gr.grad += grad[:, 1]
 
-        self._records.append(backward)
+        self._record(backward)
         return out
 
     # -- losses ----------------------------------------------------------
@@ -763,7 +764,7 @@ class Tape:
             gtable.add(_scatter_rows(idx, np.outer(g, trunk), n))
             gtrunks.grad[row] += rows.T @ g
 
-        self._records.append(backward)
+        self._record(backward)
         return out
 
     def cross_entropy(self, logits: Tensor, label) -> Tensor:
@@ -790,7 +791,7 @@ class Tape:
             soft[rows, labels] -= 1.0
             glogits.add((soft * gout.grad).reshape(shape))
 
-        self._records.append(backward)
+        self._record(backward)
         return out
 
     # -- reverse pass ----------------------------------------------------
@@ -802,6 +803,8 @@ class Tape:
         freeing the intermediates and gradients that only it held.  Tensors
         the caller holds keep their values and gradients.
         """
+        if not self._recording:
+            raise ValueError("backward on a tape that does not record")
         if loss.data.shape != ():
             raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
         loss.grad = np.ones_like(loss.data)

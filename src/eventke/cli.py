@@ -80,6 +80,8 @@ class RunConfig:
             check_split_ratios(self.split_ratios)
         except ValueError as exc:
             raise ValueError(f"[data] {exc}") from None
+        if self.split_seed < 0:
+            raise ValueError("[data] split_seed must be >= 0")
         splits = ("train", "val", "test", "all")
         if self.eval_split not in splits:
             raise ValueError(f"[eval] split must be one of {splits}, got {self.eval_split!r}")

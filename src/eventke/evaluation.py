@@ -70,6 +70,8 @@ class EvalProtocol:
             raise ValueError(f"unknown protocol mode {self.mode!r}")
         if self.mode == "sampled" and self.k < 1:
             raise ValueError("sampled protocol needs k >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -147,10 +149,9 @@ def aggregate_report(
 def frozen_entity_matrix(
     graph: HeterogeneousGraph, params: ParameterStore, config: ModelConfig
 ) -> np.ndarray:
-    """Final-layer entity vectors as a plain (n, d) array, no gradients.
-    The array is the forward's own: once the tape is gone nothing else
-    holds it."""
-    return forward_model(Tape(), graph, params, config).data
+    """Final-layer entity vectors as a plain (n, d) array, no gradients: a
+    forward on a non-recording tape, which holds no array for a backward."""
+    return forward_model(Tape(record=False), graph, params, config).data
 
 
 def _sampled_candidates(n_entities: int, k: int, seed: int, query: KnowledgeTriple) -> np.ndarray:
@@ -392,7 +393,7 @@ def _train_head(
         tape.backward(split_loss(tape, "train"))
         for store in trained:
             adam_step(store, adam, epoch)
-        val = float(split_loss(Tape(), "val").data)
+        val = float(split_loss(Tape(record=False), "val").data)
         improved = val < stopper.best
         stop = stopper.update(epoch, val)
         if improved:
@@ -402,7 +403,7 @@ def _train_head(
     for store, arrays in zip(trained, best):
         store.load_state_arrays(arrays)
 
-    tape = Tape()
+    tape = Tape(record=False)
     predicted = logits(tape, encode(tape), "test").data.argmax(axis=1)
     return HeadResult(
         accuracy=int((predicted == labels["test"]).sum()) / len(labels["test"]),

@@ -52,6 +52,8 @@ class ModelConfig:
             raise ValueError("dim must be >= 1")
         if self.num_layers < 1:
             raise ValueError("num_layers must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         for name in ("temporal_mix", "event_mix"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -72,7 +74,6 @@ def _embedding_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarra
 def init_parameters(
     graph: HeterogeneousGraph,
     config: ModelConfig,
-    store: ParameterStore | None = None,
     init_table: dict[str, np.ndarray] | None = None,
 ) -> ParameterStore:
     """Allocate all aggregation parameters; draw order is fixed by name.
@@ -84,8 +85,7 @@ def init_parameters(
     """
     d = config.dim
     rng = np.random.default_rng(config.seed)
-    if store is None:
-        store = ParameterStore()
+    store = ParameterStore()
 
     entity = _embedding_rows(rng, graph.entity_count, d)
     if init_table:

@@ -6,9 +6,9 @@ dot product with the tail embedding.  The trunk (everything before the
 dot) depends only on (head, relation) and is shared across candidates.
 
 ``conv_trunk`` computes the trunks of a batch of (head, relation) rows in
-one ``Tape.conv_trunk`` record.  Training runs it once per step over the
-step's query groups; ranking runs ``frozen_trunk``, the same arithmetic
-with no record, over blocks of queries; a single pair is a batch of one.
+one ``Tape.conv_trunk`` call, recorded once per training step over the
+step's query groups; ranking's ``frozen_trunk`` makes it on a
+non-recording tape per block of queries; a single pair is a batch of one.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ParameterStore, Tape, Tensor, conv_trunk_rows
+from .autodiff import ParameterStore, Tape, Tensor
 from .kgdata import KnowledgeTriple
 
 __all__ = [
@@ -65,19 +65,13 @@ def add_scorer_parameters(store: ParameterStore, config: ConvScorerConfig, seed:
     store.add("conv_projection", rng.uniform(-limit, limit, size=(config.dim, fan_in)))
 
 
-def _check_rows(config: ConvScorerConfig, s: np.ndarray, r: np.ndarray) -> None:
-    if s.ndim != 2 or s.shape != r.shape or s.shape[1] != config.dim:
-        raise ValueError(
-            f"scorer expects matching (q, {config.dim}) rows, got {s.shape} and {r.shape}"
-        )
-
-
 def conv_trunk(
     tape: Tape, params: ParameterStore, config: ConvScorerConfig, s: Tensor, r: Tensor
 ) -> Tensor:
     """(q, d) trunk rows ReLU(project(flatten(ReLU(conv(stack(reshape s, reshape r))))))
     of (q, d) head rows ``s`` and relation rows ``r``."""
-    _check_rows(config, s.data, r.data)
+    if s.shape[1:] != (config.dim,):
+        raise ValueError(f"scorer expects (q, {config.dim}) rows, got {s.shape} and {r.shape}")
     return tape.conv_trunk(s, r, params["conv_filters"], params["conv_projection"], config.rows)
 
 
@@ -113,10 +107,8 @@ def frozen_trunk(
     params: ParameterStore, config: ConvScorerConfig, s_rows: np.ndarray, r_rows: np.ndarray
 ) -> np.ndarray:
     """``conv_trunk``'s (q, d) rows of plain (q, d) arrays, for evaluation:
-    the same arithmetic without a tape, in a fresh array."""
-    _check_rows(config, s_rows, r_rows)
-    filters, projection = params["conv_filters"].data, params["conv_projection"].data
-    return conv_trunk_rows(s_rows, r_rows, filters, projection, config.rows)[0]
+    the same call on a non-recording tape, in a fresh array."""
+    return conv_trunk(Tape(record=False), params, config, Tensor(s_rows), Tensor(r_rows)).data
 
 
 def known_tails_from_triples(triples: list[KnowledgeTriple]) -> dict[tuple[int, int], set[int]]:

@@ -63,8 +63,9 @@ class TrainConfig:
         for name in ("max_epochs", "patience", "batch_groups"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.k_neg < 0:
-            raise ValueError("k_neg must be >= 0")
+        for name in ("k_neg", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.patience > self.max_epochs:
             raise ValueError("patience cannot exceed max_epochs")
         for name in ("beta1", "beta2"):
@@ -237,10 +238,9 @@ def evaluate_loss(
     sampler: NegativeSampler,
     train_config: TrainConfig,
 ) -> float:
-    """Mean per-query loss with the frozen validation sampling round."""
-    tape = Tape()
+    """Mean per-query loss with the frozen validation sampling round, on a non-recording tape."""
     losses = _query_losses(
-        tape, graph, params, model_config, scorer_config,
+        Tape(record=False), graph, params, model_config, scorer_config,
         groups, list(range(len(groups))), sampler, VALIDATION_ROUND, train_config,
     )
     return sum(float(l.data) for l in losses.values()) / len(groups)

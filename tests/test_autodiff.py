@@ -841,6 +841,8 @@ def test_conv_trunk_equals_the_seven_record_chain_bitwise(q):
         assert len(tape) == 1
         calls.append((tape, out, leaves, rng.normal(size=(q, p))))
     for tape, out, leaves, g in calls:
+        # a non-recording call reuses the buffers, yet gives the same bits
+        assert Tape(record=False).conv_trunk(*leaves, rows).data.tobytes() == out.data.tobytes()
         _backward_with(tape, out, g)
         got = [out.data] + [leaf.grad for leaf in leaves]
         expected = _trunk_chain_reference(*(leaf.data for leaf in leaves), rows, g)
@@ -914,6 +916,30 @@ def test_a_record_frees_the_values_its_backward_does_not_read(op):
         return [tensor.grad.tobytes() for tensor in leaves.values()]
 
     assert leaf_grads(drop=True) == leaf_grads(drop=False)
+
+
+# every public op of the tape, on the leaves of _unread_leaves
+FORWARD_ONLY = {
+    **{op: lambda tape, p, leaf=leaf, call=call: call(tape, p[leaf], p)
+       for op, (leaf, _, call) in UNREAD.items()},
+    "candidate_bce": lambda tape, p: tape.candidate_bce(p["a"], 2, p["b"], [0, 3, 1, 1], 2, 0.25),
+    "cross_entropy": lambda tape, p: tape.cross_entropy(p["a"], [0, 3, 1, 2, 2, 0]),
+    "circ_corr": lambda tape, p: tape.circ_corr(p["logits"], p["weights"]),
+}
+
+
+@pytest.mark.parametrize("op", sorted(FORWARD_ONLY))
+def test_a_non_recording_tape_gives_the_same_values_and_keeps_no_record(op):
+    assert sorted(FORWARD_ONLY) == sorted(
+        name for name in vars(Tape) if not name.startswith("_") and name != "backward")
+    values = []
+    for record in (True, False):
+        tape = Tape(record=record)
+        values.append(FORWARD_ONLY[op](tape, _unread_leaves()).data.tobytes())
+    assert values[0] == values[1]
+    assert tape._records == [] and len(tape) == 0
+    with pytest.raises(ValueError, match="does not record"):
+        tape.backward(Tensor(0.0))
 
 
 def test_every_tape_op_has_a_model_caller():

@@ -283,11 +283,11 @@ def test_train_from_echoed_config_reproduces(tmp_path):
     assert (out_a / "model.ckpt").read_bytes() == (out_b / "model.ckpt").read_bytes()
 
 
-def _config_with(tmp_path, **model_overrides):
+def _config_with(tmp_path, section="model", **overrides):
     cp = configparser.ConfigParser()
     cp.read(TOY_CONFIG)
-    for key, value in model_overrides.items():
-        cp["model"][key] = value
+    for key, value in overrides.items():
+        cp[section][key] = value
     for key in ("triples", "events", "temporal", "entity_labels"):
         if cp.has_option("data", key):
             cp["data"][key] = os.path.join(FIXTURES, cp["data"][key])
@@ -317,6 +317,25 @@ def test_seed_override_lands_in_echoed_config(tmp_path):
     assert cp["train"]["seed"] == "7"
     assert cp["eval"]["seed"] == "7"
     assert cp["data"]["split_seed"] == "7"
+
+
+@pytest.mark.parametrize("section, key, override", [
+    ("data", "split_seed", False),
+    ("model", "seed", False),
+    ("train", "seed", False),
+    ("eval", "seed", False),
+    ("model", "seed", True),  # --seed -1 sets every seed; [model] is checked first
+])
+def test_negative_seed_is_one_config_error(section, key, override, tmp_path, capsys):
+    """numpy's own "expected non-negative integer" named neither file nor key."""
+    if override:
+        config, argv = TOY_CONFIG, ["--seed", "-1"]
+    else:
+        config, argv = _config_with(tmp_path, section, **{key: "-1"}), []
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", config, "--out", str(out), *argv) == 1
+    assert capsys.readouterr().err == f"error: {config}: [{section}] {key} must be >= 0\n"
+    assert not out.exists()
 
 
 def test_out_resolves_against_working_directory(tmp_path, monkeypatch, capsys):

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from _synth import build_from_lines, dataset_lines, grad_fixture_graph, memorization_lines
 from eventke.autodiff import Sink, Tape, Tensor, grad_check
+from eventke.evaluation import frozen_entity_matrix
 from eventke.layers import (
     ModelConfig,
     forward_model,
@@ -623,6 +624,28 @@ def test_recording_forward_holds_only_what_backward_reads():
     cells = [cell.cell_contents for record in tape._records for cell in record.__closure__ or ()]
     assert not [value for value in cells if isinstance(value, Tensor)]
     assert out.data.shape == (graph.entity_count, 32)
+
+
+def test_frozen_entity_matrix_peaks_well_below_a_recording_forward():
+    """frozen_entity_matrix runs on a non-recording tape: no backward's
+    arrays add to its peak (0.71 of a recording forward's on this graph,
+    numpy 2.4, where stage 4's chunk buffers set the peak), and it gives the
+    recording forward's bits."""
+    graph = build_from_lines(*dataset_lines(300, 8, 3000, 240, 2, 5, 240, seed=4))
+    config = ModelConfig(dim=32, seed=3)
+    params = init_parameters(graph, config)
+    forward_model(Tape(), graph, params, config)  # index and scatter plans
+    peaks, values = [], []
+    for forward in (lambda: forward_model(Tape(), graph, params, config).data,
+                    lambda: frozen_entity_matrix(graph, params, config)):
+        tracemalloc.start()
+        try:
+            values.append(forward().tobytes())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert values[0] == values[1]
+    assert peaks[1] < 0.8 * peaks[0]
 
 
 # -- the index plan against a per-slot, per-edge construction ------------------
