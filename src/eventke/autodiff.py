@@ -10,8 +10,8 @@ A record keeps only the arrays its backward reads.  A tensor's gradient
 lives in a ``Sink`` apart from its values, and backward closures hold
 sinks, never tensors, so an intermediate's values are freed as soon as
 the forward code drops it unless a backward reads them.  A tape built
-with ``record=False`` computes the same values and keeps no record at
-all: ranking, validation and the probes' evaluation run on one.
+with ``record=False`` keeps no record: ranking, validation and the
+probes' evaluation run on one.
 """
 
 from __future__ import annotations
@@ -316,20 +316,16 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-# Tape.conv_trunk's patch columns and conv pre-activations, and a
-# non-recording tape's flat rows, kept between calls of up to 64 rows:
-# allocated afresh for every ranking block, glibc gave these megabytes back
-# to the system and faulted them in again on the next block.  A larger
-# batch (evaluate_loss runs every validation group at once) computes in
-# fresh arrays.  The package starts no threads, so one set serves all.
+# Tape.conv_trunk's patch columns, conv pre-activations and non-recording
+# flat rows, kept between calls for one 64-row block or a larger recording
+# batch: allocated per ranking block, glibc gave these megabytes back to the
+# system and faulted them in again.  The package starts no threads.
 _TRUNK_BUFFERS: dict[str, np.ndarray] = {}
-_TRUNK_BUFFER_ROWS = 64
+_TRUNK_BLOCK = 64
 
 
-def _trunk_buffer(name: str, shape: tuple[int, ...], fresh: bool) -> np.ndarray:
-    """A fresh C-contiguous float64 array of ``shape``, or a view on the kept buffer ``name``."""
-    if fresh:
-        return np.empty(shape)
+def _trunk_buffer(name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A C-contiguous float64 view of ``shape`` on the kept buffer ``name``."""
     size = int(np.prod(shape))
     buffer = _TRUNK_BUFFERS.get(name)
     if buffer is None or buffer.size < size:
@@ -345,9 +341,9 @@ class Tape:
     adds into the inputs' sinks; besides sinks it holds only the arrays,
     indices and shapes it reads.
 
-    With ``record=False`` every op computes the same values but keeps no
-    closure, so forward-only work holds no array for a backward; its
-    ``_records`` stay empty and ``backward`` raises.
+    With ``record=False`` every op computes the same values (``conv_trunk``
+    to within its last bits) but keeps no closure, so forward-only work
+    holds no array for a backward; ``backward`` raises.
     """
 
     def __init__(self, record: bool = True) -> None:
@@ -675,12 +671,10 @@ class Tape:
         (F, k, k) cross-correlate, valid, stride 1.  A record keeps the
         images, the two ReLU masks and flat rows of its own, not a buffer's.
 
-        A row's last bits depend on its batch size, so ranking keeps its
-        blocks at ``evaluation.EVAL_BLOCK`` queries.  The batch sets the patch
-        product's width and so its BLAS blocking: with one OpenBLAS thread,
-        batches of 2, 5, 6, 32 and 64 images match their batches of one, but
-        one image of a 63-image batch does not (with two threads all match).
-        A one-row projection matched no row of a larger batch (d = 64).
+        A non-recording tape computes in blocks of exactly 64 images, the
+        last one zero-padded, so a row's bits depend only on its inputs: the
+        batch size sets the BLAS blocking, and unpadded 1- to 5-image batches
+        gave rows other last bits (d = 64).  A recording tape keeps its batch.
         """
         filters_data, projection_data = filters.data, projection.data
         if s.data.ndim != 2 or s.data.shape != r.data.shape:
@@ -692,15 +686,23 @@ class Tape:
             raise ValueError(f"conv_trunk cannot fold rows of {d} into {rows} rows")
         if k != kw or oh < 1 or ow < 1:
             raise ValueError(f"conv_trunk needs a square kernel that fits the {h}x{w} image, got {k}x{kw}")
-        fresh = q > _TRUNK_BUFFER_ROWS
+        if not self._recording and q != _TRUNK_BLOCK:
+            trunk = np.empty((q, projection_data.shape[0]))
+            for i in range(0, q, _TRUNK_BLOCK):
+                inputs = [x.data[i : i + _TRUNK_BLOCK] for x in (s, r)]
+                if q - i < _TRUNK_BLOCK:  # the last block, zero-padded
+                    inputs = [np.pad(x, ((0, i + _TRUNK_BLOCK - q), (0, 0))) for x in inputs]
+                block = self.conv_trunk(*map(Tensor, inputs), filters, projection, rows)
+                trunk[i : i + _TRUNK_BLOCK] = block.data[: q - i]
+            return Tensor(trunk)
         images = np.concatenate((s.data, r.data), axis=1).reshape(q, h, w)
         # patches[n, y, x] is the k x k window at (y, x) of image n
         patches = np.lib.stride_tricks.sliding_window_view(images, (k, k), axis=(1, 2))
-        columns = _trunk_buffer("columns", (k, k, q, oh, ow), fresh)
+        columns = _trunk_buffer("columns", (k, k, q, oh, ow))
         columns[...] = patches.transpose(3, 4, 0, 1, 2)
-        conv = _trunk_buffer("conv", (f, q * oh * ow), fresh)
+        conv = _trunk_buffer("conv", (f, q * oh * ow))
         np.dot(filters_data.reshape(f, k * k), columns.reshape(k * k, q * oh * ow), out=conv)
-        flat = _trunk_buffer("flat", (q, f, oh, ow), fresh or self._recording)
+        flat = np.empty((q, f, oh, ow)) if self._recording else _trunk_buffer("flat", (q, f, oh, ow))
         np.maximum(conv.reshape(f, q, oh, ow), 0.0, out=flat.transpose(1, 0, 2, 3))
         flat = flat.reshape(q, f * oh * ow)
         trunk = flat @ projection_data.T

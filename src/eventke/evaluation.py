@@ -29,10 +29,8 @@ from .trainer import EarlyStopper, TrainConfig, adam_step
 
 logger = logging.getLogger(__name__)
 
-# queries per frozen_trunk call and per (block, n) score matrix: larger
-# blocks gained the trunk no speed, outgrow its kept buffers and hold more
-# activations and scores at once.  The size is part of the reports' bits:
-# a trunk row's last bits depend on its batch size (see Tape.conv_trunk).
+# queries per frozen_trunk call and (block, n) score matrix: one trunk block.
+# It is part of the reports' bits: a score row's last bits depend on it.
 EVAL_BLOCK = 64
 
 
@@ -181,8 +179,7 @@ def kg_completion_eval(
     the other tails ``known_tails`` lists for a query's (head, relation)
     become NaN in its row, and one ``rank_of_gold`` call ranks each gold
     tail within its row (full) or its sampled candidates (sampled).  Blocks
-    run in query order on the calling thread, which keeps reusing its trunk
-    buffers; BLAS threads parallelize each block's product.
+    run in order on the calling thread; BLAS threads parallelize each product.
     """
     if not test_triples:
         raise ValueError("no test triples to evaluate")

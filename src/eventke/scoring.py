@@ -7,8 +7,8 @@ dot) depends only on (head, relation) and is shared across candidates.
 
 ``conv_trunk`` computes the trunks of a batch of (head, relation) rows in
 one ``Tape.conv_trunk`` call, recorded once per training step over the
-step's query groups; ranking's ``frozen_trunk`` makes it on a
-non-recording tape per block of queries; a single pair is a batch of one.
+step's query groups; on a non-recording tape (ranking, validation) a row's
+bits do not depend on the batch.  A single pair is a batch of one.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ def frozen_trunk(
     params: ParameterStore, config: ConvScorerConfig, s_rows: np.ndarray, r_rows: np.ndarray
 ) -> np.ndarray:
     """``conv_trunk``'s (q, d) rows of plain (q, d) arrays, for evaluation:
-    the same call on a non-recording tape, in a fresh array."""
+    the same call on a non-recording tape, whose rows do not depend on q."""
     return conv_trunk(Tape(record=False), params, config, Tensor(s_rows), Tensor(r_rows)).data
 
 

@@ -823,7 +823,8 @@ def _trunk_chain_reference(s, r, filters, projection, rows, g):
 @pytest.mark.parametrize("q", [1, 6, 64, 65])
 def test_conv_trunk_equals_the_seven_record_chain_bitwise(q):
     """One record, with the values and gradients of the seven-record
-    chain, in the kept buffers (q <= 64) and in fresh arrays (q = 65).
+    chain, in kept buffers of 64 rows (q <= 64) and in buffers grown for a
+    larger recording batch (q = 65).
     Both calls run before either backward, so a record's kept arrays
     must outlive the next call's use of the buffers."""
     rng = np.random.default_rng(53)

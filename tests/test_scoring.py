@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from eventke import autodiff
 from eventke.autodiff import ParameterStore, Tape, Tensor, grad_check
 from eventke.evaluation import EvalProtocol, kg_completion_eval
+from eventke.kgdata import split_dataset
 from eventke.layers import ModelConfig
 from eventke.scoring import (
     ConvScorerConfig,
@@ -97,20 +99,23 @@ def test_score_against_all_matches_loop():
 
 
 def test_frozen_trunk_matches_taped():
-    config = ConvScorerConfig(rows=2, cols=4, filters=3, kernel=2)
+    config = ConvScorerConfig()  # the README's scorer: 8x8, 32 filters, kernel 3
     store = _scorer(config)
     rng = np.random.default_rng(4)
-    s, r = rng.normal(size=(10, 8)), rng.normal(size=(10, 8))
+    s, r = rng.normal(size=(200, 64)), rng.normal(size=(200, 64))
     frozen = frozen_trunk(store, config, s, r)
-    assert frozen.shape == (10, 8)
-    for i in range(10):
+    assert frozen.shape == (200, 64)
+    for i in range(0, 200, 20):
         taped = conv_trunk(Tape(), store, config, Tensor(s[i : i + 1]), Tensor(r[i : i + 1]))
         assert np.max(np.abs(frozen[i] - taped.data[0])) <= 1e-12
-    # bitwise the taped batch, also while the reused buffers shrink and grow
+    # a forward-only row has the same bytes in a call of any size, at any
+    # position and with any companions, also while the reused buffers are
+    # filled by calls of other sizes
     kept = frozen.copy()
-    for q in (10, 3, 1, 10):
-        taped = conv_trunk(Tape(), store, config, Tensor(s[:q]), Tensor(r[:q]))
-        assert frozen_trunk(store, config, s[:q], r[:q]).tobytes() == taped.data.tobytes()
+    for q in (1, 5, 63, 64, 65, 130):
+        for rows in (np.arange(q), np.arange(200 - q, 200), rng.permutation(200)[:q]):
+            got = frozen_trunk(store, config, s[rows], r[rows])
+            assert [row.tobytes() for row in got] == [frozen[i].tobytes() for i in rows], q
     # the result is not a view of the buffers
     assert frozen.tobytes() == kept.tobytes()
 
@@ -138,7 +143,8 @@ def test_frozen_trunk_keeps_its_buffers_between_calls(monkeypatch):
 
 
 def test_evaluate_loss_leaves_the_trunk_buffers_at_their_64_row_size(monkeypatch):
-    """A trunk batch of more than 64 rows computes in fresh arrays."""
+    """A forward-only trunk batch of more than 64 rows computes one 64-row
+    block at a time in the kept buffers, which do not grow."""
     monkeypatch.setattr(autodiff, "_TRUNK_BUFFERS", {})
     config = ConvScorerConfig(rows=2, cols=4, filters=3, kernel=2)
     model = ModelConfig(dim=config.dim, num_layers=1, seed=1)
@@ -158,6 +164,27 @@ def test_evaluate_loss_leaves_the_trunk_buffers_at_their_64_row_size(monkeypatch
     loss = evaluate_loss(graph, store, model, config, groups, sampler, TrainConfig())
     assert math.isfinite(loss)
     assert {name: buffer.size for name, buffer in autodiff._TRUNK_BUFFERS.items()} == sizes
+
+
+def test_evaluate_loss_peaks_below_a_training_step():
+    """The validation loss over the benchmark's wide graph (seed 5, 2,320
+    groups) peaks below a training step's 30 MB (tracemalloc), plans and
+    buffers built inside: its trunk computes one 64-row block at a time."""
+    graph = build_from_lines(*dataset_lines(2000, 20, 24000, 1600, 2, 5, 1600, 5))
+    splits = split_dataset(len(graph.triples), (0.8, 0.1, 0.1), 0)
+    groups = group_queries([graph.triples[i] for i in splits.validation])
+    assert len(groups) >= 2300
+    model, config = ModelConfig(seed=5), ConvScorerConfig()
+    graph, store = build_model(graph, model, config)
+    sampler = NegativeSampler(graph.entity_count, 64, seed=5)
+    tracemalloc.start()
+    try:
+        loss = evaluate_loss(graph, store, model, config, groups, sampler, TrainConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(loss)
+    assert peak < 30 * 2**20
 
 
 def test_conv_trunk_rejects_mismatched_rows():
