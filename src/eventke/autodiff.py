@@ -130,13 +130,26 @@ def _diagonals(index: np.ndarray, counts: np.ndarray) -> _Diagonals:
 _DIAGONAL_MIN_CELLS = 4096
 _DIAGONAL_MIN_WIDTH = 32
 
-# Scatter plans of read-only index arrays, keyed by identity and width: the
-# jagged diagonals or the flattened bincount cells, as _scatter_rows
-# chooses.  An index that cannot change keeps its plan, so the fixed index
-# plans of a graph pay for it once; the entry holds the array itself, so
-# its id cannot be reused while cached.
-_PLANS: dict[tuple[int, int], tuple[np.ndarray, _Diagonals | np.ndarray]] = {}
+# Plans of read-only index arrays, keyed by the arrays' identities and the
+# row width: a _scatter_plan per index and a _chunk_plan per circ_corr_sum
+# (src, rel, dst).  An index that cannot change keeps its plans, so the
+# fixed indices of a graph pay for them once; an entry holds its arrays,
+# so their ids cannot be reused while it lives.  Writable indices, which
+# may change, are planned on every call.
+_PLANS: dict[tuple[int, ...], tuple[tuple[np.ndarray, ...], object]] = {}
 _PLANS_MAX = 64
+
+
+def _planned(build: Callable, *indices: np.ndarray, width: int):
+    """``build(*indices, width)``, kept in _PLANS while every index is read-only."""
+    if any(index.flags.writeable for index in indices):
+        return build(*indices, width)
+    key = (*map(id, indices), width)
+    if key not in _PLANS:
+        if len(_PLANS) >= _PLANS_MAX:
+            _PLANS.pop(next(iter(_PLANS)))
+        _PLANS[key] = (indices, build(*indices, width))
+    return _PLANS[key][1]
 
 
 def _bincount_cells(index: np.ndarray, width: int) -> np.ndarray:
@@ -145,59 +158,53 @@ def _bincount_cells(index: np.ndarray, width: int) -> np.ndarray:
 
 
 def _scatter_plan(index: np.ndarray, width: int) -> _Diagonals | np.ndarray:
-    """The way ``_scatter_rows`` sums rows of ``width`` by ``index``."""
+    """The way ``_scatter`` sums rows of ``width`` by ``index``."""
     if index.flags.writeable:
         return _bincount_cells(index, width)
-    key = (id(index), width)
-    hit = _PLANS.get(key)
-    if hit is not None and hit[0] is index:
-        return hit[1]
-    plan: _Diagonals | np.ndarray
     counts = np.bincount(index)
     # the longest segment sets the number of diagonals
     cells_per_diagonal = index.size * width / counts.max() if index.size else 0
     if width >= _DIAGONAL_MIN_WIDTH and cells_per_diagonal >= _DIAGONAL_MIN_CELLS:
-        plan = _diagonals(index, counts)
-    else:
-        plan = _bincount_cells(index, width)
-        plan.flags.writeable = False
-    if len(_PLANS) >= _PLANS_MAX:
-        _PLANS.pop(next(iter(_PLANS)))
-    _PLANS[key] = (index, plan)
+        return _diagonals(index, counts)
+    plan = _bincount_cells(index, width)
+    plan.flags.writeable = False
     return plan
 
 
-def _scatter_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """out[j] = 0 + the sum of rows[i] over index[i] == j, in index order.
+def _scatter(plan: _Diagonals | np.ndarray, rows: np.ndarray, n: int,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """out[j] = 0 + the sum of rows[i] over index[i] == j, in index order,
+    for the index ``plan`` was made from; a given ``out`` (diagonals only)
+    holds earlier rows' sums, which every cell continues in index order.
 
     Two layouts give the same bits.  The flattened bincount sums every
     (row, column) cell in one call, each cell's rows in index order, as
     one bincount per column would.  The jagged diagonals add whole rows
-    instead: a zero buffer, one row per segment, takes the k-th member of
-    every segment with more than k members, diagonal after diagonal, so
-    each segment again adds its rows in index order from +0.0; the buffer
-    then goes to its segments in a zero output.  A diagonal moves
-    contiguous rows but costs a Python-level call, so read-only indices
-    (which keep their plan) take the diagonals when a diagonal averages
-    at least _DIAGONAL_MIN_CELLS cells of rows at least
-    _DIAGONAL_MIN_WIDTH wide, and everything else the bincount: few long
-    segments, narrow rows, and writable indices, which may change.
+    instead: a buffer, one row per segment, takes the k-th member of every
+    segment with more than k members, diagonal after diagonal, so each
+    segment again adds its rows in index order from +0.0; the buffer then
+    goes to its segments in the output.  A diagonal moves contiguous rows
+    but costs a Python-level call, so read-only indices (which keep their
+    plan) take the diagonals when a diagonal averages at least
+    _DIAGONAL_MIN_CELLS cells of rows at least _DIAGONAL_MIN_WIDTH wide,
+    and everything else the bincount: few long segments, narrow rows, and
+    writable indices, which may change.
     """
     width = rows.shape[1]
-    plan = _scatter_plan(index, width)
     if isinstance(plan, np.ndarray):
         return np.bincount(plan, weights=rows.ravel(), minlength=n * width).reshape(n, width)
-    out = np.zeros((n, width))
-    _add_diagonals(out, plan, rows)
-    return out
-
-
-def _add_diagonals(out: np.ndarray, plan: _Diagonals, rows: np.ndarray) -> None:
-    """out[j] += each row of segment j, in index order, diagonal after diagonal."""
+    if out is None:
+        out = np.zeros((n, width))
     acc = out[plan.segments]
     for diagonal in plan.rows:
         acc[: diagonal.size] += rows[diagonal]
     out[plan.segments] = acc
+    return out
+
+
+def _scatter_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """out[j] = 0 + the sum of rows[i] over index[i] == j, in index order."""
+    return _scatter(_planned(_scatter_plan, index, width=rows.shape[1]), rows, n)
 
 
 # Calibrated on stage 4 of a 50k-edge graph, d = 64, one BLAS thread: chunks
@@ -213,32 +220,24 @@ class _Chunk(NamedTuple):
     runs: list[tuple[int, int, int]]  # (lo, hi, relation) of each run, in chunk rows
     src: np.ndarray  # the chunk's sources and destinations
     dst: np.ndarray
-    # where a later chunk adds its rows into the sums; None for the first chunk
-    src_diagonals: _Diagonals | None
-    dst_diagonals: _Diagonals | None
+    # how the chunk's rows go into the sums, see _chunk_plan
+    src_plan: _Diagonals | np.ndarray
+    dst_plan: _Diagonals | np.ndarray
 
 
 class _ChunkPlan(NamedTuple):
-    indices: tuple[np.ndarray, np.ndarray, np.ndarray]  # the (src, rel, dst) planned
     chunks: list[_Chunk]
     run_rel: np.ndarray  # relation id of every run, in order
 
 
-# Chunk plans of read-only (src, rel, dst) triples, keyed by identity and
-# width like _PLANS.  The plan keeps the first chunk's index arrays, so
-# _scatter_rows finds their plans under the same identities on every call.
-_CHUNK_PLANS: dict[tuple[int, int, int, int], _ChunkPlan] = {}
-_CHUNK_PLANS_MAX = 16
-
-
 def _chunk_plan(src: np.ndarray, rel: np.ndarray, dst: np.ndarray, width: int) -> _ChunkPlan:
     """Split an edge list into chunks of whole runs of equal ``rel``; a chunk
-    closes once it holds _CHUNK_MIN_CELLS cells of rows ``width`` wide."""
+    closes once it holds _CHUNK_MIN_CELLS cells of rows ``width`` wide.
+
+    The first chunk's indices take their _scatter_plan if every index is
+    read-only and the bincount otherwise; a later chunk's take their
+    diagonals, which continue the sums of the chunks before it."""
     readonly = not (src.flags.writeable or rel.flags.writeable or dst.flags.writeable)
-    key = (id(src), id(rel), id(dst), width)
-    hit = _CHUNK_PLANS.get(key) if readonly else None
-    if hit is not None and all(a is b for a, b in zip(hit.indices, (src, rel, dst))):
-        return hit
     bounds = np.append(np.flatnonzero(np.diff(rel, prepend=-1)), rel.size).tolist()
     run_rel = rel[bounds[:-1]]
     # cuts[c] is the first run of chunk c; the last cut closes the last chunk
@@ -250,34 +249,14 @@ def _chunk_plan(src: np.ndarray, rel: np.ndarray, dst: np.ndarray, width: int) -
     chunks: list[_Chunk] = []
     for first, last in zip(cuts[:-1], cuts[1:]):
         lo, hi = bounds[first], bounds[last]
-        # persistent copies, read-only only if every input is: a fresh
-        # slice would miss _scatter_rows' cache
-        chunk_src, chunk_dst = src[lo:hi].copy(), dst[lo:hi].copy()
-        chunk_src.flags.writeable = chunk_dst.flags.writeable = not readonly
-        later = bool(chunks)
-        chunks.append(_Chunk(
-            [(bounds[k] - lo, bounds[k + 1] - lo, int(run_rel[k])) for k in range(first, last)],
-            chunk_src, chunk_dst,
-            _diagonals(chunk_src, np.bincount(chunk_src)) if later else None,
-            _diagonals(chunk_dst, np.bincount(chunk_dst)) if later else None,
-        ))
-    plan = _ChunkPlan((src, rel, dst), chunks, run_rel)
-    if readonly:
-        if len(_CHUNK_PLANS) >= _CHUNK_PLANS_MAX:
-            _CHUNK_PLANS.pop(next(iter(_CHUNK_PLANS)))
-        _CHUNK_PLANS[key] = plan
-    return plan
-
-
-def _sum_chunk(out: np.ndarray | None, index: np.ndarray, diagonals: _Diagonals | None,
-               rows: np.ndarray, n: int) -> np.ndarray:
-    """A chunk's rows summed by ``index`` onto the sums of the chunks before
-    it: the first chunk (``out`` None) gives a fresh _scatter_rows output,
-    a later one continues every cell's sum in index order."""
-    if out is None:
-        return _scatter_rows(index, rows, n)
-    _add_diagonals(out, diagonals, rows)
-    return out
+        ends = src[lo:hi], dst[lo:hi]
+        if chunks:
+            plans = [_diagonals(index, np.bincount(index)) for index in ends]
+        else:
+            plans = [(_scatter_plan if readonly else _bincount_cells)(index, width) for index in ends]
+        runs = [(bounds[k] - lo, bounds[k + 1] - lo, int(run_rel[k])) for k in range(first, last)]
+        chunks.append(_Chunk(runs, *ends, *plans))
+    return _ChunkPlan(chunks, run_rel)
 
 
 def _doubled_windows(b: np.ndarray) -> np.ndarray:
@@ -445,10 +424,11 @@ class Tape:
 
         The edges go in chunks of whole runs (see _chunk_plan), so no array
         grows with the edge count; backward gathers a chunk's rows again
-        instead of keeping them.  The first chunk sums by _scatter_rows and
-        each later one continues every cell's sum along its own diagonals,
-        so the bits do not depend on the chunking.  A run is never split: a
-        row's product bits depend on its gemm batch.
+        instead of keeping them.  Each chunk adds its rows by its own plan
+        (see _scatter): the first from +0.0, each later one continuing every
+        cell's sum along its diagonals, so the bits do not depend on the
+        chunking.  A run is never split: a row's product bits depend on its
+        gemm batch.
         """
         if x.data.ndim != 2 or table.data.ndim != 2 or x.data.shape[1] != table.data.shape[1]:
             raise ValueError(f"circ_corr_sum shape mismatch: {x.shape} with table {table.shape}")
@@ -458,7 +438,7 @@ class Tape:
         dst = _as_index(dst, n, "circ_corr_sum")
         if not src.size == rel.size == dst.size:
             raise ValueError("circ_corr_sum needs one source, relation and destination per edge")
-        plan = _chunk_plan(src, rel, dst, d)
+        plan = _planned(_chunk_plan, src, rel, dst, width=d)
         x_data, table_data = x.data, table.data
         circulants = np.ascontiguousarray(_doubled_windows(table_data))
         sums = None
@@ -467,7 +447,7 @@ class Tape:
             phi = np.empty(a.shape)
             for lo, hi, r in chunk.runs:
                 np.dot(a[lo:hi], circulants[r], out=phi[lo:hi])
-            sums = _sum_chunk(sums, chunk.dst, chunk.dst_diagonals, phi, n)
+            sums = _scatter(chunk.dst_plan, phi, n, sums)
         out = Tensor(sums)
         gx, gtable, gout = x.sink, table.sink, out.sink
 
@@ -486,7 +466,7 @@ class Tape:
                     np.dot(g[lo:hi], circulants[r], out=grad_a[lo:hi])
                     np.dot(a[lo:hi].T, g[lo:hi], out=blocks[k])
                     k += 1
-                grad_x = _sum_chunk(grad_x, chunk.src, chunk.src_diagonals, grad_a, x_data.shape[0])
+                grad_x = _scatter(chunk.src_plan, grad_a, x_data.shape[0], grad_x)
             gx.add(grad_x)
             folds = (np.arange(d)[:, None] + np.arange(d)) % d
             cells = (plan.run_rel[:, None, None] * d + folds).ravel()

@@ -85,6 +85,9 @@ class RunConfig:
         splits = ("train", "val", "test", "all")
         if self.eval_split not in splits:
             raise ValueError(f"[eval] split must be one of {splits}, got {self.eval_split!r}")
+        if self.scorer.dim != self.model.dim:
+            raise ValueError(f"[scorer] rows x cols = {self.scorer.rows}x{self.scorer.cols}"
+                             f" does not match [model] dim {self.model.dim}")
 
 
 # The config schema: one row per INI key, in the order the echo writes

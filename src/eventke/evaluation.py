@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import ParameterStore, Tape, Tensor
+from .autodiff import _TRUNK_BLOCK, ParameterStore, Tape, Tensor
 from .kgdata import HeterogeneousGraph, KnowledgeTriple
 from .layers import ModelConfig, forward_model
 from .scoring import ConvScorerConfig, frozen_trunk
@@ -29,9 +29,10 @@ from .trainer import EarlyStopper, TrainConfig, adam_step
 
 logger = logging.getLogger(__name__)
 
-# queries per frozen_trunk call and (block, n) score matrix: one trunk block.
-# It is part of the reports' bits: a score row's last bits depend on it.
-EVAL_BLOCK = 64
+# queries per frozen_trunk call and (block, n) score product: one trunk block.
+# A product row's last bits depend on the product's row count, so a short
+# last block is zero-padded to it.
+EVAL_BLOCK = _TRUNK_BLOCK
 
 
 def rank_of_gold(scores: np.ndarray, gold) -> float | np.ndarray:
@@ -173,13 +174,15 @@ def kg_completion_eval(
     """Rank each gold tail against all entities or K sampled negatives.
 
     Queries run in blocks of EVAL_BLOCK: one ``frozen_trunk`` call gives
-    the block's trunk rows, and one product of those rows with the entity
-    matrix gives its (block, n) scores (1-N scoring).  A non-finite score
-    raises ValueError naming its query.  Then, with ``protocol.filtered``,
-    the other tails ``known_tails`` lists for a query's (head, relation)
-    become NaN in its row, and one ``rank_of_gold`` call ranks each gold
-    tail within its row (full) or its sampled candidates (sampled).  Blocks
-    run in order on the calling thread; BLAS threads parallelize each product.
+    the block's trunk rows, and one product of those rows, zero-padded to
+    EVAL_BLOCK, with the entity matrix gives its (block, n) scores (1-N
+    scoring), so a query's scores do not depend on where blocks fall.  A
+    non-finite score raises ValueError naming its query.  Then, with
+    ``protocol.filtered``, the other tails ``known_tails`` lists for a
+    query's (head, relation) become NaN in its row, and one
+    ``rank_of_gold`` call ranks each gold tail within its row (full) or
+    its sampled candidates (sampled).  Blocks run in order on the calling
+    thread; BLAS threads parallelize each product.
     """
     if not test_triples:
         raise ValueError("no test triples to evaluate")
@@ -198,7 +201,9 @@ def kg_completion_eval(
         heads, relations, golds = np.array(block, dtype=np.intp).T
         trunks = frozen_trunk(params, scorer_config, entity_matrix[heads], relation_rows[relations])
         # 1-N scoring: every query of the block against every entity in one product
-        scores = trunks @ entity_matrix.T
+        if len(block) < EVAL_BLOCK:
+            trunks = np.pad(trunks, ((0, EVAL_BLOCK - len(block)), (0, 0)))
+        scores = (trunks @ entity_matrix.T)[: len(block)]
         finite = np.isfinite(scores).all(axis=1)
         if not finite.all():
             bad = int(np.argmin(finite))

@@ -763,7 +763,7 @@ def test_circ_corr_sum_equals_numpy_reference_bitwise(monkeypatch, chunk_rows):
     d = 64
     if chunk_rows is not None:
         monkeypatch.setattr(autodiff, "_CHUNK_MIN_CELLS", chunk_rows * d)
-    monkeypatch.setattr(autodiff, "_CHUNK_PLANS", {})
+    monkeypatch.setattr(autodiff, "_PLANS", {})
     rng = np.random.default_rng(59)
     # runs of 1 to 90 rows; relations recur in separate runs
     sizes = [90, 1, 35, 60, 2, 80, 45, 1, 70, 30]
@@ -784,6 +784,33 @@ def test_circ_corr_sum_equals_numpy_reference_bitwise(monkeypatch, chunk_rows):
     for indices in (readonly, readonly, [src, rel, dst]):  # the second reads the cached plan
         got = _circ_corr_sum_grads(x, table, *indices, n, g)
         assert [a.tobytes() for a in got] == expected
+
+
+def test_circ_corr_sum_keeps_no_plan_of_a_writable_or_mixed_edge_list(monkeypatch):
+    """Only an all read-only (src, rel, dst) is kept; a mixed one sums its
+    first chunk by the bincount, as a writable one does, and is planned
+    afresh at every call with the same bits."""
+    monkeypatch.setattr(autodiff, "_PLANS", {})
+    rng = np.random.default_rng(61)
+    d, n = 64, 600
+    rel = np.repeat(np.arange(5), [700, 500, 900, 400, 500])
+    src, dst = rng.integers(0, n, size=rel.size), rng.integers(0, n, size=rel.size)
+    x, table, g = rng.normal(size=(n, d)), rng.normal(size=(5, d)), rng.normal(size=(n, d))
+    readonly = [src.copy(), rel.copy(), dst.copy()]
+    for index in readonly:
+        index.flags.writeable = False
+    chunks = autodiff._chunk_plan(*readonly, d).chunks
+    assert len(chunks) > 1 and isinstance(chunks[0].dst_plan, autodiff._Diagonals)
+    expected = [a.tobytes() for a in _circ_corr_sum_grads(x, table, *readonly, n, g)]
+    assert len(autodiff._PLANS) == 1
+    mixed = [readonly[0], rel, readonly[2]]
+    first = autodiff._chunk_plan(*mixed, d).chunks[0]
+    assert isinstance(first.src_plan, np.ndarray) and isinstance(first.dst_plan, np.ndarray)
+    for indices in ([src, rel, dst], mixed):
+        for _ in range(2):
+            got = _circ_corr_sum_grads(x, table, *indices, n, g)
+            assert [a.tobytes() for a in got] == expected
+            assert len(autodiff._PLANS) == 1
 
 
 def _trunk_chain_reference(s, r, filters, projection, rows, g):

@@ -173,6 +173,22 @@ def test_config_range_error_names_section(section, key, value, reason, tmp_path,
     assert capsys.readouterr().err == f"error: {config}: [{section}] {reason}\n"
 
 
+def test_scorer_shape_against_model_dim_is_one_config_error(tmp_path, capsys):
+    """Rejected while the config is read, before any data file is opened:
+    the events file named here does not exist."""
+    shutil.copy(os.path.join(FIXTURES, "triples.tsv"), tmp_path / "triples.tsv")
+    config = tmp_path / "run.ini"
+    config.write_text(
+        "[data]\ntriples = triples.tsv\nevents = missing.jsonl\n[scorer]\nrows = 4\n"
+        "[output]\ndir = out\n"
+    )
+    assert run_cli("train", "--config", str(config)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {config}: [scorer] rows x cols = 4x8 does not match [model] dim 64\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_interpolation_names_section_and_key(tmp_path, capsys):
     shutil.copy(os.path.join(FIXTURES, "triples.tsv"), tmp_path / "triples.tsv")
     config = tmp_path / "run.ini"

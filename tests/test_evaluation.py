@@ -32,7 +32,7 @@ from eventke.scoring import (
 )
 from eventke.trainer import build_model
 
-from _synth import build_from_lines, dataset_lines
+from _synth import build_from_lines, dataset_lines, memorization_lines
 
 
 MODEL = ModelConfig(dim=4, num_layers=1, seed=1)
@@ -396,6 +396,28 @@ def test_report_json_is_pinned(name):
     graph, store, queries, known = block_setup()
     report = kg_completion_eval(graph, store, MODEL, SCORER, queries, PROTOCOLS[name], known)
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == PINNED_REPORTS[name]
+
+
+def test_score_row_does_not_depend_on_where_blocks_fall(monkeypatch):
+    """Query 69 of the memorization fixture (n = 50) gets the same score
+    bytes as row 6 of a short last block and inside two full blocks."""
+    graph, store = build_model(
+        build_from_lines(*memorization_lines(7)), ModelConfig(), ConvScorerConfig())
+    triples = list(graph.triples)
+    captured = []
+
+    def spy(scores, golds):
+        captured.extend(np.array(scores))
+        return rank_of_gold(scores, golds)
+
+    monkeypatch.setattr(evaluation, "rank_of_gold", spy)
+    rows = []
+    for queries, row in ((triples[:70], 69), (triples[64:128], 5), (triples[6:70], 63)):
+        captured.clear()
+        kg_completion_eval(
+            graph, store, ModelConfig(), ConvScorerConfig(), queries, EvalProtocol())
+        rows.append(captured[row].tobytes())
+    assert rows[0] == rows[1] == rows[2]
 
 
 def test_non_finite_parameter_raises_naming_the_query():

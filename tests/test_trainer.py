@@ -257,6 +257,12 @@ def diagonal_step():
         min_args=2, max_args=4, n_temporal=20, seed=12,
     )
     graph, store = build_model(build_from_lines(*lines), ModelConfig(), ConvScorerConfig())
+    _eight_group_step(graph, store)
+    return graph, store
+
+
+def _eight_group_step(graph, store):
+    """One training step over the graph's first 8 query groups."""
     groups = group_queries(graph.triples)[:8]
     config = TrainConfig(k_neg=4, batch_groups=8)
     sampler = NegativeSampler(
@@ -267,7 +273,6 @@ def diagonal_step():
         graph, store, ModelConfig(), ConvScorerConfig(), groups, sampler, config,
         epoch=1, shuffle_rng=np.random.default_rng(0), step_counter=[0],
     )
-    return graph, store
 
 
 def _state_digest(store: ParameterStore) -> str:
@@ -309,11 +314,31 @@ DIAGONAL_STEP_STATE = "dbcc33f8d7ec9ff771e6f4dc7a250050fc37ece0b6bda6d42b73b1ac7
 def test_diagonal_scatter_step_is_pinned():
     graph, _ = diagonal_step()
     plan = index_plan(graph)
-    chunks = autodiff._chunk_plan(plan.edge_src, plan.edge_rel, plan.edge_dst, 64).chunks
+    # the kept plan, which stage 4 of the step used
+    chunks = autodiff._planned(
+        autodiff._chunk_plan, plan.edge_src, plan.edge_rel, plan.edge_dst, width=64).chunks
     assert len(chunks) > 1
-    for index in (chunks[0].dst, chunks[0].src):
-        assert isinstance(autodiff._scatter_plan(index, 64), autodiff._Diagonals)
+    for scatter_plan in (chunks[0].dst_plan, chunks[0].src_plan):
+        assert isinstance(scatter_plan, autodiff._Diagonals)
     assert _digest_in_child("diagonal_step_digest") == DIAGONAL_STEP_STATE
+
+
+def test_a_second_step_on_one_graph_builds_no_plan(monkeypatch):
+    """The graph's read-only indices are planned in the first step, and the
+    second finds every plan kept: no build of one, no new entry."""
+    monkeypatch.setattr(autodiff, "_PLANS", {})
+    graph, store = diagonal_step()
+    builds = []
+    for name in ("_scatter_plan", "_chunk_plan"):
+        def counted(*args, build=getattr(autodiff, name), name=name):
+            if not any(index.flags.writeable for index in args[:-1]):
+                builds.append(name)
+            return build(*args)
+        monkeypatch.setattr(autodiff, name, counted)
+    kept = list(autodiff._PLANS)
+    _eight_group_step(graph, store)
+    assert builds == []
+    assert list(autodiff._PLANS) == kept
 
 
 def mean_reduction_step():
