@@ -339,17 +339,8 @@ class Tape:
     # -- linear algebra --------------------------------------------------
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.data.shape != b.data.shape:
-            raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
-        out = Tensor(a.data + b.data)
-        ga, gb, gout = a.sink, b.sink, out.sink
-
-        def backward() -> None:
-            ga.grad += gout.grad
-            gb.grad += gout.grad
-
-        self._record(backward)
-        return out
+        """``add_n([a, b])``: a sum has one forward and one backward."""
+        return self.add_n([a, b])
 
     def add_n(self, xs: list[Tensor]) -> Tensor:
         """Sum of same-shape tensors in one record (left-to-right order)."""
@@ -380,17 +371,6 @@ class Tape:
 
         def backward() -> None:
             gx.add(np.where(mask, gout.grad, 0.0))
-
-        self._record(backward)
-        return out
-
-    def leaky_relu(self, x: Tensor, slope: float) -> Tensor:
-        out = Tensor(np.where(x.data >= 0.0, x.data, slope * x.data))
-        mask = x.data >= 0.0
-        gx, gout = x.sink, out.sink
-
-        def backward() -> None:
-            gx.add(np.where(mask, 1.0, slope) * gout.grad)
 
         self._record(backward)
         return out
@@ -575,8 +555,10 @@ class Tape:
         self._record(backward)
         return out
 
-    def segment_softmax(self, logits: Tensor, segments, n: int) -> Tensor:
-        """Independent softmax over each segment of a 1-D logit vector."""
+    def segment_softmax(self, logits: Tensor, segments, n: int, slope: float) -> Tensor:
+        """GAT attention: an independent softmax over each segment of a 1-D
+        logit vector, LeakyReLU-rectified by ``slope`` first (subgradient 1
+        at 0).  A slope of 1.0 rectifies nothing: the plain softmax."""
         if logits.data.ndim != 1:
             raise ValueError("segment_softmax expects a 1-D tensor")
         seg = _as_index(segments, n, "segment_softmax")
@@ -584,9 +566,11 @@ class Tape:
             raise ValueError("segment_softmax needs one segment id per logit")
         if not np.bincount(seg, minlength=n).all():
             raise ValueError("segment_softmax over an empty segment")
+        mask = logits.data >= 0.0
+        rectified = np.where(mask, logits.data, slope * logits.data)
         maxes = np.full(n, -np.inf)
-        np.maximum.at(maxes, seg, logits.data)
-        shifted = np.exp(logits.data - maxes[seg])
+        np.maximum.at(maxes, seg, rectified)
+        shifted = np.exp(rectified - maxes[seg])
         denom = np.bincount(seg, weights=shifted, minlength=n)
         s = shifted / denom[seg]
         out = Tensor(s)
@@ -594,7 +578,7 @@ class Tape:
 
         def backward() -> None:
             dots = np.bincount(seg, weights=gout.grad * s, minlength=n)
-            glogits.add(s * (gout.grad - dots[seg]))
+            glogits.add(np.where(mask, 1.0, slope) * (s * (gout.grad - dots[seg])))
 
         self._record(backward)
         return out

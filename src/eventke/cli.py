@@ -32,7 +32,6 @@ from .kgdata import (
     ParseError,
     build_graph,
     check_split_ratios,
-    int_rows,
     load_pretrained_vectors,
     parse_entity_labels,
     parse_events,
@@ -40,7 +39,7 @@ from .kgdata import (
     parse_triples,
     split_dataset,
 )
-from .layers import ModelConfig
+from .layers import ModelConfig, index_plan
 from .scoring import ConvScorerConfig, known_tails_from_triples
 from .trainer import TrainConfig, build_model, fit, load_checkpoint, save_checkpoint
 
@@ -255,7 +254,10 @@ def _parse_file(path: str, parse, *args):
         raise CliError(f"{path}: not valid UTF-8 ({exc.reason})") from None
 
 
-def _load_graph(config: RunConfig) -> HeterogeneousGraph:
+def _load_graph(config: RunConfig) -> tuple[HeterogeneousGraph, dict[str, list[KnowledgeTriple]]]:
+    """The training split's graph and each split's triples (``train``, ``val``,
+    ``test``, ``all``).  Every triple is parsed, so the vocabularies cover the
+    held-out queries, but messages never pass over a held-out triple."""
     triples, entities, relations = _parse_file(config.triples, parse_triples)
     parsed_events, links = None, []
     if config.events is not None:
@@ -264,15 +266,11 @@ def _load_graph(config: RunConfig) -> HeterogeneousGraph:
             links = _parse_file(config.temporal, parse_temporal_links, parsed_events.event_ids)
     elif config.temporal is not None:
         raise CliError("temporal links configured without an events file")
-    return build_graph(triples, entities, relations, parsed_events, links)
-
-
-def _split_triples(
-    graph: HeterogeneousGraph, config: RunConfig
-) -> tuple[list[KnowledgeTriple], list[KnowledgeTriple], list[KnowledgeTriple]]:
-    splits = split_dataset(len(graph.triples), config.split_ratios, config.split_seed)
-    pick = lambda idxs: [graph.triples[i] for i in idxs]
-    return pick(splits.train), pick(splits.validation), pick(splits.test)
+    splits = split_dataset(len(triples), config.split_ratios, config.split_seed)
+    parts = {name: [triples[i] for i in idxs] for name, idxs in (
+        ("train", splits.train), ("val", splits.validation), ("test", splits.test))}
+    parts["all"] = triples
+    return build_graph(parts["train"], entities, relations, parsed_events, links), parts
 
 
 # -- commands ---------------------------------------------------------------
@@ -288,13 +286,13 @@ def _writing_config(args: argparse.Namespace) -> RunConfig:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = _writing_config(args)
-    graph = _load_graph(config)
-    train_t, val_t, _ = _split_triples(graph, config)
+    graph, triples = _load_graph(config)
     init_table = None
     if config.pretrained is not None:
         init_table = _parse_file(config.pretrained, load_pretrained_vectors)
     used, store = build_model(graph, config.model, config.scorer, init_table)
-    result = fit(used, store, config.model, config.scorer, train_t, val_t, config.train)
+    result = fit(
+        used, store, config.model, config.scorer, triples["train"], triples["val"], config.train)
 
     os.makedirs(config.out_dir, exist_ok=True)
     ckpt_path = os.path.join(config.out_dir, "model.ckpt")
@@ -348,11 +346,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
                     "[%s] %s is %s in %s but %s in the checkpoint; the checkpoint's is used",
                     section, key, _format(owner, name, ours), args.config,
                     _format(owner, name, theirs))
-    graph = _load_graph(config)
-    train_t, val_t, test_t = _split_triples(graph, config)
-    target = {
-        "train": train_t, "val": val_t, "test": test_t, "all": list(graph.triples),
-    }[config.eval_split]
+    graph, triples = _load_graph(config)
+    target = triples[config.eval_split]
     if not target:
         raise CliError(f"eval split {config.eval_split!r} contains no triples")
     # read before the ranking, so a bad labels file costs no work
@@ -360,7 +355,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     used, store = build_model(graph, checkpoint.model_config, checkpoint.scorer_config)
     checkpoint.restore_into(store)
-    known = known_tails_from_triples(train_t) if config.protocol.filtered else None
+    known = known_tails_from_triples(triples["train"]) if config.protocol.filtered else None
     report = kg_completion_eval(
         used, store, checkpoint.model_config, checkpoint.scorer_config,
         target, config.protocol, known_tails=known,
@@ -382,9 +377,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
             ents = train_head_on_model(
                 used, store, checkpoint.model_config, splits, n_classes, head_config)
             print(f"{'Ents':<9}{ents.accuracy:.4f}")
-        rel_splits = {name: relation_examples(part)
-                      for name, part in (("train", train_t), ("val", val_t), ("test", test_t))}
-        if all(rel_splits.values()):
+        rel_splits = {name: relation_examples(triples[name]) for name in ("train", "val", "test")}
+        empty = [name for name, examples in rel_splits.items() if not examples]
+        if empty:
+            logger.warning("relation probe skipped: no triples in split(s) %s", ", ".join(empty))
+        else:
             rels = train_head_on_model(
                 used, store, checkpoint.model_config, rel_splits,
                 graph.relation_count, head_config)
@@ -395,16 +392,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_graph_inspect(args: argparse.Namespace) -> int:
     config = parse_run_config(args.config, args.seed)
-    graph = _load_graph(config)
+    graph, triples = _load_graph(config)
     print(f"{'Entities':<10}{graph.entity_count}")
     print(f"{'Triples':<10}{len(graph.triples)}")
+    print(f"{'HeldOut':<10}{len(triples['val']) + len(triples['test'])}")
     print(f"{'Events':<10}{graph.event_count}")
     print(f"{'Args':<10}{graph.argument_link_count}")
-    # stage 4: one product per relation type, one row per triple end and self loop
-    ends = int_rows(graph.triples, len(graph.triples), 3)[:, ::2]
-    degree = np.bincount(ends.ravel(), minlength=graph.entity_count)
+    # stage 4's edge rows: one per triple end, plus each entity's self loop
+    edge_dst = index_plan(graph).edge_dst
+    degree = np.bincount(edge_dst, minlength=graph.entity_count) - 1
     print(f"{'RelTypes':<10}{graph.augmented_relation_count}")
-    print(f"{'EdgeRows':<10}{degree.sum() + graph.entity_count}")
+    print(f"{'EdgeRows':<10}{edge_dst.size}")
     print(f"{'MaxInDeg':<10}{degree.max()}")
     print(f"{'MeanInDeg':<10}{degree.mean():.2f}")
     print(f"{'Isolated':<10}{np.count_nonzero(degree == 0)}")

@@ -287,10 +287,11 @@ def stage1_entity_to_event(
     Returns (alpha, events): alpha holds every argument's attention
     weight in ``IndexPlan.arg_event`` order, events is the (n_events, 3d)
     matrix [trigger, type, attended argument message].  Logits come from a
-    leaky-ReLU scored linear map of [trigger, type, argument entity,
-    role]; the map splits into one score per trigger, type, entity and
-    role row, which each argument slot gathers and sums.  Messages are
-    likewise projected once per distinct argument entity and gathered.
+    linear map of [trigger, type, argument entity, role], split into one
+    score per trigger, type, entity and role row, which each argument slot
+    gathers and sums; one record leaky-rectifies and normalizes them per
+    event.  Messages are likewise projected once per distinct argument
+    entity and gathered.
     """
     n_ev = len(graph.events)
     plan = index_plan(graph)
@@ -314,9 +315,7 @@ def stage1_entity_to_event(
             score(params["role_embeddings"], 3, plan.arg_role),
         ]
     )
-    alpha = tape.segment_softmax(
-        tape.leaky_relu(tape.reshape(logits, (-1,)), config.leaky_slope), arg_event, n_ev
-    )
+    alpha = tape.segment_softmax(tape.reshape(logits, (-1,)), arg_event, n_ev, config.leaky_slope)
     messages = tape.relu(tape.rows_affine(u, params["entity_message"]))
     lam = tape.pool_sum(messages, plan.arg_slot, alpha, arg_event, n_ev)
     return alpha, tape.concat_cols(t_rows, c_rows, lam)
@@ -359,8 +358,9 @@ def stage3_event_to_entity(
     weight in ``IndexPlan.incidence_slot`` order, or is None when the
     stage is skipped; entities is the (n, d) entity matrix, in which
     entities with no incident events pass through bitwise unchanged.
-    As in stage 1, a logit is one event score plus one entity score and
-    each event's message is projected once; incidence rows gather them.
+    As in stage 1, a logit is one event score plus one entity score, one
+    record rectifies and normalizes the logits per entity, and each
+    event's message is projected once; incidence rows gather them.
     """
     if config.no_events or config.event_mix == 0.0 or tilde_events.data.shape[0] == 0:
         return None, entity_vecs
@@ -379,8 +379,7 @@ def stage3_event_to_entity(
         tape.gather_rows(entity_score, inc_slot),
     )
     beta = tape.segment_softmax(
-        tape.leaky_relu(tape.reshape(logits, (-1,)), config.leaky_slope), inc_slot, len(updated)
-    )
+        tape.reshape(logits, (-1,)), inc_slot, len(updated), config.leaky_slope)
     messages = tape.rows_affine(tilde_events, params["event_projection"])
     mix = tape.pool_sum(messages, plan.incidence_event, beta, inc_slot, len(updated))
     return beta, tape.add_rows(entity_vecs, updated, mix, config.event_mix)

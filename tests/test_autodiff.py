@@ -22,9 +22,10 @@ def test_tensor_rejects_rank_5():
 
 
 def _softmax(logits) -> np.ndarray:
-    """Softmax over one segment holding every logit."""
+    """Softmax over one segment holding every logit; a slope of 1.0
+    rectifies nothing."""
     logits = np.asarray(logits, dtype=np.float64)
-    return Tape().segment_softmax(Tensor(logits), np.zeros(logits.size, dtype=int), 1).data
+    return Tape().segment_softmax(Tensor(logits), np.zeros(logits.size, dtype=int), 1, 1.0).data
 
 
 def test_softmax_known_values():
@@ -119,13 +120,20 @@ def test_conv_trunk_rejects_bad_shapes():
 
 
 def test_relu_subgradient_at_zero_is_one():
-    for op, extra in ((Tape.relu, ()), (Tape.leaky_relu, (0.2,))):
+    tape = Tape()
+    x = Tensor([0.0])
+    tape.backward(_total(tape, tape.relu(x)))
+    assert x.grad[0] == 1.0
+    # segment_softmax's rectifier takes the positive side at a logit of 0
+    # too: its gradient there is the unrectified softmax's
+    grads = []
+    for slope in (0.2, 1.0):
         tape = Tape()
-        x = Tensor([0.0])
-        y = op(tape, x, *extra)
-        loss = _total(tape, y)
-        tape.backward(loss)
-        assert x.grad[0] == 1.0
+        x = Tensor([0.0, 1.0])
+        out = tape.segment_softmax(x, [0, 0], 1, slope)
+        tape.backward(_dot(tape, out, Tensor([1.0, 0.0])))
+        grads.append(x.grad.tobytes())
+    assert grads[0] == grads[1] and x.grad[0] != 0.0
 
 
 def _bce(scores, positives: int, factor: float = 1.0) -> Tensor:
@@ -212,7 +220,7 @@ def _loss_through_all_ops(params: dict[str, Tensor]) -> tuple[Tape, Tensor]:
     table, w, filt, proj = params["table"], params["w"], params["filt"], params["proj"]
     a, b, c = (tape.reshape(tape.gather_rows(table, [i]), (-1,)) for i in range(3))
     hidden = tape.rows_affine(tape.reshape(_concat(tape, a, b), (1, -1)), w)
-    hid = tape.leaky_relu(tape.reshape(hidden, (-1,)), 0.2)
+    hid = tape.segment_softmax(tape.reshape(hidden, (-1,)), [0, 0, 0, 1, 1, 1], 2, 0.2)
     # a - a/2 is exactly a/2: both inputs of add_rows reach the gradient
     a_row = tape.reshape(a, (1, -1))
     half_a = tape.reshape(tape.add_rows(a_row, [0], a_row, -0.5), (-1,))
@@ -372,7 +380,7 @@ def test_segment_softmax_matches_blockwise_masked_softmax():
     sizes = [1, 4, 2, 3]
     seg = np.repeat(np.arange(len(sizes)), sizes)
     logits = rng.normal(size=seg.size)
-    out = Tape().segment_softmax(Tensor(logits), seg, len(sizes))
+    out = Tape().segment_softmax(Tensor(logits), seg, len(sizes), 1.0)
     lo = 0
     for s, width in enumerate(sizes):
         block = np.exp(logits[lo : lo + width])
@@ -380,7 +388,29 @@ def test_segment_softmax_matches_blockwise_masked_softmax():
         lo += width
 
     with pytest.raises(ValueError):
-        Tape().segment_softmax(Tensor(logits), seg, len(sizes) + 1)
+        Tape().segment_softmax(Tensor(logits), seg, len(sizes) + 1, 1.0)
+
+
+def test_segment_softmax_is_the_softmax_of_leaky_rectified_logits():
+    """At slope 0.2 the values are bitwise the slope-1.0 softmax of the
+    pre-rectified logits, and the logits' gradient is that call's gradient
+    times the rectifier's slope, also bitwise."""
+    rng = np.random.default_rng(37)
+    seg = np.repeat(np.arange(4), [3, 1, 5, 2])
+    logits = rng.normal(size=seg.size)
+    assert (logits < 0).any() and (logits > 0).any()
+    upstream = Tensor(rng.normal(size=seg.size))
+
+    def run(values, slope):
+        tape, x = Tape(), Tensor(values)
+        out = tape.segment_softmax(x, seg, 4, slope)
+        tape.backward(_dot(tape, out, upstream))
+        return out.data, x.grad
+
+    out, grad = run(logits, 0.2)
+    plain_out, plain_grad = run(np.where(logits >= 0, logits, 0.2 * logits), 1.0)
+    assert out.tobytes() == plain_out.tobytes()
+    assert grad.tobytes() == (plain_grad * np.where(logits >= 0, 1.0, 0.2)).tobytes()
 
 
 def test_replace_rows_keeps_other_rows_bitwise():
@@ -439,7 +469,7 @@ def _loss_through_batched_ops(params: dict[str, Tensor]) -> tuple[Tape, Tensor]:
     idx = [0, 2, 1, 2]
     picked = tape.gather_rows(table, idx)
     logits = tape.reshape(tape.rows_affine(picked, params["battn"]), (-1,))
-    alpha = tape.segment_softmax(logits, seg, 3)
+    alpha = tape.segment_softmax(logits, seg, 3, 0.2)
     pooled = tape.pool_sum(tape.rows_affine(table, w), idx, alpha, seg, 3)
     mixed = tape.concat_cols(pooled, tape.pool_mean(table, idx, seg, 3))
     phi = tape.circ_corr_sum(mixed, tape.relu(mixed), [0, 2, 1, 2], [1, 1, 0, 0], [2, 0, 2, 1], 3)
@@ -905,13 +935,12 @@ UNREAD = {
     "add": ("a", "input", lambda tape, x, p: tape.add(x, p["b"])),
     "add_n": ("a", "input", lambda tape, x, p: tape.add_n([x, p["b"], p["a"]])),
     "relu": ("a", "input", lambda tape, x, p: tape.relu(x)),
-    "leaky_relu": ("a", "input", lambda tape, x, p: tape.leaky_relu(x, 0.2)),
     "reshape": ("a", "input", lambda tape, x, p: tape.reshape(x, (4, 6))),
     "gather_rows": ("a", "input", lambda tape, x, p: tape.gather_rows(x, [0, 2, 2, 5])),
     "concat_cols": ("a", "input", lambda tape, x, p: tape.concat_cols(x, p["b"])),
     "add_rows": ("a", "input", lambda tape, x, p: tape.add_rows(x, [1, 4], p["rows"], 0.5)),
     "pool_mean": ("a", "input", lambda tape, x, p: tape.pool_mean(x, [5, 4, 3, 2, 1, 0], SEGMENTS, 3)),
-    "segment_softmax": ("logits", "input", lambda tape, x, p: tape.segment_softmax(x, SEGMENTS, 3)),
+    "segment_softmax": ("logits", "input", lambda tape, x, p: tape.segment_softmax(x, SEGMENTS, 3, 0.2)),
     "rows_affine": ("a", "output", lambda tape, x, p: tape.rows_affine(x, p["w"])),
     "pool_sum": ("a", "output",
                  lambda tape, x, p: tape.pool_sum(x, [5, 4, 3, 2, 1, 0], p["weights"], SEGMENTS, 3)),

@@ -5,7 +5,11 @@ import shutil
 
 import pytest
 
+from eventke import cli
 from eventke.cli import main, parse_run_config, write_effective_config
+from eventke.evaluation import kg_completion_eval
+from eventke.kgdata import parse_triples, split_dataset
+from eventke.layers import index_plan
 from eventke.trainer import load_checkpoint, save_checkpoint
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "toy")
@@ -24,30 +28,34 @@ def test_graph_inspect_prints_fixture_counts(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out == [
         "Entities  10",
-        "Triples   12",
+        "Triples   9",
+        "HeldOut   3",
         "Events    4",
         "Args      9",
         "RelTypes  7",
-        "EdgeRows  34",
+        "EdgeRows  28",
         "MaxInDeg  3",
-        "MeanInDeg 2.40",
+        "MeanInDeg 1.80",
         "Isolated  0",
     ]
 
 
 def test_graph_inspect_counts_isolated_entities(tmp_path, capsys):
-    # c and d appear only as event arguments: no triple reaches them
+    # c and d appear only as event arguments: no triple reaches them; every
+    # triple is a training triple, so none is held out of the graph
     (tmp_path / "triples.tsv").write_text("a\tr\tb\na\ts\tb\n")
     (tmp_path / "events.jsonl").write_text(json.dumps({
         "event_id": "e1", "trigger": "t", "event_type": "T",
         "arguments": [{"entity": "c", "role": "x"}, {"entity": "d", "role": "x"}],
     }) + "\n")
     (tmp_path / "config.ini").write_text(
-        "[data]\ntriples = triples.tsv\nevents = events.jsonl\n[output]\ndir = out\n"
+        "[data]\ntriples = triples.tsv\nevents = events.jsonl\nsplit_ratios = 1,0,0\n"
+        "[output]\ndir = out\n"
     )
     assert run_cli("graph-inspect", "--config", str(tmp_path / "config.ini")) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[4:] == [
+    assert out[1:3] == ["Triples   2", "HeldOut   0"]
+    assert out[5:] == [
         "RelTypes  5",
         "EdgeRows  8",
         "MaxInDeg  2",
@@ -638,6 +646,45 @@ def test_eval_classification_accuracies(trained, tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "Ents" in stdout
     assert "Rels" in stdout
+
+
+def test_eval_warns_when_the_relation_probe_is_skipped(trained, tmp_path, capsys):
+    cp = configparser.ConfigParser()
+    cp.read(TOY_CONFIG)
+    cp["data"]["split_ratios"] = "1,0,0"
+    cp["eval"]["classify"] = "true"
+    for key in ("triples", "events", "temporal", "entity_labels"):
+        cp["data"][key] = os.path.join(FIXTURES, cp["data"][key])
+    config = tmp_path / "classify.ini"
+    with open(config, "w") as fh:
+        cp.write(fh)
+    code = run_cli("eval", "--config", str(config),
+                   "--checkpoint", str(trained / "model.ckpt"), "--out", str(tmp_path / "out"))
+    assert code == 0
+    captured = capsys.readouterr()
+    assert "Ents" in captured.out and "Rels" not in captured.out
+    assert ("WARNING eventke.cli: relation probe skipped: no triples in split(s) val, test\n"
+            in captured.err)
+
+
+def test_eval_ranks_on_a_graph_of_training_triples_only(trained, tmp_path, monkeypatch):
+    """Held-out triples are queries, never message-passing edges."""
+    graphs = []
+
+    def spy(graph, *args, **kwargs):
+        graphs.append(graph)
+        return kg_completion_eval(graph, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "kg_completion_eval", spy)
+    assert run_cli("eval", "--config", TOY_CONFIG, "--checkpoint", str(trained / "model.ckpt"),
+                   "--out", str(tmp_path / "out")) == 0
+    with open(os.path.join(FIXTURES, "triples.tsv")) as fh:
+        triples, entities, _ = parse_triples(fh)
+    splits = split_dataset(len(triples), (0.8, 0.1, 0.1), 0)
+    (graph,) = graphs
+    assert sorted(graph.triples) == sorted(triples[i] for i in splits.train)
+    assert not {triples[i] for i in splits.validation + splits.test} & set(graph.triples)
+    assert index_plan(graph).edge_dst.size == 2 * len(splits.train) + len(entities) == 28
 
 
 @pytest.mark.parametrize("case, lineno, message", [

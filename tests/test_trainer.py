@@ -398,11 +398,10 @@ def toy_run_digests() -> str:
 
 
 # sha256 of the toy run's loss.csv and model.ckpt with one BLAS thread, taken
-# when stages 2 and 3 made their residual updates by gather, scale, add and
-# replace_rows records: the one add_rows record must reproduce their bits
+# when the CLI first built its graph from the training split alone
 TOY_RUN = (
-    "45095fc08eb91204004e4a65df927c5ea0277fba3e07d1d3b87e71d72a3b68b3 "
-    "d4673316b286ee5374a63a5b792feef2d9bab72bc4273ba6eadf502cdef87bfc"
+    "bff8ab0284b6a002c56c042abbf6af9fcd02cf0d209a653a878056826e08f501 "
+    "7b2f835fcc0120214f82a50c219dc8b200a72fa6791ecba173980ba4ea87cc06"
 )
 
 
