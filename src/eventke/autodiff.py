@@ -295,10 +295,11 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-# Tape.conv_trunk's patch columns, conv pre-activations and non-recording
-# flat rows, kept between calls for one 64-row block or a larger recording
-# batch: allocated per ranking block, glibc gave these megabytes back to the
-# system and faulted them in again.  The package starts no threads.
+# Tape.conv_trunk's (q, k, k, oh, ow) patch columns and (q, F, oh*ow) conv,
+# which a non-recording call rectifies in place into its flat rows, kept
+# between calls for one 64-row block or a larger recording batch: allocated
+# per ranking block, glibc gave these megabytes back to the system and
+# faulted them in again.  The package starts no threads.
 _TRUNK_BUFFERS: dict[str, np.ndarray] = {}
 _TRUNK_BLOCK = 64
 
@@ -632,7 +633,8 @@ class Tape:
         """ConvE's trunk in one record: ReLU(flat @ projection.T), (q, p), where
         flat[i] flattens ReLU(conv) of image i, row i of ``s`` (q, d) folded
         into ``rows`` rows above row i of ``r`` folded alike, and ``filters``
-        (F, k, k) cross-correlate, valid, stride 1.  A record keeps the
+        (F, k, k) cross-correlate, valid, stride 1.  The conv is computed per
+        image, (q, F, oh*ow), which is flat's layout.  A record keeps the
         images, the two ReLU masks and flat rows of its own, not a buffer's.
 
         A non-recording tape computes in blocks of exactly 64 images, the
@@ -662,17 +664,16 @@ class Tape:
         images = np.concatenate((s.data, r.data), axis=1).reshape(q, h, w)
         # patches[n, y, x] is the k x k window at (y, x) of image n
         patches = np.lib.stride_tricks.sliding_window_view(images, (k, k), axis=(1, 2))
-        columns = _trunk_buffer("columns", (k, k, q, oh, ow))
-        columns[...] = patches.transpose(3, 4, 0, 1, 2)
-        conv = _trunk_buffer("conv", (f, q * oh * ow))
-        np.dot(filters_data.reshape(f, k * k), columns.reshape(k * k, q * oh * ow), out=conv)
-        flat = np.empty((q, f, oh, ow)) if self._recording else _trunk_buffer("flat", (q, f, oh, ow))
-        np.maximum(conv.reshape(f, q, oh, ow), 0.0, out=flat.transpose(1, 0, 2, 3))
-        flat = flat.reshape(q, f * oh * ow)
+        columns = _trunk_buffer("columns", (q, k, k, oh, ow))
+        columns[...] = patches.transpose(0, 3, 4, 1, 2)
+        # one (F, k*k) @ (k*k, oh*ow) product per image writes conv in flat's layout
+        conv = _trunk_buffer("conv", (q, f, oh * ow))
+        np.matmul(filters_data.reshape(f, k * k), columns.reshape(q, k * k, oh * ow), out=conv)
+        flat = np.maximum(conv, 0.0, out=None if self._recording else conv).reshape(q, f * oh * ow)
         trunk = flat @ projection_data.T
         if not self._recording:
             return Tensor(np.maximum(trunk, 0.0, out=trunk))
-        conv_mask, projected_mask = conv.reshape(f, q, oh * ow) >= 0.0, trunk >= 0.0
+        conv_mask, projected_mask = conv.transpose(1, 0, 2) >= 0.0, trunk >= 0.0
         out = Tensor(np.maximum(trunk, 0.0, out=trunk))
         gs, gr, gfilters, gprojection, gout = s.sink, r.sink, filters.sink, projection.sink, out.sink
 

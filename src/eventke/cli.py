@@ -396,6 +396,9 @@ def cmd_graph_inspect(args: argparse.Namespace) -> int:
     print(f"{'Entities':<10}{graph.entity_count}")
     print(f"{'Triples':<10}{len(graph.triples)}")
     print(f"{'HeldOut':<10}{len(triples['val']) + len(triples['test'])}")
+    # ConvE's inverse leakage: held-out (h, r, t) with a training triple (t, ., h)
+    trained = {(h, t) for h, _, t in triples["train"]}
+    print(f"{'Reversed':<10}{sum((t, h) in trained for h, _, t in triples['val'] + triples['test'])}")
     print(f"{'Events':<10}{graph.event_count}")
     print(f"{'Args':<10}{graph.argument_link_count}")
     # stage 4's edge rows: one per triple end, plus each entity's self loop

@@ -1,9 +1,10 @@
 """Ranking metrics for tail prediction and the two classification probes.
 
 Ranking scores queries ConvE's 1-N way: one product scores a block of
-queries against every entity, and one call then ranks each query's gold
-tail within its own row (the whole row, a sampled subset of it, or the
-row with the other known tails masked out).
+distinct (head, relation) pairs against every entity, and one call then
+ranks each query's gold tail within a copy of its pair's row (the whole
+row, a sampled subset of it, or the row with the other known tails masked
+out).
 
 Ranks use the mid-rank tie policy: rank = 1 + #strictly-above + #ties/2.
 Each report entry keeps its (head, relation, tail) query so that two
@@ -29,9 +30,9 @@ from .trainer import EarlyStopper, TrainConfig, adam_step
 
 logger = logging.getLogger(__name__)
 
-# queries per frozen_trunk call and (block, n) score product: one trunk block.
-# A product row's last bits depend on the product's row count, so a short
-# last block is zero-padded to it.
+# (head, relation) pairs per frozen_trunk call and (block, n) score product:
+# one trunk block.  A product row's last bits depend on the product's row
+# count, so a short last block is zero-padded to it.
 EVAL_BLOCK = _TRUNK_BLOCK
 
 
@@ -173,16 +174,16 @@ def kg_completion_eval(
 ) -> RankingReport:
     """Rank each gold tail against all entities or K sampled negatives.
 
-    Queries run in blocks of EVAL_BLOCK: one ``frozen_trunk`` call gives
-    the block's trunk rows, and one product of those rows, zero-padded to
-    EVAL_BLOCK, with the entity matrix gives its (block, n) scores (1-N
-    scoring), so a query's scores do not depend on where blocks fall.  A
-    non-finite score raises ValueError naming its query.  Then, with
-    ``protocol.filtered``, the other tails ``known_tails`` lists for a
-    query's (head, relation) become NaN in its row, and one
-    ``rank_of_gold`` call ranks each gold tail within its row (full) or
-    its sampled candidates (sampled).  Blocks run in order on the calling
-    thread; BLAS threads parallelize each product.
+    A query's scores depend only on its (head, relation) pair, so each
+    distinct pair is scored once, in blocks of EVAL_BLOCK pairs: one
+    ``frozen_trunk`` call and one product of its rows, zero-padded to
+    EVAL_BLOCK, with the entity matrix (1-N scoring).  A query's ranks thus
+    do not depend on which pairs share its block.  Each query ranks in a
+    copy of its pair's row, with ``protocol.filtered`` its other
+    ``known_tails`` set to NaN, by one ``rank_of_gold`` call per group of at
+    most 2 * EVAL_BLOCK queries: within the row (full) or its sampled
+    candidates (sampled).  A non-finite score raises ValueError naming the
+    first such query in split order.
     """
     if not test_triples:
         raise ValueError("no test triples to evaluate")
@@ -195,36 +196,49 @@ def kg_completion_eval(
         raise ValueError("filtered ranking needs the known-tails index")
     entity_matrix = frozen_entity_matrix(graph, params, model_config)
     relation_rows = params["relation_embeddings"].data
+    queries = np.array(test_triples, dtype=np.intp)
+    pairs, pair_of = np.unique(queries[:, :2], axis=0, return_inverse=True)
+    # the queries pair by pair, each pair's in split order; pair p's start at first[p]
+    by_pair = np.argsort(pair_of, kind="stable")
+    first = np.concatenate(([0], np.cumsum(np.bincount(pair_of))))
+    finite = np.empty(len(pairs), dtype=bool)
+    ranks = np.empty(len(queries))
 
-    def rank_block(start: int) -> np.ndarray:
-        block = test_triples[start : start + EVAL_BLOCK]
-        heads, relations, golds = np.array(block, dtype=np.intp).T
-        trunks = frozen_trunk(params, scorer_config, entity_matrix[heads], relation_rows[relations])
-        # 1-N scoring: every query of the block against every entity in one product
-        if len(block) < EVAL_BLOCK:
-            trunks = np.pad(trunks, ((0, EVAL_BLOCK - len(block)), (0, 0)))
-        scores = (trunks @ entity_matrix.T)[: len(block)]
-        finite = np.isfinite(scores).all(axis=1)
-        if not finite.all():
-            bad = int(np.argmin(finite))
-            raise ValueError(f"query {start + bad} {tuple(block[bad])} has non-finite scores")
+    def rank_group(scores: np.ndarray, group: np.ndarray) -> np.ndarray:
+        golds = queries[group, 2]
         if protocol.filtered:
             # NaN takes each query's other known tails out of both rank counts
-            tails = [known_tails.get((h, r), ()) for h, r, _ in block]
-            rows = np.repeat(np.arange(len(block)), [len(known) for known in tails])
+            tails = [known_tails.get((h, r), ()) for h, r, _ in queries[group].tolist()]
+            rows = np.repeat(np.arange(len(group)), [len(known) for known in tails])
             cols = np.fromiter(itertools.chain.from_iterable(tails), np.intp, len(rows))
             other = cols != golds[rows]
             scores[rows[other], cols[other]] = np.nan
         if protocol.mode == "sampled":
-            picks = [_sampled_candidates(n, protocol.k, protocol.seed, query) for query in block]
-            scores = scores[np.arange(len(block))[:, None], np.stack(picks)]
-            golds = np.full(len(block), protocol.k)  # the gold tail comes last
+            picks = [_sampled_candidates(n, protocol.k, protocol.seed, test_triples[i])
+                     for i in group]
+            scores = scores[np.arange(len(group))[:, None], np.stack(picks)]
+            golds = np.full(len(group), protocol.k)  # the gold tail comes last
         return rank_of_gold(scores, golds)
 
-    blocks = [rank_block(start) for start in range(0, len(test_triples), EVAL_BLOCK)]
+    for start in range(0, len(pairs), EVAL_BLOCK):
+        block = pairs[start : start + EVAL_BLOCK]
+        heads, relations = block.T
+        trunks = frozen_trunk(params, scorer_config, entity_matrix[heads], relation_rows[relations])
+        # 1-N scoring: every pair of the block against every entity in one product
+        if len(block) < EVAL_BLOCK:
+            trunks = np.pad(trunks, ((0, EVAL_BLOCK - len(block)), (0, 0)))
+        scores = (trunks @ entity_matrix.T)[: len(block)]
+        finite[start : start + len(block)] = np.isfinite(scores).all(axis=1)
+        end = first[start + len(block)]
+        for lo in range(first[start], end, 2 * EVAL_BLOCK):
+            group = by_pair[lo : min(lo + 2 * EVAL_BLOCK, end)]
+            ranks[group] = rank_group(scores[pair_of[group] - start], group)
+    if not finite.all():
+        bad = int(np.argmin(finite[pair_of]))
+        raise ValueError(f"query {bad} {tuple(test_triples[bad])} has non-finite scores")
     sampled = protocol.mode == "sampled"
     return aggregate_report(
-        test_triples, np.concatenate(blocks).tolist(), protocol.mode,
+        test_triples, ranks.tolist(), protocol.mode,
         protocol.k if sampled else None, protocol.seed if sampled else None,
     )
 

@@ -30,6 +30,7 @@ def test_graph_inspect_prints_fixture_counts(capsys):
         "Entities  10",
         "Triples   9",
         "HeldOut   3",
+        "Reversed  0",
         "Events    4",
         "Args      9",
         "RelTypes  7",
@@ -54,14 +55,26 @@ def test_graph_inspect_counts_isolated_entities(tmp_path, capsys):
     )
     assert run_cli("graph-inspect", "--config", str(tmp_path / "config.ini")) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[1:3] == ["Triples   2", "HeldOut   0"]
-    assert out[5:] == [
+    assert out[1:4] == ["Triples   2", "HeldOut   0", "Reversed  0"]
+    assert out[6:] == [
         "RelTypes  5",
         "EdgeRows  8",
         "MaxInDeg  2",
         "MeanInDeg 1.00",
         "Isolated  2",
     ]
+
+
+def test_graph_inspect_counts_held_out_triples_reversed_in_training(tmp_path, capsys):
+    # one triple trains and the other is held out; each reverses the other,
+    # as ConvE found for WN18's and FB15k's inverse relations
+    (tmp_path / "triples.tsv").write_text("a\tr\tb\nb\ts\ta\n")
+    (tmp_path / "config.ini").write_text(
+        "[data]\ntriples = triples.tsv\nsplit_ratios = 0.5,0.5,0\n[output]\ndir = out\n"
+    )
+    assert run_cli("graph-inspect", "--config", str(tmp_path / "config.ini")) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:4] == ["Triples   1", "HeldOut   1", "Reversed  1"]
 
 
 def test_graph_inspect_empty_events_file(tmp_path, capsys):

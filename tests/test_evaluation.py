@@ -1,8 +1,12 @@
+import functools
 import hashlib
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eventke import evaluation
 from eventke.autodiff import Tape, Tensor
@@ -439,6 +443,114 @@ def test_non_finite_score_of_a_filtered_tail_still_raises(monkeypatch):
     monkeypatch.setattr(evaluation, "frozen_entity_matrix", lambda *args: matrix)
     with pytest.raises(ValueError, match=rf"query 0 \({h}, {r}, {t}\) has non-finite scores"):
         kg_completion_eval(graph, store, MODEL, SCORER, queries, PROTOCOLS["filtered"], known)
+
+
+def test_non_finite_pair_raises_naming_the_first_query_in_split_order(monkeypatch):
+    """Pairs are scored sorted, (2, 1) before (9, 1), yet the error names
+    query 1, the first query in split order with non-finite scores."""
+    graph, store = eval_setup()
+    relation = store["relation_embeddings"].data[1]
+
+    def spy(params, config, s_rows, r_rows):
+        trunks = frozen_trunk(params, config, s_rows, r_rows)
+        trunks[(r_rows == relation).all(axis=1)] = np.nan
+        return trunks
+
+    monkeypatch.setattr(evaluation, "frozen_trunk", spy)
+    queries = [KnowledgeTriple(5, 0, 1), KnowledgeTriple(9, 1, 2), KnowledgeTriple(2, 1, 3)]
+    with pytest.raises(ValueError, match=r"query 1 \(9, 1, 2\) has non-finite scores"):
+        kg_completion_eval(graph, store, MODEL, SCORER, queries, EvalProtocol())
+
+
+# -- one trunk row per distinct (head, relation) pair ------------------------
+
+
+@functools.lru_cache(maxsize=1)
+def pair_setup():
+    """Seeded parameters over 30 entities and 4 relations: 120 possible
+    pairs, so a query list can span two pair blocks."""
+    lines = dataset_lines(
+        n_entities=30, n_relations=4, n_triples=60, n_events=4,
+        min_args=2, max_args=3, n_temporal=2, seed=8,
+    )
+    graph, store = build_model(build_from_lines(*lines), MODEL, SCORER)
+    return graph, store, known_tails_from_triples(graph.triples), frozen_entity_matrix(
+        graph, store, MODEL)
+
+
+@functools.lru_cache(maxsize=None)
+def one_query_rank(name, query):
+    graph, store, known, _ = pair_setup()
+    report = kg_completion_eval(graph, store, MODEL, SCORER, [query], PROTOCOLS[name], known)
+    return report.ranks[0]
+
+
+@st.composite
+def repeating_queries(draw):
+    """Queries over a few (head, relation) pairs, some triples repeated."""
+    pairs = draw(st.lists(st.tuples(st.integers(0, 29), st.integers(0, 3)), min_size=1, max_size=90))
+    tails = st.integers(0, 29)
+    queries = draw(st.lists(
+        st.builds(lambda pair, t: KnowledgeTriple(*pair, t), st.sampled_from(pairs), tails),
+        min_size=1, max_size=160,
+    ))
+    return queries + draw(st.lists(st.sampled_from(queries), max_size=20))
+
+
+@settings(max_examples=25, deadline=None)
+@given(queries=repeating_queries())
+def test_shared_pair_rows_rank_as_one_query_per_call(queries):
+    graph, store, known, matrix = pair_setup()
+    # the forward is the same for every call; computing it once keeps the
+    # one-query calls cheap
+    with mock.patch.object(evaluation, "frozen_entity_matrix", lambda *args: matrix):
+        for name, protocol in PROTOCOLS.items():
+            report = kg_completion_eval(graph, store, MODEL, SCORER, queries, protocol, known)
+            assert report.ranks == [one_query_rank(name, query) for query in queries], name
+
+
+def test_ranking_runs_the_trunk_once_per_distinct_pair(monkeypatch):
+    """The memorization fixture's 300 queries hold 250 distinct pairs: four
+    trunk calls, not five calls over 300 rows."""
+    graph, store = build_model(
+        build_from_lines(*memorization_lines(7)), ModelConfig(), ConvScorerConfig())
+    queries = list(graph.triples)
+    assert len(queries) == 300 and len({(h, r) for h, r, _ in queries}) == 250
+    calls = []
+
+    def spy(params, config, s_rows, r_rows):
+        calls.append(len(s_rows))
+        return frozen_trunk(params, config, s_rows, r_rows)
+
+    monkeypatch.setattr(evaluation, "frozen_trunk", spy)
+    kg_completion_eval(graph, store, ModelConfig(), ConvScorerConfig(), queries, EvalProtocol())
+    assert calls == [64, 64, 64, 58]
+
+
+# One filtered ranking call over these 4,000 queries (3,849 distinct pairs,
+# 2,000 entities) peaked at 10,244,831 bytes (tracemalloc) when every query
+# ran its own trunk row in 64-query blocks, almost all of it the entity
+# forward.  A (pairs, n) score table would add 3,849 * 2,000 * 8 bytes.
+PER_QUERY_RANKING_PEAK = 10_244_831
+
+
+def test_filtered_ranking_peak_stays_at_a_few_blocks():
+    lines = dataset_lines(
+        n_entities=2000, n_relations=20, n_triples=4000, n_events=100,
+        min_args=2, max_args=4, n_temporal=100, seed=5,
+    )
+    graph, store = build_model(build_from_lines(*lines), ModelConfig(), ConvScorerConfig())
+    queries = list(graph.triples)
+    args = (graph, store, ModelConfig(), ConvScorerConfig(), queries,
+            EvalProtocol(filtered=True), known_tails_from_triples(queries))
+    kg_completion_eval(*args)  # builds the graph's plans and the trunk buffers
+    tracemalloc.start()
+    try:
+        kg_completion_eval(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < PER_QUERY_RANKING_PEAK + 2 * 2**20
 
 
 # -- report serialization ---------------------------------------------------

@@ -132,7 +132,7 @@ def test_frozen_trunk_keeps_its_buffers_between_calls(monkeypatch):
     graph, store = build_model(build_from_lines(*lines), model, config)
 
     def buffers():
-        return [autodiff._TRUNK_BUFFERS[name] for name in ("columns", "conv", "flat")]
+        return [autodiff._TRUNK_BUFFERS[name] for name in ("columns", "conv")]
 
     kg_completion_eval(graph, store, model, config, graph.triples, EvalProtocol())
     held = buffers()
@@ -158,8 +158,8 @@ def test_evaluate_loss_leaves_the_trunk_buffers_at_their_64_row_size(monkeypatch
     rng = np.random.default_rng(6)
     frozen_trunk(store, config, rng.normal(size=(64, 8)), rng.normal(size=(64, 8)))
     sizes = {name: buffer.size for name, buffer in autodiff._TRUNK_BUFFERS.items()}
-    # columns k*k*q*oh*ow, conv and flat F*q*oh*ow, for q = 64 and a 4x4 image
-    assert sizes == {"columns": 4 * 64 * 9, "conv": 3 * 64 * 9, "flat": 3 * 64 * 9}
+    # columns q*k*k*oh*ow and conv q*F*oh*ow, for q = 64 and a 4x4 image
+    assert sizes == {"columns": 64 * 4 * 9, "conv": 64 * 3 * 9}
     sampler = NegativeSampler(graph.entity_count, 4, seed=2)
     loss = evaluate_loss(graph, store, model, config, groups, sampler, TrainConfig())
     assert math.isfinite(loss)
