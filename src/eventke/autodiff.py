@@ -295,11 +295,12 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-# Tape.conv_trunk's (q, k, k, oh, ow) patch columns and (q, F, oh*ow) conv,
-# which a non-recording call rectifies in place into its flat rows, kept
-# between calls for one 64-row block or a larger recording batch: allocated
-# per ranking block, glibc gave these megabytes back to the system and
-# faulted them in again.  The package starts no threads.
+# _conv's (q, k, k, oh, ow) patch columns and (q, F, oh*ow) conv, which a
+# forward-only product rectifies in place into its flat rows, kept between
+# calls at the size of the largest image block so far (64 images, or a
+# larger recording batch): allocated per ranking block, glibc gave these
+# megabytes back to the system and faulted them in again.  The package
+# starts no threads.
 _TRUNK_BUFFERS: dict[str, np.ndarray] = {}
 _TRUNK_BLOCK = 64
 
@@ -311,6 +312,39 @@ def _trunk_buffer(name: str, shape: tuple[int, ...]) -> np.ndarray:
     if buffer is None or buffer.size < size:
         buffer = _TRUNK_BUFFERS[name] = np.empty(size)
     return buffer[:size].reshape(shape)
+
+
+def _conv(images: np.ndarray, filters: np.ndarray) -> np.ndarray:
+    """(q, F, oh*ow) valid, stride-1 cross-correlation of (q, h, w) images
+    by (F, k, k) filters, in the kept conv buffer: one (F, k*k) @ (k*k,
+    oh*ow) product per image, so a cell's bits depend only on its image."""
+    (q, h, w), (f, k, _) = images.shape, filters.shape
+    oh, ow = h - k + 1, w - k + 1
+    # patches[n, y, x] is the k x k window at (y, x) of image n
+    patches = np.lib.stride_tricks.sliding_window_view(images, (k, k), axis=(1, 2))
+    columns = _trunk_buffer("columns", (q, k, k, oh, ow))
+    columns[...] = patches.transpose(0, 3, 4, 1, 2)
+    conv = _trunk_buffer("conv", (q, f, oh * ow))
+    np.matmul(filters.reshape(f, k * k), columns.reshape(q, k * k, oh * ow), out=conv)
+    return conv
+
+
+def _conv_product(images: np.ndarray, filters: np.ndarray, projection: np.ndarray) -> np.ndarray:
+    """(q, p) rows flatten(ReLU(_conv(images, filters))) @ projection.T,
+    computed in blocks of exactly 64 images, the last one zero-padded, so a
+    row's bits depend only on its image: the batch size sets the BLAS
+    blocking, and unpadded 1- to 5-image batches gave rows other last bits
+    (d = 64)."""
+    q = len(images)
+    out = np.empty((q, len(projection)))
+    for i in range(0, q, _TRUNK_BLOCK):
+        block = images[i : i + _TRUNK_BLOCK]
+        if len(block) < _TRUNK_BLOCK:  # the last block, zero-padded
+            block = np.pad(block, ((0, _TRUNK_BLOCK - len(block)), (0, 0), (0, 0)))
+        conv = _conv(block, filters)
+        flat = np.maximum(conv, 0.0, out=conv).reshape(_TRUNK_BLOCK, -1)
+        out[i : i + _TRUNK_BLOCK] = (flat @ projection.T)[: q - i]
+    return out
 
 
 class Tape:
@@ -637,10 +671,9 @@ class Tape:
         image, (q, F, oh*ow), which is flat's layout.  A record keeps the
         images, the two ReLU masks and flat rows of its own, not a buffer's.
 
-        A non-recording tape computes in blocks of exactly 64 images, the
-        last one zero-padded, so a row's bits depend only on its inputs: the
-        batch size sets the BLAS blocking, and unpadded 1- to 5-image batches
-        gave rows other last bits (d = 64).  A recording tape keeps its batch.
+        A non-recording tape computes the rows by ``_conv_product``, in
+        zero-padded 64-image blocks, so a row's bits depend only on its
+        inputs.  A recording tape keeps its batch.
         """
         filters_data, projection_data = filters.data, projection.data
         if s.data.ndim != 2 or s.data.shape != r.data.shape:
@@ -652,27 +685,13 @@ class Tape:
             raise ValueError(f"conv_trunk cannot fold rows of {d} into {rows} rows")
         if k != kw or oh < 1 or ow < 1:
             raise ValueError(f"conv_trunk needs a square kernel that fits the {h}x{w} image, got {k}x{kw}")
-        if not self._recording and q != _TRUNK_BLOCK:
-            trunk = np.empty((q, projection_data.shape[0]))
-            for i in range(0, q, _TRUNK_BLOCK):
-                inputs = [x.data[i : i + _TRUNK_BLOCK] for x in (s, r)]
-                if q - i < _TRUNK_BLOCK:  # the last block, zero-padded
-                    inputs = [np.pad(x, ((0, i + _TRUNK_BLOCK - q), (0, 0))) for x in inputs]
-                block = self.conv_trunk(*map(Tensor, inputs), filters, projection, rows)
-                trunk[i : i + _TRUNK_BLOCK] = block.data[: q - i]
-            return Tensor(trunk)
         images = np.concatenate((s.data, r.data), axis=1).reshape(q, h, w)
-        # patches[n, y, x] is the k x k window at (y, x) of image n
-        patches = np.lib.stride_tricks.sliding_window_view(images, (k, k), axis=(1, 2))
-        columns = _trunk_buffer("columns", (q, k, k, oh, ow))
-        columns[...] = patches.transpose(0, 3, 4, 1, 2)
-        # one (F, k*k) @ (k*k, oh*ow) product per image writes conv in flat's layout
-        conv = _trunk_buffer("conv", (q, f, oh * ow))
-        np.matmul(filters_data.reshape(f, k * k), columns.reshape(q, k * k, oh * ow), out=conv)
-        flat = np.maximum(conv, 0.0, out=None if self._recording else conv).reshape(q, f * oh * ow)
-        trunk = flat @ projection_data.T
         if not self._recording:
+            trunk = _conv_product(images, filters_data, projection_data)
             return Tensor(np.maximum(trunk, 0.0, out=trunk))
+        conv = _conv(images, filters_data)
+        flat = np.maximum(conv, 0.0).reshape(q, f * oh * ow)
+        trunk = flat @ projection_data.T
         conv_mask, projected_mask = conv.transpose(1, 0, 2) >= 0.0, trunk >= 0.0
         out = Tensor(np.maximum(trunk, 0.0, out=trunk))
         gs, gr, gfilters, gprojection, gout = s.sink, r.sink, filters.sink, projection.sink, out.sink

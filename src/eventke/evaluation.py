@@ -4,7 +4,9 @@ Ranking scores queries ConvE's 1-N way: one product scores a block of
 distinct (head, relation) pairs against every entity, and one call then
 ranks each query's gold tail within a copy of its pair's row (the whole
 row, a sampled subset of it, or the row with the other known tails masked
-out).
+out).  The pairs' trunks are ``scoring.SplitTrunk``'s: the head and
+relation pieces are computed once per call for each head entity and every
+relation row, and only the strip piece per block of pairs.
 
 Ranks use the mid-rank tie policy: rank = 1 + #strictly-above + #ties/2.
 Each report entry keeps its (head, relation, tail) query so that two
@@ -23,14 +25,15 @@ from typing import Callable
 import numpy as np
 
 from .autodiff import _TRUNK_BLOCK, ParameterStore, Tape, Tensor
-from .kgdata import HeterogeneousGraph, KnowledgeTriple
+from .kgdata import HeterogeneousGraph, KnowledgeTriple, int_rows
 from .layers import ModelConfig, forward_model
-from .scoring import ConvScorerConfig, frozen_trunk
+# frozen_trunk is ranking's trunk in one call; perfbench's tracer patches it here
+from .scoring import ConvScorerConfig, SplitTrunk, frozen_trunk  # noqa: F401
 from .trainer import EarlyStopper, TrainConfig, adam_step
 
 logger = logging.getLogger(__name__)
 
-# (head, relation) pairs per frozen_trunk call and (block, n) score product:
+# (head, relation) pairs per strip-piece call and (block, n) score product:
 # one trunk block.  A product row's last bits depend on the product's row
 # count, so a short last block is zero-padded to it.
 EVAL_BLOCK = _TRUNK_BLOCK
@@ -175,33 +178,51 @@ def kg_completion_eval(
     """Rank each gold tail against all entities or K sampled negatives.
 
     A query's scores depend only on its (head, relation) pair, so each
-    distinct pair is scored once, in blocks of EVAL_BLOCK pairs: one
-    ``frozen_trunk`` call and one product of its rows, zero-padded to
-    EVAL_BLOCK, with the entity matrix (1-N scoring).  A query's ranks thus
-    do not depend on which pairs share its block.  Each query ranks in a
-    copy of its pair's row, with ``protocol.filtered`` its other
-    ``known_tails`` set to NaN, by one ``rank_of_gold`` call per group of at
-    most 2 * EVAL_BLOCK queries: within the row (full) or its sampled
-    candidates (sampled).  A non-finite score raises ValueError naming the
-    first such query in split order.
+    distinct pair is scored once, in blocks of EVAL_BLOCK pairs.  Its trunk
+    row is ``frozen_trunk``'s, bit for bit: ``SplitTrunk``'s head piece of
+    each entity that heads a pair and relation piece of every relation row,
+    computed once per call, plus the strip piece of the block's pairs.  One
+    product of the
+    block's trunks, zero-padded to EVAL_BLOCK rows, with the entity matrix
+    scores them (1-N scoring), so a query's ranks do not depend on which
+    pairs share its block.  Each query ranks in a copy of its pair's row,
+    with ``protocol.filtered`` its other ``known_tails`` set to NaN, by one
+    ``rank_of_gold`` call per group of at most 2 * EVAL_BLOCK queries:
+    within the row (full) or its sampled candidates (sampled).  A query id
+    out of range, or a non-finite score, raises ValueError naming the first
+    such query in split order.
     """
     if not test_triples:
         raise ValueError("no test triples to evaluate")
-    n = graph.entity_count
+    n, n_relations = graph.entity_count, graph.relation_count
     if protocol.mode == "sampled" and protocol.k >= n:
         raise ValueError(
             f"sampled protocol needs K < entity vocabulary ({protocol.k} >= {n})"
         )
     if protocol.filtered and known_tails is None:
         raise ValueError("filtered ranking needs the known-tails index")
+    queries = int_rows(test_triples, len(test_triples), 3)
+    outside = (queries < 0) | (queries >= [n, n_relations, n])
+    if outside.any():
+        bad = int(np.argmax(outside.any(axis=1)))
+        raise ValueError(
+            f"query {bad} {tuple(test_triples[bad])} is out of range for "
+            f"{n} entities and {n_relations} relations"
+        )
     entity_matrix = frozen_entity_matrix(graph, params, model_config)
     relation_rows = params["relation_embeddings"].data
-    queries = np.array(test_triples, dtype=np.intp)
-    pairs, pair_of = np.unique(queries[:, :2], axis=0, return_inverse=True)
+    # the distinct pairs in (head, relation) order, and each query's pair
+    keys, pair_of = np.unique(queries[:, 0] * n_relations + queries[:, 1], return_inverse=True)
+    pair_heads, pair_relations = np.divmod(keys, n_relations)
+    # head pieces of the entities that head some pair: a short split on a
+    # large graph would pay for every entity's otherwise
+    heads, head_of = np.unique(pair_heads, return_inverse=True)
+    split = SplitTrunk(params, scorer_config)
+    head_pieces, relation_pieces = split.head(entity_matrix[heads]), split.relation(relation_rows)
     # the queries pair by pair, each pair's in split order; pair p's start at first[p]
     by_pair = np.argsort(pair_of, kind="stable")
     first = np.concatenate(([0], np.cumsum(np.bincount(pair_of))))
-    finite = np.empty(len(pairs), dtype=bool)
+    finite = np.empty(len(keys), dtype=bool)
     ranks = np.empty(len(queries))
 
     def rank_group(scores: np.ndarray, group: np.ndarray) -> np.ndarray:
@@ -220,16 +241,19 @@ def kg_completion_eval(
             golds = np.full(len(group), protocol.k)  # the gold tail comes last
         return rank_of_gold(scores, golds)
 
-    for start in range(0, len(pairs), EVAL_BLOCK):
-        block = pairs[start : start + EVAL_BLOCK]
-        heads, relations = block.T
-        trunks = frozen_trunk(params, scorer_config, entity_matrix[heads], relation_rows[relations])
+    for start in range(0, len(keys), EVAL_BLOCK):
+        block = slice(start, start + EVAL_BLOCK)
+        size, relations = len(keys[block]), pair_relations[block]
+        trunks = split.combine(
+            head_pieces[head_of[block]], relation_pieces[relations],
+            split.strip(entity_matrix[pair_heads[block]], relation_rows[relations]),
+        )
         # 1-N scoring: every pair of the block against every entity in one product
-        if len(block) < EVAL_BLOCK:
-            trunks = np.pad(trunks, ((0, EVAL_BLOCK - len(block)), (0, 0)))
-        scores = (trunks @ entity_matrix.T)[: len(block)]
-        finite[start : start + len(block)] = np.isfinite(scores).all(axis=1)
-        end = first[start + len(block)]
+        if size < EVAL_BLOCK:
+            trunks = np.pad(trunks, ((0, EVAL_BLOCK - size), (0, 0)))
+        scores = (trunks @ entity_matrix.T)[:size]
+        finite[start : start + size] = np.isfinite(scores).all(axis=1)
+        end = first[start + size]
         for lo in range(first[start], end, 2 * EVAL_BLOCK):
             group = by_pair[lo : min(lo + 2 * EVAL_BLOCK, end)]
             ranks[group] = rank_group(scores[pair_of[group] - start], group)

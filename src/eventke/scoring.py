@@ -7,8 +7,13 @@ dot) depends only on (head, relation) and is shared across candidates.
 
 ``conv_trunk`` computes the trunks of a batch of (head, relation) rows in
 one ``Tape.conv_trunk`` call, recorded once per training step over the
-step's query groups; on a non-recording tape (ranking, validation) a row's
-bits do not depend on the batch.  A single pair is a batch of one.
+step's query groups; on a non-recording tape (validation) a row's bits do
+not depend on the batch.  A single pair is a batch of one.
+
+Ranking computes the same trunk split in three pieces (``SplitTrunk``):
+only the conv rows that read both halves of the stacked image depend on
+the pair, so the head and relation pieces are computed once per entity and
+per relation row.  ``frozen_trunk`` is that split form.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ParameterStore, Tape, Tensor
+from .autodiff import ParameterStore, Tape, Tensor, _conv_product
 from .kgdata import KnowledgeTriple
 
 __all__ = [
@@ -26,6 +31,7 @@ __all__ = [
     "conv_trunk",
     "query_trunks",
     "score_against_all",
+    "SplitTrunk",
     "frozen_trunk",
     "NegativeSampler",
     "known_tails_from_triples",
@@ -103,12 +109,82 @@ def score_against_all(
     return tape.reshape(tape.rows_affine(candidates, row), (-1,))
 
 
+class SplitTrunk:
+    """``conv_trunk``'s forward on plain arrays, as ReLU(H[s] + Q[r] + S(s, r)).
+
+    Conv row y of the stacked 2*rows-row image reads image rows y .. y+k-1,
+    so rows [0, a) read the head half alone, rows [b, oh) the relation half
+    alone and the strip [a, b) both, with a = max(0, rows-k+1) and b =
+    min(rows, oh).  Each conv cell is rectified on its own, so the trunk's
+    projection splits by those rows: a piece is its rows' rectified conv
+    times their projection columns, equal to the whole trunk's product up to
+    rounding.  Each piece computes in zero-padded 64-row blocks
+    (``autodiff._conv_product``), so its rows' bits depend only on their
+    inputs, and ``combine`` adds the pieces in one fixed order.
+    """
+
+    def __init__(self, params: ParameterStore, config: ConvScorerConfig) -> None:
+        k, rows = config.kernel, config.rows
+        oh, ow = 2 * rows - k + 1, config.cols - k + 1
+        a, b = max(0, rows - k + 1), min(rows, oh)
+        projection = params["conv_projection"].data
+        by_row = projection.reshape(len(projection), config.filters, oh, ow)
+        self._config = config
+        self._filters = params["conv_filters"].data
+        # each piece's conv rows [lo, hi) and their projection columns
+        self._pieces = {
+            name: (lo, hi, by_row[:, :, lo:hi].reshape(len(projection), -1))
+            for name, lo, hi in (("head", 0, a), ("strip", a, b), ("relation", b, oh))
+        }
+
+    def head(self, s_rows: np.ndarray) -> np.ndarray:
+        """(q, d) H rows of (q, d) head rows: the head piece, if any, reads
+        the whole head half."""
+        return self._piece("head", self._fold(s_rows))
+
+    def relation(self, r_rows: np.ndarray) -> np.ndarray:
+        """(q, d) Q rows of (q, d) relation rows: the relation piece, if
+        any, reads the whole relation half."""
+        return self._piece("relation", self._fold(r_rows))
+
+    def strip(self, s_rows: np.ndarray, r_rows: np.ndarray) -> np.ndarray:
+        """(q, d) S rows of (q, d) head and relation rows: the strip reads
+        image rows a .. b+k-2 of the stacked image."""
+        lo, hi, _ = self._pieces["strip"]
+        images = np.concatenate((self._fold(s_rows), self._fold(r_rows)), axis=1)
+        return self._piece("strip", images[:, lo : hi + self._config.kernel - 1])
+
+    @staticmethod
+    def combine(head: np.ndarray, relation: np.ndarray, strip: np.ndarray) -> np.ndarray:
+        """The trunk rows ReLU(head + relation + strip) of pairs' pieces,
+        summed in that order."""
+        trunk = head + relation
+        trunk += strip
+        return np.maximum(trunk, 0.0, out=trunk)
+
+    def _fold(self, rows: np.ndarray) -> np.ndarray:
+        return rows.reshape(len(rows), self._config.rows, self._config.cols)
+
+    def _piece(self, name: str, images: np.ndarray) -> np.ndarray:
+        """The piece ``name`` of the (q, ., cols) image rows its conv rows read."""
+        lo, hi, projection = self._pieces[name]
+        if lo == hi:  # no such conv row: a kernel of 1 has no strip, one of more than rows no halves
+            return np.zeros((len(images), len(projection)))
+        return _conv_product(images, self._filters, projection)
+
+
 def frozen_trunk(
     params: ParameterStore, config: ConvScorerConfig, s_rows: np.ndarray, r_rows: np.ndarray
 ) -> np.ndarray:
-    """``conv_trunk``'s (q, d) rows of plain (q, d) arrays, for evaluation:
-    the same call on a non-recording tape, whose rows do not depend on q."""
-    return conv_trunk(Tape(record=False), params, config, Tensor(s_rows), Tensor(r_rows)).data
+    """``conv_trunk``'s (q, d) rows of plain (q, d) arrays, for evaluation,
+    in ``SplitTrunk``'s form: equal to a taped trunk up to rounding, and a
+    row's bits depend only on its inputs."""
+    if s_rows.ndim != 2 or s_rows.shape != r_rows.shape or s_rows.shape[1] != config.dim:
+        raise ValueError(
+            f"frozen_trunk expects matching (q, {config.dim}) rows, got {s_rows.shape} and {r_rows.shape}"
+        )
+    split = SplitTrunk(params, config)
+    return split.combine(split.head(s_rows), split.relation(r_rows), split.strip(s_rows, r_rows))
 
 
 def known_tails_from_triples(triples: list[KnowledgeTriple]) -> dict[tuple[int, int], set[int]]:

@@ -29,6 +29,7 @@ from eventke.kgdata import KnowledgeTriple
 from eventke.layers import ModelConfig, forward_model
 from eventke.scoring import (
     ConvScorerConfig,
+    SplitTrunk,
     conv_trunk,
     frozen_trunk,
     known_tails_from_triples,
@@ -36,6 +37,7 @@ from eventke.scoring import (
 )
 from eventke.trainer import build_model
 
+from _child import digest_in_child
 from _synth import build_from_lines, dataset_lines, memorization_lines
 
 
@@ -450,16 +452,65 @@ def test_non_finite_pair_raises_naming_the_first_query_in_split_order(monkeypatc
     query 1, the first query in split order with non-finite scores."""
     graph, store = eval_setup()
     relation = store["relation_embeddings"].data[1]
+    strip = SplitTrunk.strip
 
-    def spy(params, config, s_rows, r_rows):
-        trunks = frozen_trunk(params, config, s_rows, r_rows)
-        trunks[(r_rows == relation).all(axis=1)] = np.nan
-        return trunks
+    def spy(self, s_rows, r_rows):
+        pieces = strip(self, s_rows, r_rows)
+        pieces[(r_rows == relation).all(axis=1)] = np.nan
+        return pieces
 
-    monkeypatch.setattr(evaluation, "frozen_trunk", spy)
+    monkeypatch.setattr(SplitTrunk, "strip", spy)
     queries = [KnowledgeTriple(5, 0, 1), KnowledgeTriple(9, 1, 2), KnowledgeTriple(2, 1, 3)]
     with pytest.raises(ValueError, match=r"query 1 \(9, 1, 2\) has non-finite scores"):
         kg_completion_eval(graph, store, MODEL, SCORER, queries, EvalProtocol())
+
+
+def memorization_setup():
+    graph, store = build_model(
+        build_from_lines(*memorization_lines(7)), ModelConfig(), ConvScorerConfig())
+    return graph, store, list(graph.triples)
+
+
+@pytest.mark.parametrize("bad", [(-1, 0, 3), (3, -1, 3), (3, 10, 3), (50, 0, 3), (3, 0, 50)])
+def test_out_of_range_query_raises_naming_the_first_in_split_order(bad):
+    """On the memorization fixture (50 entities, 5 relations, 11 relation
+    rows) an id outside [0, 50) or a relation outside [0, 5) is one error
+    before any ranking, naming the first such query."""
+    graph, store, triples = memorization_setup()
+    queries = triples[:4] + [KnowledgeTriple(*bad), KnowledgeTriple(60, 20, 60)]
+    with pytest.raises(ValueError, match=rf"query 4 \({bad[0]}, {bad[1]}, {bad[2]}\) is out of range"):
+        kg_completion_eval(graph, store, ModelConfig(), ConvScorerConfig(), queries, EvalProtocol())
+
+
+def ranking_trunks_equal_frozen_trunks() -> str:
+    """Whether the trunk rows that ranking the memorization fixture computes
+    are not all zero and have the bytes of ``frozen_trunk``'s rows of their
+    pairs, and the sha256 of those rows."""
+    graph, store, queries = memorization_setup()
+    blocks = []
+    combine = SplitTrunk.combine
+
+    def spy(*pieces):
+        blocks.append(combine(*pieces))
+        return blocks[-1]
+
+    with mock.patch.object(SplitTrunk, "combine", staticmethod(spy)):
+        kg_completion_eval(graph, store, ModelConfig(), ConvScorerConfig(), queries, EvalProtocol())
+    pairs = sorted({(h, r) for h, r, _ in queries})
+    heads, relations = np.array(pairs).T
+    ranked = np.concatenate(blocks)
+    frozen = frozen_trunk(
+        store, ConvScorerConfig(), frozen_entity_matrix(graph, store, ModelConfig())[heads],
+        store["relation_embeddings"].data[relations],
+    )
+    equal = ranked.any() and ranked.tobytes() == frozen.tobytes()
+    return f"{equal} {hashlib.sha256(ranked.tobytes()).hexdigest()}"
+
+
+def test_ranking_trunks_are_frozen_trunks_at_one_and_two_blas_threads():
+    one, two = (digest_in_child("test_evaluation", "ranking_trunks_equal_frozen_trunks", threads)
+                for threads in (1, 2))
+    assert one.startswith("True ") and one == two
 
 
 # -- one trunk row per distinct (head, relation) pair ------------------------
@@ -510,21 +561,20 @@ def test_shared_pair_rows_rank_as_one_query_per_call(queries):
 
 
 def test_ranking_runs_the_trunk_once_per_distinct_pair(monkeypatch):
-    """The memorization fixture's 300 queries hold 250 distinct pairs: four
-    trunk calls, not five calls over 300 rows."""
-    graph, store = build_model(
-        build_from_lines(*memorization_lines(7)), ModelConfig(), ConvScorerConfig())
-    queries = list(graph.triples)
+    """The memorization fixture's 300 queries hold 250 distinct pairs: the
+    head piece runs once over their 50 heads, the relation piece once over
+    the 11 relation rows, and the strip piece over the 250 pairs in four
+    blocks."""
+    graph, store, queries = memorization_setup()
     assert len(queries) == 300 and len({(h, r) for h, r, _ in queries}) == 250
     calls = []
-
-    def spy(params, config, s_rows, r_rows):
-        calls.append(len(s_rows))
-        return frozen_trunk(params, config, s_rows, r_rows)
-
-    monkeypatch.setattr(evaluation, "frozen_trunk", spy)
+    for name in ("head", "relation", "strip"):
+        def spy(self, *rows, piece=getattr(SplitTrunk, name), name=name):
+            calls.append((name, len(rows[0])))
+            return piece(self, *rows)
+        monkeypatch.setattr(SplitTrunk, name, spy)
     kg_completion_eval(graph, store, ModelConfig(), ConvScorerConfig(), queries, EvalProtocol())
-    assert calls == [64, 64, 64, 58]
+    assert calls == [("head", 50), ("relation", 11)] + [("strip", q) for q in (64, 64, 64, 58)]
 
 
 # One filtered ranking call over these 4,000 queries (3,849 distinct pairs,

@@ -14,6 +14,7 @@ from eventke.layers import ModelConfig
 from eventke.scoring import (
     ConvScorerConfig,
     NegativeSampler,
+    SplitTrunk,
     add_scorer_parameters,
     conv_trunk,
     frozen_trunk,
@@ -120,7 +121,39 @@ def test_frozen_trunk_matches_taped():
     assert frozen.tobytes() == kept.tobytes()
 
 
+@pytest.mark.parametrize(
+    "config, empty",
+    [
+        (ConvScorerConfig(kernel=1), "strip"),  # no conv row reads both halves
+        (ConvScorerConfig(rows=2, cols=4, kernel=3), "head relation"),  # every one does
+    ],
+    ids=["kernel_1", "strip_only"],
+)
+def test_split_trunk_with_empty_pieces_is_a_recorded_trunk_up_to_rounding(config, empty):
+    """test_frozen_trunk_matches_taped at shapes where a piece has no conv
+    row; at README shapes every piece has some (6 head, 2 strip and 6
+    relation rows)."""
+    store = _scorer(config)
+    rng = np.random.default_rng(9)
+    s, r = rng.normal(size=(130, config.dim)), rng.normal(size=(130, config.dim))
+    split = SplitTrunk(store, config)
+    pieces = {"head": split.head(s), "relation": split.relation(r), "strip": split.strip(s, r)}
+    assert sorted(name for name, rows in pieces.items() if not rows.any()) == empty.split()
+    frozen = frozen_trunk(store, config, s, r)
+    recorded = conv_trunk(Tape(), store, config, Tensor(s), Tensor(r)).data
+    assert np.max(np.abs(frozen - recorded)) <= 1e-12
+    # a row has the same bytes in a call of any size, at any position and
+    # with any companions
+    for q in (1, 5, 63, 64, 65, 130):
+        for rows in (np.arange(q), np.arange(130 - q, 130), rng.permutation(130)[:q]):
+            got = frozen_trunk(store, config, s[rows], r[rows])
+            assert [row.tobytes() for row in got] == [frozen[i].tobytes() for i in rows], q
+
+
 def test_frozen_trunk_keeps_its_buffers_between_calls(monkeypatch):
+    """Ranking's pieces compute in the kept buffers, sized for the largest
+    piece's 64-row block, and a frozen_trunk call between two rankings
+    neither replaces nor grows them."""
     # fresh buffers, so only the calls below can have made them
     monkeypatch.setattr(autodiff, "_TRUNK_BUFFERS", {})
     config = ConvScorerConfig(rows=2, cols=4, filters=3, kernel=2)
@@ -136,6 +169,9 @@ def test_frozen_trunk_keeps_its_buffers_between_calls(monkeypatch):
 
     kg_completion_eval(graph, store, model, config, graph.triples, EvalProtocol())
     held = buffers()
+    # each piece is one of the 4x4 image's 3 conv rows: columns 64*k*k*1*ow
+    # and conv 64*F*1*ow, with k = 2 and ow = 3
+    assert [buffer.size for buffer in held] == [64 * 4 * 3, 64 * 3 * 3]
     rng = np.random.default_rng(5)
     frozen_trunk(store, config, rng.normal(size=(4, 8)), rng.normal(size=(4, 8)))
     kg_completion_eval(graph, store, model, config, graph.triples, EvalProtocol())
@@ -156,7 +192,8 @@ def test_evaluate_loss_leaves_the_trunk_buffers_at_their_64_row_size(monkeypatch
     groups = group_queries(graph.triples)
     assert len(groups) >= 65
     rng = np.random.default_rng(6)
-    frozen_trunk(store, config, rng.normal(size=(64, 8)), rng.normal(size=(64, 8)))
+    conv_trunk(Tape(record=False), store, config,
+               Tensor(rng.normal(size=(64, 8))), Tensor(rng.normal(size=(64, 8))))
     sizes = {name: buffer.size for name, buffer in autodiff._TRUNK_BUFFERS.items()}
     # columns q*k*k*oh*ow and conv q*F*oh*ow, for q = 64 and a 4x4 image
     assert sizes == {"columns": 64 * 4 * 9, "conv": 64 * 3 * 9}

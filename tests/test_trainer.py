@@ -6,14 +6,11 @@ import os
 import pathlib
 import re
 import struct
-import subprocess
-import sys
 import tempfile
 
 import numpy as np
 import pytest
 
-import eventke
 from eventke import autodiff, cli
 from eventke.autodiff import ParameterStore, Tape
 from eventke.kgdata import KnowledgeTriple
@@ -33,6 +30,7 @@ from eventke.trainer import (
     train_epoch,
 )
 
+from _child import digest_in_child
 from _synth import build_from_lines, dataset_lines
 
 
@@ -289,22 +287,6 @@ def diagonal_step_digest() -> str:
     return _state_digest(diagonal_step()[1])
 
 
-def _digest_in_child(function: str) -> str:
-    """test_trainer.<function>() run in a child process whose BLAS starts
-    with one thread: the thread count changes product bits."""
-    paths = [os.path.dirname(os.path.dirname(eventke.__file__)), os.path.dirname(__file__)]
-    env = dict(
-        os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-        PYTHONPATH=os.pathsep.join(paths + [os.environ.get("PYTHONPATH", "")]),
-    )
-    child = subprocess.run(
-        [sys.executable, "-c", f"import test_trainer; print(test_trainer.{function}())"],
-        env=env, capture_output=True, text=True,
-    )
-    assert child.returncode == 0, child.stderr
-    return child.stdout.strip()
-
-
 # sha256 of the state arrays after diagonal_step with one BLAS thread, taken
 # with the flattened bincount summing every segment and stage 4 in one piece:
 # the diagonals and the chunks must reproduce its bits
@@ -320,7 +302,7 @@ def test_diagonal_scatter_step_is_pinned():
     assert len(chunks) > 1
     for scatter_plan in (chunks[0].dst_plan, chunks[0].src_plan):
         assert isinstance(scatter_plan, autodiff._Diagonals)
-    assert _digest_in_child("diagonal_step_digest") == DIAGONAL_STEP_STATE
+    assert digest_in_child("test_trainer", "diagonal_step_digest") == DIAGONAL_STEP_STATE
 
 
 def test_a_second_step_on_one_graph_builds_no_plan(monkeypatch):
@@ -380,7 +362,7 @@ def test_mean_reduction_step_is_pinned():
     multi_gold = [(h, r, tails) for h, r, tails in groups if len(tails) >= 2]
     drawn = [sampler.sample_group(h, r, tails, 1) for h, r, tails in multi_gold]
     assert any(len(set(negatives)) < len(negatives) for negatives in drawn)
-    assert _digest_in_child("mean_reduction_step_digest") == MEAN_REDUCTION_STEP_STATE
+    assert digest_in_child("test_trainer", "mean_reduction_step_digest") == MEAN_REDUCTION_STEP_STATE
 
 
 TOY_CONFIG = os.path.join(os.path.dirname(__file__), "fixtures", "toy", "config.ini")
@@ -406,7 +388,7 @@ TOY_RUN = (
 
 
 def test_toy_run_is_pinned():
-    assert _digest_in_child("toy_run_digests") == TOY_RUN
+    assert digest_in_child("test_trainer", "toy_run_digests") == TOY_RUN
 
 
 def test_fit_rejects_empty_train_set():
