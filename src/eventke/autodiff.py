@@ -355,9 +355,9 @@ class Tape:
     adds into the inputs' sinks; besides sinks it holds only the arrays,
     indices and shapes it reads.
 
-    With ``record=False`` every op computes the same values (``conv_trunk``
-    to within its last bits) but keeps no closure, so forward-only work
-    holds no array for a backward; ``backward`` raises.
+    With ``record=False`` every op computes the same values but keeps no
+    closure, so forward-only work holds no array for a backward;
+    ``backward`` raises.
     """
 
     def __init__(self, record: bool = True) -> None:
@@ -670,10 +670,7 @@ class Tape:
         (F, k, k) cross-correlate, valid, stride 1.  The conv is computed per
         image, (q, F, oh*ow), which is flat's layout.  A record keeps the
         images, the two ReLU masks and flat rows of its own, not a buffer's.
-
-        A non-recording tape computes the rows by ``_conv_product``, in
-        zero-padded 64-image blocks, so a row's bits depend only on its
-        inputs.  A recording tape keeps its batch.
+        Forward-only trunks come from ``scoring.SplitTrunk`` instead.
         """
         filters_data, projection_data = filters.data, projection.data
         if s.data.ndim != 2 or s.data.shape != r.data.shape:
@@ -686,9 +683,6 @@ class Tape:
         if k != kw or oh < 1 or ow < 1:
             raise ValueError(f"conv_trunk needs a square kernel that fits the {h}x{w} image, got {k}x{kw}")
         images = np.concatenate((s.data, r.data), axis=1).reshape(q, h, w)
-        if not self._recording:
-            trunk = _conv_product(images, filters_data, projection_data)
-            return Tensor(np.maximum(trunk, 0.0, out=trunk))
         conv = _conv(images, filters_data)
         flat = np.maximum(conv, 0.0).reshape(q, f * oh * ow)
         trunk = flat @ projection_data.T
@@ -718,40 +712,53 @@ class Tape:
 
     # -- losses ----------------------------------------------------------
 
-    def candidate_bce(self, trunks: Tensor, row: int, table: Tensor, candidates,
-                      positives: int, factor: float) -> Tensor:
-        """``factor`` times the summed binary cross-entropy of the scores
-        table[candidates] @ trunks[row], the first ``positives`` labelled 1
-        and the rest 0; probabilities clamped to [1e-12, 1-1e-12].
-
-        One query's loss in one record: the candidate gather, the product,
-        the BCE and the scale.
+    def candidate_bce(self, trunks: Tensor, table: Tensor, golds: list, negatives: list,
+                      mean: bool) -> tuple[Tensor, np.ndarray]:
+        """Binary cross-entropy of queries read at cells of the 1-N scores
+        trunks @ table.T, (B, n): query i reads row i at its golds[i],
+        labelled 1, then its negatives[i], labelled 0 (a repeated draw
+        counts twice), with probabilities clamped to [1e-12, 1-1e-12].  Its
+        loss sums its cells in that order, divided by their count when
+        ``mean``; rows past the queries (a zero-padded block's) read no cell.
+        Returns the total, in one record, and the (q,) query losses.
+        Backward adds the cells' gradients into a (B, n) matrix for two
+        products, with the trunks for the table and with the table for the
+        trunks.
         """
         if trunks.data.ndim != 2 or table.data.shape[1:] != trunks.data.shape[1:]:
             raise ValueError(f"candidate_bce shape mismatch: {trunks.shape} with {table.shape}")
-        if not 0 <= row < trunks.data.shape[0]:
-            raise IndexError(f"candidate_bce row {row} out of range [0, {trunks.data.shape[0]})")
-        idx = _as_index(candidates, table.data.shape[0], "candidate_bce")
-        if not 0 <= positives <= idx.size:
-            raise ValueError(f"candidate_bce has {positives} positives of {idx.size} candidates")
-        trunk, rows = trunks.data[row], table.data[idx]
-        labels = (np.arange(idx.size) < positives).astype(np.float64)
+        q, b, n = len(golds), len(trunks.data), len(table.data)
+        if len(negatives) != q or not 0 < q <= b:
+            raise ValueError(f"candidate_bce needs one gold and one negative list per trunk row,"
+                             f" got {q} and {len(negatives)} for {b} rows")
+        counts = np.array([(len(gold), len(neg)) for gold, neg in zip(golds, negatives)], np.intp)
+        sizes = counts.sum(axis=1)
+        if not sizes.all():
+            raise ValueError(f"candidate_bce query {sizes.argmin()} has no candidates")
+        rows = np.repeat(np.arange(q), sizes)
+        labels = np.repeat(np.tile([1.0, 0.0], q), counts.ravel())
+        cols = _as_index([c for gold, neg in zip(golds, negatives) for c in (*gold, *neg)],
+                         n, "candidate_bce")
+        factors = 1.0 / sizes if mean else np.ones(q)
+        trunks_data, table_data = trunks.data, table.data
         lo, hi = 1e-12, 1.0 - 1e-12
-        p = _stable_sigmoid(rows @ trunk)
+        p = _stable_sigmoid((trunks_data @ table_data.T)[rows, cols])
         pc = np.clip(p, lo, hi)
-        out = Tensor(-(labels * np.log(pc) + (1.0 - labels) * np.log1p(-pc)).sum() * factor)
-        n = table.data.shape[0]
+        terms = -(labels * np.log(pc) + (1.0 - labels) * np.log1p(-pc))
+        losses = np.bincount(rows, weights=terms, minlength=q) * factors
+        out = Tensor(losses.sum())
         gtrunks, gtable, gout = trunks.sink, table.sink, out.sink
 
         def backward() -> None:
             # clamped terms are locally constant in the loss
             active = (p > lo) & (p < hi)
-            g = np.where(active, p - labels, 0.0) * (factor * gout.grad)
-            gtable.add(_scatter_rows(idx, np.outer(g, trunk), n))
-            gtrunks.grad[row] += rows.T @ g
+            g = np.where(active, p - labels, 0.0) * (factors * gout.grad)[rows]
+            dscores = np.bincount(rows * n + cols, weights=g, minlength=b * n).reshape(b, n)
+            gtable.add(dscores.T @ trunks_data)
+            gtrunks.add(dscores @ table_data)
 
         self._record(backward)
-        return out
+        return out, losses
 
     def cross_entropy(self, logits: Tensor, label) -> Tensor:
         """Softmax cross-entropy of 1-D logits against one label, or the sum

@@ -354,7 +354,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     entity_task = _entity_label_splits(graph, config) if config.classify else None
 
     used, store = build_model(graph, checkpoint.model_config, checkpoint.scorer_config)
-    checkpoint.restore_into(store)
+    try:
+        checkpoint.restore_into(store)
+    except ValueError as exc:
+        raise CliError(
+            f"{args.checkpoint}: does not fit the graph of {args.config}: {exc}") from None
     known = known_tails_from_triples(triples["train"]) if config.protocol.filtered else None
     report = kg_completion_eval(
         used, store, checkpoint.model_config, checkpoint.scorer_config,

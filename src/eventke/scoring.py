@@ -6,14 +6,16 @@ dot product with the tail embedding.  The trunk (everything before the
 dot) depends only on (head, relation) and is shared across candidates.
 
 ``conv_trunk`` computes the trunks of a batch of (head, relation) rows in
-one ``Tape.conv_trunk`` call, recorded once per training step over the
-step's query groups; on a non-recording tape (validation) a row's bits do
-not depend on the batch.  A single pair is a batch of one.
+one ``Tape.conv_trunk`` record, once per training step over the step's
+query groups, and one ``Tape.candidate_bce`` record scores them ConvE's
+1-N way: one product of the trunks with the entity table, read at each
+query's gold and sampled tails.  ``triple_loss`` is the one-query case.
 
-Ranking computes the same trunk split in three pieces (``SplitTrunk``):
-only the conv rows that read both halves of the stacked image depend on
-the pair, so the head and relation pieces are computed once per entity and
-per relation row.  ``frozen_trunk`` is that split form.
+Ranking and the validation loss compute the same trunks split in three
+pieces (``SplitTrunk``): only the conv rows that read both halves of the
+stacked image depend on the pair, so the head and relation pieces can be
+computed once per entity and per relation row.  ``frozen_trunk`` is that
+split form, and both score its rows with the same 1-N product.
 """
 
 from __future__ import annotations
@@ -242,23 +244,17 @@ def triple_loss(
     positives: list[int],
     negatives: list[int],
     mean_reduction: bool = False,
-    trunks: Tensor | None = None,
-    row: int = 0,
 ) -> Tensor:
     """Summed BCE over gold tails (label 1) and sampled tails (label 0),
-    one ``candidate_bce`` record; divided by the candidate count under
-    ``mean_reduction``.
+    divided by the candidate count under ``mean_reduction``: the one-query
+    case of a training step's loss, a ``candidate_bce`` record over the
+    query's 1-N scores.
 
     ``entity_vecs`` is the full (n, d) entity tensor.  The relation
     embedding is the original (non-augmented) relation row, shared with
-    the aggregation layers.  ``trunks`` holds the query's trunk at ``row``
-    when the caller has computed it with the rows of other queries;
-    without it the trunk is computed here, as a batch of one.
+    the aggregation layers.
     """
     if not positives:
         raise ValueError(f"query ({h}, {r}) has no gold tails")
-    if trunks is None:
-        trunks, row = query_trunks(tape, params, config, entity_vecs, [h], [r]), 0
-    candidates = positives + negatives
-    factor = 1.0 / len(candidates) if mean_reduction else 1.0
-    return tape.candidate_bce(trunks, row, entity_vecs, candidates, len(positives), factor)
+    trunks = query_trunks(tape, params, config, entity_vecs, [h], [r])
+    return tape.candidate_bce(trunks, entity_vecs, [positives], [negatives], mean_reduction)[0]

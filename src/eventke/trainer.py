@@ -16,19 +16,21 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from .autodiff import ParameterStore, Tape
+from .autodiff import _TRUNK_BLOCK, ParameterStore, Tape, Tensor
 from .kgdata import HeterogeneousGraph, KnowledgeTriple
 from .layers import ModelConfig, forward_model, init_parameters, randomize_event_structure
 from .scoring import (
     ConvScorerConfig,
     NegativeSampler,
     add_scorer_parameters,
+    frozen_trunk,
     known_tails_from_triples,
     query_trunks,
-    triple_loss,
+    triple_loss,  # noqa: F401  perfbench's tracer patches it here
 )
 
 logger = logging.getLogger(__name__)
@@ -153,44 +155,12 @@ def group_queries(triples: list[KnowledgeTriple]) -> list[tuple[int, int, list[i
     return [(h, r, tails) for (h, r), tails in order.items()]
 
 
-def _query_losses(
-    tape: Tape,
-    graph: HeterogeneousGraph,
-    params: ParameterStore,
-    model_config: ModelConfig,
-    scorer_config: ConvScorerConfig,
-    groups: list[tuple[int, int, list[int]]],
-    indices: list[int],
-    sampler: NegativeSampler,
-    round_: int,
-    train_config: TrainConfig,
-) -> dict[int, object]:
-    """Loss tensor of each group in ``indices``, keyed by group index.
-
-    The trunk rows of all the groups come from one ``query_trunks`` call.
-    """
-    vecs = forward_model(tape, graph, params, model_config)
-    heads = [groups[idx][0] for idx in indices]
-    relations = [groups[idx][1] for idx in indices]
-    trunks = query_trunks(tape, params, scorer_config, vecs, heads, relations)
-    losses = {}
-    for row, idx in enumerate(indices):
-        h, r, tails = groups[idx]
-        negatives = sampler.sample_group(h, r, tails, round_)
-        losses[idx] = triple_loss(
-            tape,
-            params,
-            scorer_config,
-            vecs,
-            h,
-            r,
-            tails,
-            negatives,
-            mean_reduction=train_config.mean_reduction,
-            trunks=trunks,
-            row=row,
-        )
-    return losses
+def _sampled_queries(groups: list[tuple[int, int, list[int]]], indices: Iterable[int],
+                     sampler: NegativeSampler, round_: int) -> tuple[list, list, list, list]:
+    """Heads, relations, gold tails and negatives of the groups in ``indices``."""
+    heads, relations, golds = (list(column) for column in zip(*(groups[i] for i in indices)))
+    return heads, relations, golds, [
+        sampler.sample_group(h, r, tails, round_) for h, r, tails in zip(heads, relations, golds)]
 
 
 def train_epoch(
@@ -213,19 +183,23 @@ def train_epoch(
     n = len(groups)
     order = list(shuffle_rng.permutation(n)) if train_config.shuffle else list(range(n))
     loss_by_group: dict[int, float] = {}
+
+    def step_losses(tape: Tape, batch: list[int]) -> tuple[Tensor, np.ndarray]:
+        # the entity tensor is this call's local, not held across backward;
+        # sampling after the forward keeps the draws out of its peak
+        vecs = forward_model(tape, graph, params, model_config)
+        heads, relations, golds, negatives = _sampled_queries(groups, batch, sampler, epoch)
+        trunks = query_trunks(tape, params, scorer_config, vecs, heads, relations)
+        return tape.candidate_bce(trunks, vecs, golds, negatives, train_config.mean_reduction)
+
     for start in range(0, n, train_config.batch_groups):
         batch = order[start : start + train_config.batch_groups]
         tape = Tape()
-        losses = _query_losses(
-            tape, graph, params, model_config, scorer_config,
-            groups, batch, sampler, epoch, train_config,
-        )
-        total = tape.add_n(list(losses.values()))
+        total, losses = step_losses(tape, batch)
         tape.backward(total)
         step_counter[0] += 1
         adam_step(params, train_config, step_counter[0])
-        for idx, loss in losses.items():
-            loss_by_group[idx] = float(loss.data)
+        loss_by_group.update(zip(batch, losses.tolist()))
     return sum(loss_by_group[i] for i in range(n)) / n
 
 
@@ -238,12 +212,25 @@ def evaluate_loss(
     sampler: NegativeSampler,
     train_config: TrainConfig,
 ) -> float:
-    """Mean per-query loss with the frozen validation sampling round, on a non-recording tape."""
-    losses = _query_losses(
-        Tape(record=False), graph, params, model_config, scorer_config,
-        groups, list(range(len(groups))), sampler, VALIDATION_ROUND, train_config,
-    )
-    return sum(float(l.data) for l in losses.values()) / len(groups)
+    """Mean per-query loss with the frozen validation sampling round.
+
+    The trunks are ``frozen_trunk``'s, bit for bit ranking's, and each
+    block of _TRUNK_BLOCK groups, the last one zero-padded, is scored by one
+    non-recording ``candidate_bce`` against the entity matrix, as ranking
+    scores its pairs: a group's loss does not depend on its block.
+    """
+    entity_matrix = forward_model(Tape(record=False), graph, params, model_config).data
+    relation_rows = params["relation_embeddings"].data
+    table, losses = Tensor(entity_matrix), []
+    for start in range(0, len(groups), _TRUNK_BLOCK):
+        block = range(start, min(start + _TRUNK_BLOCK, len(groups)))
+        heads, relations, golds, negatives = _sampled_queries(
+            groups, block, sampler, VALIDATION_ROUND)
+        trunks = frozen_trunk(params, scorer_config, entity_matrix[heads], relation_rows[relations])
+        padded = np.pad(trunks, ((0, _TRUNK_BLOCK - len(block)), (0, 0)))
+        losses += Tape(record=False).candidate_bce(
+            Tensor(padded), table, golds, negatives, train_config.mean_reduction)[1].tolist()
+    return sum(losses) / len(groups)
 
 
 @dataclass

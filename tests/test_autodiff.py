@@ -136,19 +136,21 @@ def test_relu_subgradient_at_zero_is_one():
     assert grads[0] == grads[1] and x.grad[0] != 0.0
 
 
-def _bce(scores, positives: int, factor: float = 1.0) -> Tensor:
-    """candidate_bce of the given scores: a unit trunk against a table
+def _bce(scores, positives: int, mean: bool = False) -> Tensor:
+    """candidate_bce of one query with the given scores, the first
+    ``positives`` gold: a unit trunk, above a padding row, against a table
     whose i-th row is (scores[i], 0)."""
     scores = np.asarray(scores, dtype=np.float64)
     table = Tensor(np.stack([scores, np.zeros(scores.size)], axis=1))
-    trunks = Tensor([[0.0, 0.0], [1.0, 0.0]])
-    return Tape().candidate_bce(trunks, 1, table, np.arange(scores.size), positives, factor)
+    trunks = Tensor([[1.0, 0.0], [0.0, 0.0]])
+    ids = list(range(scores.size))
+    return Tape().candidate_bce(trunks, table, [ids[:positives]], [ids[positives:]], mean)[0]
 
 
 def test_bce_known_values():
     loss = _bce([0.0, 0.0], 1)
     assert abs(loss.data - 2.0 * math.log(2.0)) <= 1e-12
-    assert abs(_bce([0.0, 0.0], 1, 0.5).data - math.log(2.0)) <= 1e-12
+    assert abs(_bce([0.0, 0.0], 1, mean=True).data - math.log(2.0)) <= 1e-12
 
     # saturated correct predictions contribute almost nothing
     sat = _bce([20.0, -20.0], 1)
@@ -190,10 +192,14 @@ def test_backward_requires_scalar():
 
 def test_candidate_bce_out_of_range():
     trunks, table = Tensor(np.zeros((3, 2))), Tensor(np.zeros((4, 2)))
+    with pytest.raises(ValueError, match="3 rows"):  # more queries than trunk rows
+        Tape().candidate_bce(trunks, table, [[0]] * 4, [[1]] * 4, False)
+    with pytest.raises(ValueError, match="3 rows"):  # unpaired gold and negative lists
+        Tape().candidate_bce(trunks, table, [[0], [1]], [[1]], False)
     with pytest.raises(IndexError):
-        Tape().candidate_bce(trunks, 3, table, [0, 1], 1, 1.0)
-    with pytest.raises(IndexError):
-        Tape().candidate_bce(trunks, 0, table, [0, 4], 1, 1.0)
+        Tape().candidate_bce(trunks, table, [[0]], [[4]], False)
+    with pytest.raises(ValueError, match="query 1 has no candidates"):
+        Tape().candidate_bce(trunks, table, [[0], []], [[1], []], True)
 
 
 def _dot(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
@@ -229,8 +235,10 @@ def _loss_through_all_ops(params: dict[str, Tensor]) -> tuple[Tape, Tensor]:
     # a 4x3 image: phi folded into two rows above mixed folded alike
     feat = tape.conv_trunk(
         tape.reshape(phi, (1, -1)), tape.reshape(mixed, (1, -1)), filt, params["trunk"], 2)
-    # proj's rows scored against feat: rows 0 and 2 gold, row 1 twice a negative
-    bce = tape.candidate_bce(feat, 0, proj, [0, 2, 1, 1], 2, 0.25)
+    # feat's halves scored against proj's: 0 and 2 gold, 1 twice a negative,
+    # and 5 gold, 3 and 0 negative
+    bce, _ = tape.candidate_bce(tape.reshape(feat, (2, 4)), tape.reshape(proj, (6, 4)),
+                                [[0, 2], [5]], [[1, 1], [3, 0]], True)
     ce = tape.cross_entropy(tape.rows_affine(feat, proj), [1])
     ce_rows = tape.cross_entropy(tape.reshape(feat, (2, 4)), np.array([3, 0]))
     return tape, tape.add_n([bce, ce, ce_rows, _dot(tape, phi, phi)])
@@ -667,24 +675,51 @@ def test_pool_mean_equals_gather_segment_mean_bitwise(width):
             assert [out.data.tobytes(), tx.grad.tobytes()] == expected, width
 
 
-def test_candidate_bce_table_grad_equals_outer_product_scatter_bitwise():
+@pytest.mark.parametrize("mean", [False, True])
+def test_candidate_bce_equals_a_dense_product_reference_bitwise(mean):
+    """The total, the query losses and both gradients equal a plain form:
+    the dense product, the cells gathered from it, the clamped BCE summed
+    cell by cell, and the cells' gradients added one by one into a dense
+    matrix that the two gradient products read.  Row 3 pads the block."""
     rng = np.random.default_rng(41)
-    table = Tensor(rng.normal(size=(6, 9)))
-    trunks = Tensor(rng.normal(size=(3, 9)))
-    candidates = np.array([4, 1, 4, 0, 5])
-    table.data[5] = 40.0 * trunks.data[2]  # a negative deep in the clamp
-    table.grad += rng.normal(size=(6, 9))
-    before = table.grad.copy()
+    table = Tensor(rng.normal(size=(7, 9)))
+    trunks = Tensor(rng.normal(size=(4, 9)))
+    trunks.data[3] = 0.0
+    table.data[5] = 40.0 * trunks.data[0]  # query 0's negative 5 deep in the clamp
+    table.data[6] = -40.0 * trunks.data[1]  # and query 1's twice-drawn negative 6
+    # two gold tails, one also a negative; a repeated negative; three gold tails
+    golds, negatives = [[4, 1], [2], [0, 3, 5]], [[4, 0, 5], [6, 6, 0], [1]]
+    for tensor in (table, trunks):
+        tensor.grad += rng.normal(size=tensor.shape)
+    before = [table.grad.copy(), trunks.grad.copy()]
     tape = Tape()
-    tape.backward(tape.candidate_bce(trunks, 2, table, candidates, 2, 0.2))
-    p = autodiff._stable_sigmoid(table.data[candidates] @ trunks.data[2])
-    g = 0.2 * (p - [1.0, 1.0, 0.0, 0.0, 0.0])
-    assert p[4] == 1.0  # the clamped candidate's gradient is zero
-    g[4] = 0.0
-    expected = np.zeros((6, 9))
-    for i, row in enumerate(candidates):
-        expected[row] += np.outer(g, trunks.data[2])[i]
-    assert table.grad.tobytes() == (before + expected).tobytes()
+    total, losses = tape.candidate_bce(trunks, table, golds, negatives, mean)
+    assert len(tape) == 1
+    tape.backward(total)
+
+    cells = [(i, c, label) for i, (gold, neg) in enumerate(zip(golds, negatives))
+             for c, label in [(c, 1.0) for c in gold] + [(c, 0.0) for c in neg]]
+    rows, cols, labels = (np.array(column) for column in zip(*cells))
+    p = autodiff._stable_sigmoid((trunks.data @ table.data.T)[rows, cols])
+    clamped = (p <= 1e-12) | (p >= 1.0 - 1e-12)
+    assert clamped.sum() >= 3
+    pc = np.clip(p, 1e-12, 1.0 - 1e-12)
+    terms = -(labels * np.log(pc) + (1.0 - labels) * np.log1p(-pc))
+    expected = []
+    for i, (gold, neg) in enumerate(zip(golds, negatives)):
+        acc = 0.0
+        for term in terms[rows == i]:
+            acc += term
+        expected.append(acc * (1.0 / (len(gold) + len(neg)) if mean else 1.0))
+    assert losses.tobytes() == np.array(expected).tobytes()
+    assert total.data.tobytes() == np.float64(sum(expected)).tobytes()
+    factors = np.array([1.0 / (len(g) + len(n)) if mean else 1.0 for g, n in zip(golds, negatives)])
+    g = np.where(clamped, 0.0, p - labels) * factors[rows]
+    dscores = np.zeros((4, 7))
+    np.add.at(dscores, (rows, cols), g)
+    assert not dscores[3].any()
+    assert table.grad.tobytes() == (before[0] + dscores.T @ trunks.data).tobytes()
+    assert trunks.grad.tobytes() == (before[1] + dscores @ table.data).tobytes()
 
 
 def _circ_corr_sum_grads(x, table, src, rel, dst, n, g):
@@ -979,7 +1014,8 @@ def test_a_record_frees_the_values_its_backward_does_not_read(op):
 FORWARD_ONLY = {
     **{op: lambda tape, p, leaf=leaf, call=call: call(tape, p[leaf], p)
        for op, (leaf, _, call) in UNREAD.items()},
-    "candidate_bce": lambda tape, p: tape.candidate_bce(p["a"], 2, p["b"], [0, 3, 1, 1], 2, 0.25),
+    "candidate_bce": lambda tape, p: tape.candidate_bce(
+        p["a"], p["b"], [[0, 3], [2]], [[1, 1], [5]], True)[0],
     "cross_entropy": lambda tape, p: tape.cross_entropy(p["a"], [0, 3, 1, 2, 2, 0]),
     "circ_corr": lambda tape, p: tape.circ_corr(p["logits"], p["weights"]),
 }

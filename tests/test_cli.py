@@ -792,6 +792,23 @@ def test_eval_bad_shuffle_state_is_one_error(bad, trained, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_eval_checkpoint_of_another_graph_names_the_checkpoint_and_config(
+        trained, tmp_path, capsys):
+    shutil.copytree(FIXTURES, tmp_path / "toy")
+    with open(tmp_path / "toy" / "triples.tsv", "a") as fh:
+        fh.write("zz\tr0\tyy\n")
+    config = tmp_path / "toy" / "config.ini"
+    checkpoint = trained / "model.ckpt"
+    code = run_cli("eval", "--config", str(config),
+                   "--checkpoint", str(checkpoint), "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {checkpoint}: does not fit the graph of {config}: shape mismatch for"
+        " param/entity_embeddings: checkpoint (10, 8) vs model (12, 8)\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 # -- rank-diff --------------------------------------------------------------
 
 

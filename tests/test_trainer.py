@@ -11,7 +11,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from eventke import autodiff, cli
+from eventke import autodiff, cli, trainer
 from eventke.autodiff import ParameterStore, Tape
 from eventke.kgdata import KnowledgeTriple
 from eventke.layers import ModelConfig, forward_model, index_plan
@@ -287,10 +287,12 @@ def diagonal_step_digest() -> str:
     return _state_digest(diagonal_step()[1])
 
 
-# sha256 of the state arrays after diagonal_step with one BLAS thread, taken
-# with the flattened bincount summing every segment and stage 4 in one piece:
-# the diagonals and the chunks must reproduce its bits
-DIAGONAL_STEP_STATE = "dbcc33f8d7ec9ff771e6f4dc7a250050fc37ece0b6bda6d42b73b1ac73e4ddfb"
+# sha256 of the state arrays after diagonal_step with one BLAS thread.  It
+# records stage 4's sums, which the diagonals and the chunks must keep equal
+# to the flattened bincount's over stage 4 in one piece, and the step's one
+# candidate_bce record, whose 1-N product and two gradient products set the
+# scores' and the entity gradient's summation order
+DIAGONAL_STEP_STATE = "bb540e9d25d68ba8a7fa5d2431b99b859cf6ea4f7d97457dd613979d645b3380"
 
 
 def test_diagonal_scatter_step_is_pinned():
@@ -350,10 +352,11 @@ def mean_reduction_step_digest() -> str:
     return _state_digest(mean_reduction_step()[2])
 
 
-# sha256 of the state arrays after mean_reduction_step with one BLAS thread,
-# taken with each group's loss built from separate gather, product, BCE and
-# scale records: the one candidate_bce record must reproduce its bits
-MEAN_REDUCTION_STEP_STATE = "541ecff8305bb5e569df819d7d266ccfc74c9a3fba76b0bb0014644e6c53f0ed"
+# sha256 of the state arrays after mean_reduction_step with one BLAS thread:
+# the step's one candidate_bce record with a mean factor per query, repeated
+# draws and multi-gold groups, whose arithmetic the dense reference test in
+# test_autodiff checks bit for bit
+MEAN_REDUCTION_STEP_STATE = "2f2651082fc99e556bd58fae1aeafc68e9e2ac63716ae4e050840d8424d1ab59"
 
 
 def test_mean_reduction_step_is_pinned():
@@ -379,11 +382,13 @@ def toy_run_digests() -> str:
         )
 
 
-# sha256 of the toy run's loss.csv and model.ckpt with one BLAS thread, taken
-# when the CLI first built its graph from the training split alone
+# sha256 of the toy run's loss.csv and model.ckpt with one BLAS thread: the
+# CLI trains on a graph of the training split alone, each step's loss is one
+# candidate_bce record over the 1-N scores, and the validation loss scores
+# frozen_trunk's rows in 64-group blocks
 TOY_RUN = (
     "bff8ab0284b6a002c56c042abbf6af9fcd02cf0d209a653a878056826e08f501 "
-    "7b2f835fcc0120214f82a50c219dc8b200a72fa6791ecba173980ba4ea87cc06"
+    "c80ef949f445be780ce4c0756d6757164861b45fe4d8609a5f025c490e45a040"
 )
 
 
@@ -593,6 +598,80 @@ def test_validation_loss_uses_frozen_round():
     a = evaluate_loss(graph, store, SMALL_MODEL, SMALL_SCORER, groups, sampler, config)
     b = evaluate_loss(graph, store, SMALL_MODEL, SMALL_SCORER, groups, sampler, config)
     assert a == b
+
+
+def _many_groups_setup():
+    """A 40-entity graph at the README's shapes (d = 64, where a product
+    row's bits can depend on the row count) with more than one 64-group
+    block of queries."""
+    lines = dataset_lines(
+        n_entities=40, n_relations=3, n_triples=200, n_events=3,
+        min_args=2, max_args=3, n_temporal=2, seed=5,
+    )
+    graph, store = build_model(build_from_lines(*lines), ModelConfig(), ConvScorerConfig())
+    groups = group_queries(graph.triples)
+    assert len(groups) > 64
+    sampler = NegativeSampler(
+        graph.entity_count, 5, seed=0, known_tails=known_tails_from_triples(graph.triples))
+    return graph, store, groups, sampler
+
+
+def test_a_training_steps_loss_is_one_record(monkeypatch):
+    """Whatever the step's group count, its tape holds the forward's records,
+    the trunk's three (two gathers and the conv) and one loss record."""
+    graph, store, groups, sampler = _many_groups_setup()
+    forward = Tape()
+    forward_model(forward, graph, store, ModelConfig())
+    lengths = []
+    backward = Tape.backward
+
+    def spy(tape, loss):
+        lengths.append(len(tape))
+        backward(tape, loss)
+
+    monkeypatch.setattr(Tape, "backward", spy)
+    for batch_groups in (1, 5, 32):
+        config = TrainConfig(k_neg=5, batch_groups=batch_groups)
+        train_epoch(graph, store, ModelConfig(), ConvScorerConfig(), groups[:32], sampler, config,
+                    epoch=1, shuffle_rng=np.random.default_rng(0), step_counter=[0])
+    assert len(lengths) == 32 + 7 + 1
+    assert set(lengths) == {len(forward) + 4}
+
+
+def test_a_validation_groups_loss_does_not_depend_on_its_block(monkeypatch):
+    """A group's loss has the same bytes alone in its 64-group block, with
+    other companions, or at any position of a many-block call."""
+    graph, store, groups, sampler = _many_groups_setup()
+    # the layers' rectified rows give only scores >= 0, whose sigmoids round
+    # away their last bits: the signed input rows and a steeper projection
+    # give scores of either sign, up to about 10
+    monkeypatch.setattr(trainer, "forward_model", lambda tape, graph, params, config:
+                        params["entity_embeddings"])
+    store["conv_projection"].data *= 40.0
+    losses = []
+    candidate_bce = Tape.candidate_bce
+
+    def spy(*args):
+        out = candidate_bce(*args)
+        losses.append(out[1])
+        return out
+
+    monkeypatch.setattr(Tape, "candidate_bce", spy)
+
+    def group_losses(subset):
+        losses.clear()
+        mean = evaluate_loss(
+            graph, store, ModelConfig(), ConvScorerConfig(), subset, sampler, TrainConfig())
+        out = np.concatenate(losses)
+        assert mean == sum(out.tolist()) / len(subset)
+        return out
+
+    every = group_losses(groups)
+    assert len(losses) == math.ceil(len(groups) / 64)
+    for i in (0, 63, 64, len(groups) - 1):
+        assert group_losses([groups[i]]).tobytes() == every[i].tobytes()
+        companions = [groups[i]] + groups[:i][::-1][:70]
+        assert group_losses(companions)[0].tobytes() == every[i].tobytes()
 
 
 def test_build_model_rejects_mismatched_scorer_shape():
