@@ -297,12 +297,11 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 # _conv's (q, k, k, oh, ow) patch columns and (q, F, oh*ow) conv, which a
 # forward-only product rectifies in place into its flat rows, kept between
-# calls at the size of the largest image block so far (64 images, or a
-# larger recording batch): allocated per ranking block, glibc gave these
-# megabytes back to the system and faulted them in again.  The package
-# starts no threads.
+# calls at the size of the largest image block so far (scoring's 64-image
+# block, or a larger recording batch): allocated per ranking block, glibc
+# gave these megabytes back to the system and faulted them in again.  The
+# package starts no threads.
 _TRUNK_BUFFERS: dict[str, np.ndarray] = {}
-_TRUNK_BLOCK = 64
 
 
 def _trunk_buffer(name: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -327,24 +326,6 @@ def _conv(images: np.ndarray, filters: np.ndarray) -> np.ndarray:
     conv = _trunk_buffer("conv", (q, f, oh * ow))
     np.matmul(filters.reshape(f, k * k), columns.reshape(q, k * k, oh * ow), out=conv)
     return conv
-
-
-def _conv_product(images: np.ndarray, filters: np.ndarray, projection: np.ndarray) -> np.ndarray:
-    """(q, p) rows flatten(ReLU(_conv(images, filters))) @ projection.T,
-    computed in blocks of exactly 64 images, the last one zero-padded, so a
-    row's bits depend only on its image: the batch size sets the BLAS
-    blocking, and unpadded 1- to 5-image batches gave rows other last bits
-    (d = 64)."""
-    q = len(images)
-    out = np.empty((q, len(projection)))
-    for i in range(0, q, _TRUNK_BLOCK):
-        block = images[i : i + _TRUNK_BLOCK]
-        if len(block) < _TRUNK_BLOCK:  # the last block, zero-padded
-            block = np.pad(block, ((0, _TRUNK_BLOCK - len(block)), (0, 0), (0, 0)))
-        conv = _conv(block, filters)
-        flat = np.maximum(conv, 0.0, out=conv).reshape(_TRUNK_BLOCK, -1)
-        out[i : i + _TRUNK_BLOCK] = (flat @ projection.T)[: q - i]
-    return out
 
 
 class Tape:
@@ -712,24 +693,21 @@ class Tape:
 
     # -- losses ----------------------------------------------------------
 
-    def candidate_bce(self, trunks: Tensor, table: Tensor, golds: list, negatives: list,
+    def candidate_bce(self, scores: Tensor, golds: list, negatives: list,
                       mean: bool) -> tuple[Tensor, np.ndarray]:
-        """Binary cross-entropy of queries read at cells of the 1-N scores
-        trunks @ table.T, (B, n): query i reads row i at its golds[i],
-        labelled 1, then its negatives[i], labelled 0 (a repeated draw
-        counts twice), with probabilities clamped to [1e-12, 1-1e-12].  Its
-        loss sums its cells in that order, divided by their count when
-        ``mean``; rows past the queries (a zero-padded block's) read no cell.
-        Returns the total, in one record, and the (q,) query losses.
-        Backward adds the cells' gradients into a (B, n) matrix for two
-        products, with the trunks for the table and with the table for the
-        trunks.
+        """Binary cross-entropy of queries read at cells of their (q, n)
+        1-N scores: query i reads row i at its golds[i], labelled 1, then
+        its negatives[i], labelled 0 (a repeated draw counts twice), with
+        probabilities clamped to [1e-12, 1-1e-12].  Its loss sums its cells
+        in that order, divided by their count when ``mean``.  Returns the
+        total, in one record, and the (q,) query losses.  Backward adds the
+        cells' gradients into the dense (q, n) gradient of the scores.
         """
-        if trunks.data.ndim != 2 or table.data.shape[1:] != trunks.data.shape[1:]:
-            raise ValueError(f"candidate_bce shape mismatch: {trunks.shape} with {table.shape}")
-        q, b, n = len(golds), len(trunks.data), len(table.data)
-        if len(negatives) != q or not 0 < q <= b:
-            raise ValueError(f"candidate_bce needs one gold and one negative list per trunk row,"
+        if scores.data.ndim != 2:
+            raise ValueError(f"candidate_bce expects (q, n) scores, got {scores.shape}")
+        (b, n), q = scores.data.shape, len(golds)
+        if len(negatives) != q or q != b or not q:
+            raise ValueError(f"candidate_bce needs one gold and one negative list per score row,"
                              f" got {q} and {len(negatives)} for {b} rows")
         counts = np.array([(len(gold), len(neg)) for gold, neg in zip(golds, negatives)], np.intp)
         sizes = counts.sum(axis=1)
@@ -740,22 +718,19 @@ class Tape:
         cols = _as_index([c for gold, neg in zip(golds, negatives) for c in (*gold, *neg)],
                          n, "candidate_bce")
         factors = 1.0 / sizes if mean else np.ones(q)
-        trunks_data, table_data = trunks.data, table.data
         lo, hi = 1e-12, 1.0 - 1e-12
-        p = _stable_sigmoid((trunks_data @ table_data.T)[rows, cols])
+        p = _stable_sigmoid(scores.data[rows, cols])
         pc = np.clip(p, lo, hi)
         terms = -(labels * np.log(pc) + (1.0 - labels) * np.log1p(-pc))
         losses = np.bincount(rows, weights=terms, minlength=q) * factors
         out = Tensor(losses.sum())
-        gtrunks, gtable, gout = trunks.sink, table.sink, out.sink
+        gscores, gout = scores.sink, out.sink
 
         def backward() -> None:
             # clamped terms are locally constant in the loss
             active = (p > lo) & (p < hi)
             g = np.where(active, p - labels, 0.0) * (factors * gout.grad)[rows]
-            dscores = np.bincount(rows * n + cols, weights=g, minlength=b * n).reshape(b, n)
-            gtable.add(dscores.T @ trunks_data)
-            gtrunks.add(dscores @ table_data)
+            gscores.add(np.bincount(rows * n + cols, weights=g, minlength=q * n).reshape(q, n))
 
         self._record(backward)
         return out, losses

@@ -284,13 +284,27 @@ def _writing_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
+def _pretrained_vectors(config: RunConfig, graph: HeterogeneousGraph) -> dict | None:
+    """The [data] pretrained vectors, of the model's width; unused ones are one WARNING."""
+    if config.pretrained is None:
+        return None
+    table = _parse_file(config.pretrained, load_pretrained_vectors)
+    width = next((len(vec) for vec in table.values()), config.model.dim)
+    if width != config.model.dim:
+        raise CliError(f"{config.pretrained}: vectors have {width} values, [model] dim is"
+                       f" {config.model.dim}")
+    matched = sum(name in graph.entities for name in table)
+    if matched < len(table) or not matched:
+        logger.warning("%s: %d of its %d identifiers match no entity; %d of %d entities keep"
+                       " their random init", config.pretrained, len(table) - matched, len(table),
+                       graph.entity_count - matched, graph.entity_count)
+    return table
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     config = _writing_config(args)
     graph, triples = _load_graph(config)
-    init_table = None
-    if config.pretrained is not None:
-        init_table = _parse_file(config.pretrained, load_pretrained_vectors)
-    used, store = build_model(graph, config.model, config.scorer, init_table)
+    used, store = build_model(graph, config.model, config.scorer, _pretrained_vectors(config, graph))
     result = fit(
         used, store, config.model, config.scorer, triples["train"], triples["val"], config.train)
 
@@ -347,22 +361,25 @@ def cmd_eval(args: argparse.Namespace) -> int:
                     section, key, _format(owner, name, ours), args.config,
                     _format(owner, name, theirs))
     graph, triples = _load_graph(config)
-    target = triples[config.eval_split]
+    target, protocol = triples[config.eval_split], config.protocol
     if not target:
-        raise CliError(f"eval split {config.eval_split!r} contains no triples")
+        raise CliError(f"{args.config}: [eval] split: {config.eval_split!r} contains no triples")
+    if protocol.mode == "sampled" and protocol.k >= graph.entity_count:
+        raise CliError(f"{args.config}: [eval] k: the sampled protocol needs K < entity"
+                       f" vocabulary ({protocol.k} >= {graph.entity_count})")
     # read before the ranking, so a bad labels file costs no work
     entity_task = _entity_label_splits(graph, config) if config.classify else None
 
-    used, store = build_model(graph, checkpoint.model_config, checkpoint.scorer_config)
     try:
+        used, store = build_model(graph, checkpoint.model_config, checkpoint.scorer_config)
         checkpoint.restore_into(store)
     except ValueError as exc:
         raise CliError(
             f"{args.checkpoint}: does not fit the graph of {args.config}: {exc}") from None
-    known = known_tails_from_triples(triples["train"]) if config.protocol.filtered else None
+    known = known_tails_from_triples(triples["train"]) if protocol.filtered else None
     report = kg_completion_eval(
         used, store, checkpoint.model_config, checkpoint.scorer_config,
-        target, config.protocol, known_tails=known,
+        target, protocol, known_tails=known,
     )
 
     os.makedirs(config.out_dir, exist_ok=True)

@@ -5,36 +5,34 @@ to 2-D, stacking them, convolving, projecting back to d, and taking a
 dot product with the tail embedding.  The trunk (everything before the
 dot) depends only on (head, relation) and is shared across candidates.
 
-``conv_trunk`` computes the trunks of a batch of (head, relation) rows in
-one ``Tape.conv_trunk`` record, once per training step over the step's
-query groups, and one ``Tape.candidate_bce`` record scores them ConvE's
-1-N way: one product of the trunks with the entity table, read at each
-query's gold and sampled tails.  ``triple_loss`` is the one-query case.
-
-Ranking and the validation loss compute the same trunks split in three
-pieces (``SplitTrunk``): only the conv rows that read both halves of the
-stacked image depend on the pair, so the head and relation pieces can be
-computed once per entity and per relation row.  ``frozen_trunk`` is that
-split form, and both score its rows with the same 1-N product.
+Both scorers score ConvE's 1-N way, every pair against every entity in
+one product.  ``query_scores`` does it on a tape, for a training step's
+``Tape.candidate_bce`` (``triple_loss`` is the one-query case).
+``frozen_scores``, shared by ranking and the validation loss, does it on
+plain arrays, with trunks split in three pieces (``SplitTrunk``) and
+every product SCORE_BLOCK rows long.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .autodiff import ParameterStore, Tape, Tensor, _conv_product
+from .autodiff import ParameterStore, Tape, Tensor, _conv
 from .kgdata import KnowledgeTriple
 
 __all__ = [
     "ConvScorerConfig",
     "add_scorer_parameters",
     "conv_trunk",
-    "query_trunks",
+    "query_scores",
     "score_against_all",
+    "SCORE_BLOCK",
     "SplitTrunk",
     "frozen_trunk",
+    "frozen_scores",
     "NegativeSampler",
     "known_tails_from_triples",
     "triple_loss",
@@ -83,18 +81,13 @@ def conv_trunk(
     return tape.conv_trunk(s, r, params["conv_filters"], params["conv_projection"], config.rows)
 
 
-def query_trunks(
-    tape: Tape,
-    params: ParameterStore,
-    config: ConvScorerConfig,
-    entity_vecs: Tensor,
-    heads: list[int],
-    relations: list[int],
-) -> Tensor:
-    """(q, d) trunk rows of the queries (heads[i], relations[i])."""
+def query_scores(tape: Tape, params: ParameterStore, config: ConvScorerConfig, entity_vecs: Tensor,
+                 heads: list[int], relations: list[int]) -> Tensor:
+    """(q, n) 1-N scores of the queries (heads[i], relations[i]) against
+    every row of the (n, d) entity tensor."""
     s = tape.gather_rows(entity_vecs, heads)
     r = tape.gather_rows(params["relation_embeddings"], relations)
-    return conv_trunk(tape, params, config, s, r)
+    return tape.rows_affine(conv_trunk(tape, params, config, s, r), entity_vecs)
 
 
 def score_against_all(
@@ -111,6 +104,32 @@ def score_against_all(
     return tape.reshape(tape.rows_affine(candidates, row), (-1,))
 
 
+# Rows of every forward-only product: a product row's last bits depend on
+# the product's row count (the batch size sets the BLAS blocking, and
+# unpadded 1- to 5-row batches gave rows other last bits at d = 64), so a
+# short last block is zero-padded to it.
+SCORE_BLOCK = 64
+
+
+def _padded(block: np.ndarray) -> np.ndarray:
+    """``block`` zero-padded to SCORE_BLOCK rows."""
+    short = SCORE_BLOCK - len(block)
+    return np.pad(block, [(0, short)] + [(0, 0)] * (block.ndim - 1)) if short else block
+
+
+def _conv_product(images: np.ndarray, filters: np.ndarray, projection: np.ndarray) -> np.ndarray:
+    """(q, p) rows flatten(ReLU(_conv(images, filters))) @ projection.T,
+    computed in blocks of SCORE_BLOCK images, so a row's bits depend only
+    on its image."""
+    q = len(images)
+    out = np.empty((q, len(projection)))
+    for i in range(0, q, SCORE_BLOCK):
+        conv = _conv(_padded(images[i : i + SCORE_BLOCK]), filters)
+        flat = np.maximum(conv, 0.0, out=conv).reshape(SCORE_BLOCK, -1)
+        out[i : i + SCORE_BLOCK] = (flat @ projection.T)[: q - i]
+    return out
+
+
 class SplitTrunk:
     """``conv_trunk``'s forward on plain arrays, as ReLU(H[s] + Q[r] + S(s, r)).
 
@@ -120,9 +139,9 @@ class SplitTrunk:
     min(rows, oh).  Each conv cell is rectified on its own, so the trunk's
     projection splits by those rows: a piece is its rows' rectified conv
     times their projection columns, equal to the whole trunk's product up to
-    rounding.  Each piece computes in zero-padded 64-row blocks
-    (``autodiff._conv_product``), so its rows' bits depend only on their
-    inputs, and ``combine`` adds the pieces in one fixed order.
+    rounding.  Each piece computes in zero-padded blocks (``_conv_product``),
+    so its rows' bits depend only on their inputs, and ``combine`` adds the
+    pieces in one fixed order.
     """
 
     def __init__(self, params: ParameterStore, config: ConvScorerConfig) -> None:
@@ -140,13 +159,11 @@ class SplitTrunk:
         }
 
     def head(self, s_rows: np.ndarray) -> np.ndarray:
-        """(q, d) H rows of (q, d) head rows: the head piece, if any, reads
-        the whole head half."""
+        """(q, d) H rows of (q, d) head rows, which read the head half."""
         return self._piece("head", self._fold(s_rows))
 
     def relation(self, r_rows: np.ndarray) -> np.ndarray:
-        """(q, d) Q rows of (q, d) relation rows: the relation piece, if
-        any, reads the whole relation half."""
+        """(q, d) Q rows of (q, d) relation rows, which read the relation half."""
         return self._piece("relation", self._fold(r_rows))
 
     def strip(self, s_rows: np.ndarray, r_rows: np.ndarray) -> np.ndarray:
@@ -187,6 +204,34 @@ def frozen_trunk(
         )
     split = SplitTrunk(params, config)
     return split.combine(split.head(s_rows), split.relation(r_rows), split.strip(s_rows, r_rows))
+
+
+def frozen_scores(params: ParameterStore, config: ConvScorerConfig, entity_matrix: np.ndarray,
+                  heads, relations) -> Iterator[tuple[int, np.ndarray]]:
+    """ConvE's 1-N scores of the pairs (heads[i], relations[i]) against every
+    row of the plain (n, d) ``entity_matrix``, for evaluation: yields
+    (start, scores) per block of SCORE_BLOCK pairs, ``scores`` the (size, n)
+    rows of pairs start .. start+size-1.
+
+    The trunks are ``frozen_trunk``'s, bit for bit: ``SplitTrunk``'s head
+    piece of each distinct head and relation piece of every relation row,
+    computed once per call, plus the strip piece of the block's pairs.  The
+    block's product has SCORE_BLOCK rows, a short last block zero-padded,
+    so a row's bits do not depend on the block's pair count.
+    """
+    relation_rows = params["relation_embeddings"].data
+    split = SplitTrunk(params, config)
+    # head pieces of the distinct heads only: a short split on a large graph
+    # would pay for every entity's otherwise
+    distinct, head_of = np.unique(heads, return_inverse=True)
+    head_pieces, relation_pieces = split.head(entity_matrix[distinct]), split.relation(relation_rows)
+    for start in range(0, len(heads), SCORE_BLOCK):
+        block = slice(start, start + SCORE_BLOCK)
+        trunks = split.combine(
+            head_pieces[head_of[block]], relation_pieces[relations[block]],
+            split.strip(entity_matrix[heads[block]], relation_rows[relations[block]]),
+        )
+        yield start, (_padded(trunks) @ entity_matrix.T)[: len(trunks)]
 
 
 def known_tails_from_triples(triples: list[KnowledgeTriple]) -> dict[tuple[int, int], set[int]]:
@@ -248,7 +293,7 @@ def triple_loss(
     """Summed BCE over gold tails (label 1) and sampled tails (label 0),
     divided by the candidate count under ``mean_reduction``: the one-query
     case of a training step's loss, a ``candidate_bce`` record over the
-    query's 1-N scores.
+    query's ``query_scores``.
 
     ``entity_vecs`` is the full (n, d) entity tensor.  The relation
     embedding is the original (non-augmented) relation row, shared with
@@ -256,5 +301,5 @@ def triple_loss(
     """
     if not positives:
         raise ValueError(f"query ({h}, {r}) has no gold tails")
-    trunks = query_trunks(tape, params, config, entity_vecs, [h], [r])
-    return tape.candidate_bce(trunks, entity_vecs, [positives], [negatives], mean_reduction)[0]
+    scores = query_scores(tape, params, config, entity_vecs, [h], [r])
+    return tape.candidate_bce(scores, [positives], [negatives], mean_reduction)[0]

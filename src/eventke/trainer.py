@@ -1,10 +1,11 @@
 """Adam training loop with early stopping and checkpoint persistence.
 
 Queries are grouped by (head, relation); one optimizer step covers one
-batch of groups.  Negative draws are keyed by (seed, round, head,
-relation), so the loss of an epoch does not depend on iteration order.
-The checkpoint captures the full training state at the end of the best
-validation epoch, which makes resuming bitwise-reproducible.
+batch of groups, scored by ``scoring.query_scores``, and the validation
+loss reads ranking's ``scoring.frozen_scores``.  Negative draws are keyed
+by (seed, round, head, relation), so an epoch's loss does not depend on
+iteration order.  The checkpoint captures the full training state at the
+end of the best validation epoch, which makes resuming bitwise-reproducible.
 """
 
 from __future__ import annotations
@@ -20,16 +21,16 @@ from typing import Iterable
 
 import numpy as np
 
-from .autodiff import _TRUNK_BLOCK, ParameterStore, Tape, Tensor
+from .autodiff import ParameterStore, Tape, Tensor
 from .kgdata import HeterogeneousGraph, KnowledgeTriple
 from .layers import ModelConfig, forward_model, init_parameters, randomize_event_structure
 from .scoring import (
     ConvScorerConfig,
     NegativeSampler,
     add_scorer_parameters,
-    frozen_trunk,
+    frozen_scores,
     known_tails_from_triples,
-    query_trunks,
+    query_scores,
     triple_loss,  # noqa: F401  perfbench's tracer patches it here
 )
 
@@ -189,8 +190,8 @@ def train_epoch(
         # sampling after the forward keeps the draws out of its peak
         vecs = forward_model(tape, graph, params, model_config)
         heads, relations, golds, negatives = _sampled_queries(groups, batch, sampler, epoch)
-        trunks = query_trunks(tape, params, scorer_config, vecs, heads, relations)
-        return tape.candidate_bce(trunks, vecs, golds, negatives, train_config.mean_reduction)
+        scores = query_scores(tape, params, scorer_config, vecs, heads, relations)
+        return tape.candidate_bce(scores, golds, negatives, train_config.mean_reduction)
 
     for start in range(0, n, train_config.batch_groups):
         batch = order[start : start + train_config.batch_groups]
@@ -212,24 +213,18 @@ def evaluate_loss(
     sampler: NegativeSampler,
     train_config: TrainConfig,
 ) -> float:
-    """Mean per-query loss with the frozen validation sampling round.
-
-    The trunks are ``frozen_trunk``'s, bit for bit ranking's, and each
-    block of _TRUNK_BLOCK groups, the last one zero-padded, is scored by one
-    non-recording ``candidate_bce`` against the entity matrix, as ranking
-    scores its pairs: a group's loss does not depend on its block.
-    """
+    """Mean per-query loss with the frozen validation sampling round: one
+    non-recording ``candidate_bce`` per block of ``frozen_scores``, the 1-N
+    rows that ranking reads."""
     entity_matrix = forward_model(Tape(record=False), graph, params, model_config).data
-    relation_rows = params["relation_embeddings"].data
-    table, losses = Tensor(entity_matrix), []
-    for start in range(0, len(groups), _TRUNK_BLOCK):
-        block = range(start, min(start + _TRUNK_BLOCK, len(groups)))
-        heads, relations, golds, negatives = _sampled_queries(
-            groups, block, sampler, VALIDATION_ROUND)
-        trunks = frozen_trunk(params, scorer_config, entity_matrix[heads], relation_rows[relations])
-        padded = np.pad(trunks, ((0, _TRUNK_BLOCK - len(block)), (0, 0)))
+    heads, relations, golds, negatives = _sampled_queries(
+        groups, range(len(groups)), sampler, VALIDATION_ROUND)
+    losses = []
+    for start, scores in frozen_scores(params, scorer_config, entity_matrix, heads, relations):
+        end = start + len(scores)
         losses += Tape(record=False).candidate_bce(
-            Tensor(padded), table, golds, negatives, train_config.mean_reduction)[1].tolist()
+            Tensor(scores), golds[start:end], negatives[start:end], train_config.mean_reduction,
+        )[1].tolist()
     return sum(losses) / len(groups)
 
 
@@ -329,7 +324,7 @@ def fit(
             arrays={k: v.copy() for k, v in params.state_arrays().items()},
         )
 
-    best: Checkpoint | None = None
+    best = resume_from  # a resumed run that never improves keeps the loaded best
     history: list[tuple[int, float, float]] = []
     stopped_early = False
     for epoch in range(start_epoch, train_config.max_epochs + 1):
@@ -345,17 +340,12 @@ def fit(
         else:
             val_loss = train_loss
         history.append((epoch, train_loss, val_loss))
-        improved = val_loss < stopper.best
         stop = stopper.update(epoch, val_loss)
-        if improved:
+        if stopper.best_epoch == epoch:
             best = snapshot(epoch, val_loss)
         if stop:
             stopped_early = True
             break
-    if best is None:
-        # resumed run that never improved on the loaded best
-        assert resume_from is not None
-        best = resume_from
     return FitResult(checkpoint=best, history=history, stopped_early=stopped_early)
 
 

@@ -138,13 +138,9 @@ def test_relu_subgradient_at_zero_is_one():
 
 def _bce(scores, positives: int, mean: bool = False) -> Tensor:
     """candidate_bce of one query with the given scores, the first
-    ``positives`` gold: a unit trunk, above a padding row, against a table
-    whose i-th row is (scores[i], 0)."""
-    scores = np.asarray(scores, dtype=np.float64)
-    table = Tensor(np.stack([scores, np.zeros(scores.size)], axis=1))
-    trunks = Tensor([[1.0, 0.0], [0.0, 0.0]])
-    ids = list(range(scores.size))
-    return Tape().candidate_bce(trunks, table, [ids[:positives]], [ids[positives:]], mean)[0]
+    ``positives`` gold."""
+    ids = list(range(len(scores)))
+    return Tape().candidate_bce(Tensor([scores]), [ids[:positives]], [ids[positives:]], mean)[0]
 
 
 def test_bce_known_values():
@@ -191,15 +187,19 @@ def test_backward_requires_scalar():
 
 
 def test_candidate_bce_out_of_range():
-    trunks, table = Tensor(np.zeros((3, 2))), Tensor(np.zeros((4, 2)))
-    with pytest.raises(ValueError, match="3 rows"):  # more queries than trunk rows
-        Tape().candidate_bce(trunks, table, [[0]] * 4, [[1]] * 4, False)
+    scores = Tensor(np.zeros((3, 4)))
+    with pytest.raises(ValueError, match="3 rows"):  # more queries than score rows
+        Tape().candidate_bce(scores, [[0]] * 4, [[1]] * 4, False)
+    with pytest.raises(ValueError, match="3 rows"):  # fewer queries than score rows
+        Tape().candidate_bce(scores, [[0]] * 2, [[1]] * 2, False)
     with pytest.raises(ValueError, match="3 rows"):  # unpaired gold and negative lists
-        Tape().candidate_bce(trunks, table, [[0], [1]], [[1]], False)
+        Tape().candidate_bce(scores, [[0]] * 3, [[1]] * 2, False)
+    with pytest.raises(ValueError, match="expects"):  # not a matrix
+        Tape().candidate_bce(Tensor(np.zeros(4)), [[0]], [[1]], False)
     with pytest.raises(IndexError):
-        Tape().candidate_bce(trunks, table, [[0]], [[4]], False)
+        Tape().candidate_bce(scores, [[0]] * 3, [[1], [4], [1]], False)
     with pytest.raises(ValueError, match="query 1 has no candidates"):
-        Tape().candidate_bce(trunks, table, [[0], []], [[1], []], True)
+        Tape().candidate_bce(scores, [[0], [], [0]], [[1], [], [1]], True)
 
 
 def _dot(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
@@ -237,8 +237,8 @@ def _loss_through_all_ops(params: dict[str, Tensor]) -> tuple[Tape, Tensor]:
         tape.reshape(phi, (1, -1)), tape.reshape(mixed, (1, -1)), filt, params["trunk"], 2)
     # feat's halves scored against proj's: 0 and 2 gold, 1 twice a negative,
     # and 5 gold, 3 and 0 negative
-    bce, _ = tape.candidate_bce(tape.reshape(feat, (2, 4)), tape.reshape(proj, (6, 4)),
-                                [[0, 2], [5]], [[1, 1], [3, 0]], True)
+    scores = tape.rows_affine(tape.reshape(feat, (2, 4)), tape.reshape(proj, (6, 4)))
+    bce, _ = tape.candidate_bce(scores, [[0, 2], [5]], [[1, 1], [3, 0]], True)
     ce = tape.cross_entropy(tape.rows_affine(feat, proj), [1])
     ce_rows = tape.cross_entropy(tape.reshape(feat, (2, 4)), np.array([3, 0]))
     return tape, tape.add_n([bce, ce, ce_rows, _dot(tape, phi, phi)])
@@ -677,14 +677,14 @@ def test_pool_mean_equals_gather_segment_mean_bitwise(width):
 
 @pytest.mark.parametrize("mean", [False, True])
 def test_candidate_bce_equals_a_dense_product_reference_bitwise(mean):
-    """The total, the query losses and both gradients equal a plain form:
-    the dense product, the cells gathered from it, the clamped BCE summed
-    cell by cell, and the cells' gradients added one by one into a dense
-    matrix that the two gradient products read.  Row 3 pads the block."""
+    """rows_affine's 1-N product and candidate_bce read from it give the
+    total, the query losses and both gradients of a plain form: the dense
+    product, the cells gathered from it, the clamped BCE summed cell by
+    cell, and the cells' gradients added one by one into a dense matrix
+    that the two gradient products read."""
     rng = np.random.default_rng(41)
     table = Tensor(rng.normal(size=(7, 9)))
-    trunks = Tensor(rng.normal(size=(4, 9)))
-    trunks.data[3] = 0.0
+    trunks = Tensor(rng.normal(size=(3, 9)))
     table.data[5] = 40.0 * trunks.data[0]  # query 0's negative 5 deep in the clamp
     table.data[6] = -40.0 * trunks.data[1]  # and query 1's twice-drawn negative 6
     # two gold tails, one also a negative; a repeated negative; three gold tails
@@ -693,8 +693,8 @@ def test_candidate_bce_equals_a_dense_product_reference_bitwise(mean):
         tensor.grad += rng.normal(size=tensor.shape)
     before = [table.grad.copy(), trunks.grad.copy()]
     tape = Tape()
-    total, losses = tape.candidate_bce(trunks, table, golds, negatives, mean)
-    assert len(tape) == 1
+    total, losses = tape.candidate_bce(tape.rows_affine(trunks, table), golds, negatives, mean)
+    assert len(tape) == 2
     tape.backward(total)
 
     cells = [(i, c, label) for i, (gold, neg) in enumerate(zip(golds, negatives))
@@ -715,9 +715,8 @@ def test_candidate_bce_equals_a_dense_product_reference_bitwise(mean):
     assert total.data.tobytes() == np.float64(sum(expected)).tobytes()
     factors = np.array([1.0 / (len(g) + len(n)) if mean else 1.0 for g, n in zip(golds, negatives)])
     g = np.where(clamped, 0.0, p - labels) * factors[rows]
-    dscores = np.zeros((4, 7))
+    dscores = np.zeros((3, 7))
     np.add.at(dscores, (rows, cols), g)
-    assert not dscores[3].any()
     assert table.grad.tobytes() == (before[0] + dscores.T @ trunks.data).tobytes()
     assert trunks.grad.tobytes() == (before[1] + dscores @ table.data).tobytes()
 
@@ -1015,7 +1014,7 @@ FORWARD_ONLY = {
     **{op: lambda tape, p, leaf=leaf, call=call: call(tape, p[leaf], p)
        for op, (leaf, _, call) in UNREAD.items()},
     "candidate_bce": lambda tape, p: tape.candidate_bce(
-        p["a"], p["b"], [[0, 3], [2]], [[1, 1], [5]], True)[0],
+        p["rows"], [[0, 3], [2]], [[1, 1], [3]], True)[0],
     "cross_entropy": lambda tape, p: tape.cross_entropy(p["a"], [0, 3, 1, 2, 2, 0]),
     "circ_corr": lambda tape, p: tape.circ_corr(p["logits"], p["weights"]),
 }

@@ -1,4 +1,5 @@
 import configparser
+import dataclasses
 import json
 import os
 import shutil
@@ -807,6 +808,76 @@ def test_eval_checkpoint_of_another_graph_names_the_checkpoint_and_config(
         " param/entity_embeddings: checkpoint (10, 8) vs model (12, 8)\n"
     )
     assert not (tmp_path / "out").exists()
+
+
+def test_eval_checkpoint_whose_configs_disagree_names_the_checkpoint_and_config(
+        trained, tmp_path, capsys):
+    checkpoint = load_checkpoint(str(trained / "model.ckpt"))
+    checkpoint.model_config = dataclasses.replace(checkpoint.model_config, dim=9)
+    path = tmp_path / "dim9.ckpt"
+    save_checkpoint(checkpoint, str(path))
+    code = run_cli("eval", "--config", TOY_CONFIG,
+                   "--checkpoint", str(path), "--out", str(tmp_path / "out"))
+    assert code == 1
+    *warnings, error = capsys.readouterr().err.splitlines()
+    assert warnings == [f"WARNING eventke.cli: [model] dim is 8 in {TOY_CONFIG} but 9 in the"
+                        " checkpoint; the checkpoint's is used"]
+    assert error == (f"error: {path}: does not fit the graph of {TOY_CONFIG}: scorer reshape"
+                     " 2x4 does not match model dim 9")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"eval": {"protocol": "sampled"}},
+     "[eval] k: the sampled protocol needs K < entity vocabulary (500 >= 10)"),
+    ({"eval": {"split": "val"}, "data": {"split_ratios": "0.9,0,0.1"}},
+     "[eval] split: 'val' contains no triples"),
+])
+def test_eval_config_error_names_the_config_and_key(overrides, message, trained, tmp_path, capsys):
+    cp = configparser.ConfigParser()
+    cp.read(TOY_CONFIG)
+    cp.read_dict(overrides)
+    for key in ("triples", "events", "temporal", "entity_labels"):
+        cp["data"][key] = os.path.join(FIXTURES, cp["data"][key])
+    config = tmp_path / "eval.ini"
+    with open(config, "w") as fh:
+        cp.write(fh)
+    code = run_cli("eval", "--config", str(config),
+                   "--checkpoint", str(trained / "model.ckpt"), "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {config}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def _train_with_vectors(tmp_path, text):
+    (tmp_path / "vectors.txt").write_text(text)
+    config = _config_with(tmp_path, section="data", pretrained=str(tmp_path / "vectors.txt"))
+    return run_cli("train", "--config", config, "--out", str(tmp_path / "out"))
+
+
+def test_pretrained_vectors_of_another_width_name_the_file(tmp_path, capsys):
+    assert _train_with_vectors(tmp_path, "alice 0.1 0.2 0.3\n") == 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'vectors.txt'}: vectors have 3 values, [model] dim is 8\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, unused, total, random_init", [
+    ("zoe" + " 0.5" * 8 + "\n", 1, 1, 10),  # no identifier is an entity
+    ("", 0, 0, 10),  # no vectors at all
+    ("alice" + " 0.5" * 8 + "\nzoe" + " 0.5" * 8 + "\n", 1, 2, 9),
+])
+def test_unused_pretrained_vectors_are_one_warning(text, unused, total, random_init,
+                                                    tmp_path, capsys):
+    assert _train_with_vectors(tmp_path, text) == 0
+    assert capsys.readouterr().err == (
+        f"WARNING eventke.cli: {tmp_path / 'vectors.txt'}: {unused} of its {total} identifiers"
+        f" match no entity; {random_init} of 10 entities keep their random init\n")
+
+
+def test_pretrained_vectors_that_all_match_train_quietly(tmp_path, capsys):
+    assert _train_with_vectors(tmp_path, "alice" + " 0.5" * 8 + "\n") == 0
+    assert capsys.readouterr().err == ""
 
 
 # -- rank-diff --------------------------------------------------------------

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from eventke import evaluation
 from eventke.autodiff import Tape, Tensor
 from eventke.evaluation import (
-    EVAL_BLOCK,
     EvalProtocol,
     HeadConfig,
     HeadResult,
@@ -28,6 +27,7 @@ from eventke.evaluation import (
 from eventke.kgdata import KnowledgeTriple
 from eventke.layers import ModelConfig, forward_model
 from eventke.scoring import (
+    SCORE_BLOCK,
     ConvScorerConfig,
     SplitTrunk,
     conv_trunk,
@@ -299,9 +299,9 @@ def _sort_rank(scores, gold):
 
 
 def block_setup():
-    """Seeded parameters and EVAL_BLOCK + 1 queries: the last block holds one."""
+    """Seeded parameters and SCORE_BLOCK + 1 queries: the last block holds one."""
     lines = dataset_lines(
-        n_entities=20, n_relations=3, n_triples=EVAL_BLOCK + 1, n_events=4,
+        n_entities=20, n_relations=3, n_triples=SCORE_BLOCK + 1, n_events=4,
         min_args=2, max_args=3, n_temporal=2, seed=8,
     )
     graph, store = build_model(build_from_lines(*lines), MODEL, SCORER)

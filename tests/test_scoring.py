@@ -17,6 +17,7 @@ from eventke.scoring import (
     SplitTrunk,
     add_scorer_parameters,
     conv_trunk,
+    frozen_scores,
     frozen_trunk,
     known_tails_from_triples,
     score_against_all,
@@ -119,6 +120,33 @@ def test_frozen_trunk_matches_taped():
             assert [row.tobytes() for row in got] == [frozen[i].tobytes() for i in rows], q
     # the result is not a view of the buffers
     assert frozen.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("at", [
+    0, 64, 149,
+    # rows 60-63 of a full 64-row product get other last bits from OpenBLAS
+    # at this entity count (at one BLAS thread and at two): the zero-padded
+    # block fixes a product's row count, not a row's tile
+    pytest.param(63, marks=pytest.mark.xfail(reason="BLAS tiling by row position")),
+])
+def test_frozen_scores_row_has_the_same_bytes_in_any_block(at):
+    """A pair's 1-N row has the same bytes scored alone and at block
+    position ``at`` of a three-block call, and equals the taped scores up
+    to rounding."""
+    config = ConvScorerConfig()
+    store = _scorer(config)
+    rng = np.random.default_rng(6)
+    entities = rng.normal(size=(500, 64))
+    heads, relations = rng.integers(0, 500, size=150), rng.integers(0, 3, size=150)
+    (start, alone), = frozen_scores(store, config, entities, [7], [2])
+    assert start == 0 and alone.shape == (1, 500)
+    taped = score_against_all(Tape(), store, config, Tensor(entities[7]),
+                              Tensor(store["relation_embeddings"].data[2]), Tensor(entities))
+    assert np.max(np.abs(alone[0] - taped.data)) <= 1e-9
+    heads[at], relations[at] = 7, 2
+    blocks = list(frozen_scores(store, config, entities, heads, relations))
+    assert [(start, len(scores)) for start, scores in blocks] == [(0, 64), (64, 64), (128, 22)]
+    assert np.concatenate([scores for _, scores in blocks])[at].tobytes() == alone[0].tobytes()
 
 
 @pytest.mark.parametrize(

@@ -289,8 +289,8 @@ def diagonal_step_digest() -> str:
 
 # sha256 of the state arrays after diagonal_step with one BLAS thread.  It
 # records stage 4's sums, which the diagonals and the chunks must keep equal
-# to the flattened bincount's over stage 4 in one piece, and the step's one
-# candidate_bce record, whose 1-N product and two gradient products set the
+# to the flattened bincount's over stage 4 in one piece, and the step's 1-N
+# rows_affine product, whose forward and two gradient products set the
 # scores' and the entity gradient's summation order
 DIAGONAL_STEP_STATE = "bb540e9d25d68ba8a7fa5d2431b99b859cf6ea4f7d97457dd613979d645b3380"
 
@@ -384,8 +384,8 @@ def toy_run_digests() -> str:
 
 # sha256 of the toy run's loss.csv and model.ckpt with one BLAS thread: the
 # CLI trains on a graph of the training split alone, each step's loss is one
-# candidate_bce record over the 1-N scores, and the validation loss scores
-# frozen_trunk's rows in 64-group blocks
+# candidate_bce record over the 1-N scores, and the validation loss reads
+# frozen_scores' blocks of 64 groups
 TOY_RUN = (
     "bff8ab0284b6a002c56c042abbf6af9fcd02cf0d209a653a878056826e08f501 "
     "c80ef949f445be780ce4c0756d6757164861b45fe4d8609a5f025c490e45a040"
@@ -410,6 +410,21 @@ def test_fit_is_deterministic():
         result = fit(graph, store, SMALL_MODEL, SMALL_SCORER, train, val, config)
         histories.append(result.history)
     assert histories[0] == histories[1]
+
+
+def test_fit_returns_the_best_validation_epoch_after_stopping_early():
+    """The run stops two epochs after its best one; the checkpoint holds
+    that epoch's loss and parameters, not the last epoch's."""
+    graph, store, train, val = small_setup()
+    config = TrainConfig(learning_rate=0.1, max_epochs=10, patience=2, k_neg=3, batch_groups=2)
+    result = fit(graph, store, SMALL_MODEL, SMALL_SCORER, train, val, config)
+    val_losses = [loss for _, _, loss in result.history]
+    best = int(np.argmin(val_losses))
+    assert result.stopped_early and len(val_losses) == best + 3
+    assert (result.checkpoint.epoch, result.checkpoint.best_val_loss) == (best + 1, val_losses[best])
+    final = store.state_arrays()
+    assert any(not np.array_equal(array, final[name])
+               for name, array in result.checkpoint.arrays.items())
 
 
 def test_fit_loss_decreases_on_toy_graph():
@@ -618,7 +633,8 @@ def _many_groups_setup():
 
 def test_a_training_steps_loss_is_one_record(monkeypatch):
     """Whatever the step's group count, its tape holds the forward's records,
-    the trunk's three (two gathers and the conv) and one loss record."""
+    the scores' four (two gathers, the conv trunk and the 1-N product) and
+    one loss record."""
     graph, store, groups, sampler = _many_groups_setup()
     forward = Tape()
     forward_model(forward, graph, store, ModelConfig())
@@ -635,7 +651,7 @@ def test_a_training_steps_loss_is_one_record(monkeypatch):
         train_epoch(graph, store, ModelConfig(), ConvScorerConfig(), groups[:32], sampler, config,
                     epoch=1, shuffle_rng=np.random.default_rng(0), step_counter=[0])
     assert len(lengths) == 32 + 7 + 1
-    assert set(lengths) == {len(forward) + 4}
+    assert set(lengths) == {len(forward) + 5}
 
 
 def test_a_validation_groups_loss_does_not_depend_on_its_block(monkeypatch):
